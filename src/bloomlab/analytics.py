@@ -25,8 +25,8 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .filters import FilterVariant
-from .kernel import log2_fraction, nabla_power, nabla_power_row, stirling2
-from .occupancy import classic_mean_variance
+from .kernel import log2_fraction, nabla_power, two_term_recursion
+from .occupancy import classic_mean_variance, classic_raw_moment
 
 __all__ = [
     "FprBounds",
@@ -78,22 +78,13 @@ class InfeasibleError(ValueError):
 def fpr_standard_exact(m: int, n: int, k: int) -> Fraction:
     """Exact rate for a standard filter:
 
-        f = (1/m^(n+1)k) * sum_i S(k,i) m_(i) nabla^i[x^(nk)]_m
+        f = E[X^k] / m^k
 
-    i.e. the k-th raw moment of the n*k-ball occupancy number over m^k.
+    the k-th raw moment of the n*k-ball classic occupancy number over m^k.
     """
     if m < 1 or k < 1 or n < 0:
         raise ValueError("fpr_standard_exact requires m >= 1, k >= 1, n >= 0")
-    top = min(k, m)
-    row = nabla_power_row(m, n * k, top)
-    num = 0
-    ff = 1
-    for i in range(top + 1):
-        s = stirling2(k, i)
-        if s:
-            num += s * ff * row[i]
-        ff *= m - i
-    return Fraction(num, m ** (n * k + k))
+    return classic_raw_moment(m, n * k, k) / m**k
 
 
 def fpr_classic_exact(m: int, n: int, k: int) -> Fraction:
@@ -133,7 +124,7 @@ def fpr_exact(m: int, n: int, k: int, variant: FilterVariant) -> Fraction:
 def fpr_recursive(
     m: int, n: int, k: int, variant: FilterVariant, digits: int = 40
 ) -> float:
-    """The two-term recursions, evaluated in fixed-precision decimal.
+    """kernel.two_term_recursion for either variant, in fixed-precision decimal.
 
     Cancellation amplifies relative error by roughly 1/f, so binary doubles
     cannot give 6 significant digits at f ~ 1e-12; 40 decimal digits leave
@@ -146,48 +137,17 @@ def fpr_recursive(
         raise ValueError("classic variant requires k <= m")
     if n == 0:
         return 0.0
+    standard = variant is FilterVariant.STANDARD
+    # standard: psi(h, s) = E[(X/s)^h] over n*k balls, weight (1 - 1/s)^(nk+h-1);
+    # classic: rho(r, s) of C(x,k)^n, weight (1 - k/s)^n; both 0 below s = low
+    low = 1 if standard else k
     with localcontext() as ctx:
         ctx.prec = digits
-        if variant is FilterVariant.STANDARD:
-            return float(_psi_standard(m, n * k, k))
-        return float(_rho_classic(m, n, k))
 
+        def weight(i: int, s: int) -> Decimal:
+            return (Decimal(s - low) / Decimal(s)) ** (n * k + i - 1 if standard else n)
 
-def _psi_standard(m: int, balls: int, k: int) -> Decimal:
-    # psi(h, s) = E[(X/s)^h] for X classic-occupancy with `balls` balls;
-    # psi(h, s) = psi(h-1, s) - (1 - 1/s)^(balls + h - 1) psi(h-1, s-1).
-    level = [Decimal(1) if m - j >= 1 else Decimal(0) for j in range(k + 1)]
-    for h in range(1, k + 1):
-        nxt = []
-        for j in range(k + 1 - h):
-            s = m - j
-            if s < 1:
-                nxt.append(Decimal(0))
-            elif s == 1:
-                nxt.append(level[j])
-            else:
-                w = (Decimal(s - 1) / Decimal(s)) ** (balls + h - 1)
-                nxt.append(level[j] - w * level[j + 1])
-        level = nxt
-    return level[0]
-
-
-def _rho_classic(m: int, n: int, k: int) -> Decimal:
-    # rho(r, s) = rho(r-1, s) - ((s-k)/s)^n rho(r-1, s-1), rho(0, s) = 1.
-    level = [Decimal(1) if m - j >= k else Decimal(0) for j in range(k + 1)]
-    for r in range(1, k + 1):
-        nxt = []
-        for j in range(k + 1 - r):
-            s = m - j
-            if s < 1:
-                nxt.append(Decimal(0))
-            elif s <= k:
-                nxt.append(level[j])
-            else:
-                w = (Decimal(s - k) / Decimal(s)) ** n
-                nxt.append(level[j] - w * level[j + 1])
-        level = nxt
-    return level[0]
+        return float(two_term_recursion(k, m, low, weight, Decimal(1)))
 
 
 # --------------------------------------------------------------------------
@@ -233,7 +193,8 @@ def fpr_taylor(m: int, n: int, k: int) -> float:
     phi = (muf / m) ** k
     if k == 1:
         return phi
-    phi2 = k * (k - 1) * muf ** (k - 2) / m**k
+    # scaled by m before the power: muf ** (k - 2) overflows at k ~ 133
+    phi2 = k * (k - 1) / m**2 * (muf / m) ** (k - 2)
     return phi + varf / 2 * phi2
 
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
-from .kernel import Scalar, stirling2
+from .kernel import Scalar, _nabla_binom_powers, stirling2
 
 __all__ = [
     "Observation",
@@ -90,20 +89,14 @@ def mvue_m_committee(mu: int, n: int, k: int) -> Fraction:
         raise ValueError("mvue_m_committee requires n >= 1 and k >= 1")
     if not k <= mu <= n * k:
         raise ValueError("occupancy must lie in [k, n*k]")
-    d_hi = _delta0_binom_power(k, n, mu)
+    # Delta^i f(0) = nabla^i f(i)
+    d_hi = _nabla_binom_powers(mu, [(k, n)], mu)
     if d_hi == 0:
         raise UnsupportedObservationError(
             "Delta^mu [C(x,k)^n]_0 = 0; observation not attainable"
         )
-    d_lo = _delta0_binom_power(k, n, mu - 1)
+    d_lo = _nabla_binom_powers(mu - 1, [(k, n)], mu - 1)
     return mu * (1 + Fraction(d_lo, d_hi))
-
-
-def _delta0_binom_power(k: int, n: int, i: int) -> int:
-    total = 0
-    for j in range(i + 1):
-        total += (-1) ** (i - j) * comb(i, j) * comb(j, k) ** n
-    return total
 
 
 def mvue_m_classic(mu: int, n: int, *, m_exceeds_n: bool) -> Fraction:

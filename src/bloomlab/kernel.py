@@ -1,5 +1,6 @@
 """Exact combinatorial primitives: Stirling numbers, falling factorials,
-and finite-difference operators over arbitrary-precision rationals.
+finite-difference operators over arbitrary-precision rationals, and the
+two-term recursion behind the normalized differences, over any number type.
 
 Alternating sums are accumulated in integer (or exact rational) arithmetic
 and divided once at the end, so no cancellation error is possible. All
@@ -11,14 +12,13 @@ from __future__ import annotations
 
 import math
 import threading
-from enum import Enum
+from collections import Counter
 from fractions import Fraction
 from math import comb
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 __all__ = [
     "ExactRational",
-    "DifferenceKind",
     "Scalar",
     "stirling2",
     "falling_factorial",
@@ -26,9 +26,8 @@ __all__ = [
     "nabla_power",
     "nabla_power_row",
     "nabla_binom_product",
-    "difference",
     "rho",
-    "rho_recursive",
+    "two_term_recursion",
     "log2_fraction",
 ]
 
@@ -40,16 +39,7 @@ ExactRational = Fraction
 # returns Fraction. The two compare and combine exactly.
 Scalar = Union[int, Fraction]
 
-
-class DifferenceKind(Enum):
-    """Direction of a finite-difference operator.
-
-    The two are conjugate: the i-th forward difference at a equals the
-    i-th backward difference at a+i.
-    """
-
-    BACKWARD = "backward"
-    FORWARD = "forward"
+Num = TypeVar("Num")
 
 
 # --------------------------------------------------------------------------
@@ -140,20 +130,42 @@ def nabla_power(m: Scalar, n: int, r: int) -> Scalar:
     return total
 
 
-def nabla_power_row(m: int, n: int, r: int) -> list[int]:
-    """[nabla^0, nabla^1, ..., nabla^r] of x**n at x = m, as exact integers.
+def _difference_row(vals: list[int]) -> list[int]:
+    """[nabla^0, nabla^1, ..., nabla^r] of f at x, given vals[j] = f(x - j)
+    for j = 0..r.
 
-    Built from one difference table, so the whole row costs O(r^2)
-    subtractions instead of O(r^2) binomial-weighted products.
+    One difference table, so the whole row costs O(r^2) subtractions
+    instead of O(r^2) binomial-weighted products.
     """
-    if n < 0 or r < 0:
-        raise ValueError("nabla_power_row requires n >= 0 and r >= 0")
-    vals = [(m - j) ** n for j in range(r + 1)]
     out = [vals[0]]
-    for _ in range(r):
+    for _ in range(len(vals) - 1):
         vals = [vals[j] - vals[j + 1] for j in range(len(vals) - 1)]
         out.append(vals[0])
     return out
+
+
+def nabla_power_row(m: int, n: int, r: int) -> list[int]:
+    """[nabla^0, nabla^1, ..., nabla^r] of x**n at x = m, as exact integers."""
+    if n < 0 or r < 0:
+        raise ValueError("nabla_power_row requires n >= 0 and r >= 0")
+    return _difference_row([(m - j) ** n for j in range(r + 1)])
+
+
+def _nabla_binom_powers(x: int, powers: list[tuple[int, int]], r: int) -> int:
+    """r-th backward difference of prod C(t, k)^e at t = x, for (k, e) in
+    powers, summed over the points t = x - j >= 0 (C(t, k) is 0 below).
+
+    Each distinct k is raised to its power once per point. Unchecked: the
+    forward difference Delta^r f(0) that batch p.m.f.s need is the backward
+    difference at x = r, which sits below the batch size when r < k.
+    """
+    total = 0
+    for j in range(min(r, x) + 1):
+        term = comb(r, j)
+        for k, e in powers:
+            term *= comb(x - j, k) ** e
+        total += -term if j & 1 else term
+    return total
 
 
 def nabla_binom_product(m: int, ks: Sequence[int], r: int) -> int:
@@ -167,41 +179,9 @@ def nabla_binom_product(m: int, ks: Sequence[int], r: int) -> int:
         raise ValueError("batch sizes must be positive")
     if ks and m < max(ks):
         raise ValueError("nabla_binom_product requires m >= max(ks)")
-    degree = sum(ks)
-    if r > degree:
-        return 0
-    total = 0
-    sign = 1
-    for j in range(r + 1):
-        term = comb(r, j)
-        x = m - j
-        for k in ks:
-            if term == 0:
-                break
-            term *= comb(x, k) if x >= 0 else 0
-        total += sign * term
-        sign = -sign
-    return total
-
-
-def difference(
-    f: Callable[[Scalar], Scalar], kind: DifferenceKind, order: int, at: Scalar
-) -> Scalar:
-    """Apply an order-th forward or backward difference of f at a point.
-
-    Generic (and O(2^order) naive in f evaluations via the binomial
-    expansion); meant for cross-checking identities, not hot paths.
-    """
-    if order < 0:
-        raise ValueError("difference order must be >= 0")
-    total: Scalar = 0
-    if kind is DifferenceKind.BACKWARD:
-        for j in range(order + 1):
-            total += (-1) ** j * comb(order, j) * f(at - j)
-    else:
-        for j in range(order + 1):
-            total += (-1) ** (order - j) * comb(order, j) * f(at + j)
-    return total
+    if not ks or r > sum(ks):
+        return int(r == 0)
+    return _nabla_binom_powers(m, list(Counter(ks).items()), r)
 
 
 # --------------------------------------------------------------------------
@@ -225,33 +205,25 @@ def rho(r: int, s: int, ks: Sequence[int]) -> Fraction:
     return Fraction(nabla_binom_product(s, ks, r), denom)
 
 
-def rho_recursive(r: int, s: int, ks: Sequence[int]) -> Fraction:
-    """Same value as rho(), via the two-term recursion
+def two_term_recursion(
+    r: int, s: int, low: int, weight: Callable[[int, int], Num], one: Num
+) -> Num:
+    """g(r, s) for g(i, t) = g(i-1, t) - weight(i, t) * g(i-1, t-1), with
+    g(0, t) = one for t >= low and g(i, t) = 0 for t < low.
 
-        rho(r, s) = rho(r-1, s) - prod_d (1 - k_d/s) * rho(r-1, s-1)
-
-    with rho(0, s) = 1.  Raises if the recursion would need a level below
-    s = 0 with nonzero weight (i.e., r > s).
+    weight(i, t) = prod_d (1 - k_d/t) with low = max(k_d) gives rho(r, s, ks)
+    for r <= s; (1 - 1/t)^(N+i-1) with low = 1 gives E[(X/s)^r] for N-ball
+    classic occupancy. Levels t <= low take no step, so weight is never
+    evaluated at zero urns. Exact with Fraction, fixed precision with Decimal.
     """
-    if not ks:
-        raise ValueError("rho_recursive requires at least one batch size")
-    if s < max(ks):
-        raise ValueError("rho_recursive requires s >= max(ks)")
-    if r > s:
-        raise ValueError("recursion would step below zero urns with nonzero weight")
-    # level[j] = rho(i, s - j) for the current order i; entries with
-    # s - j < max(ks) carry zero weight and are kept as exact 0.
-    kmax = max(ks)
-    level = [Fraction(1) if s - j >= kmax else Fraction(0) for j in range(r + 1)]
+    if r < 0 or low < 0:
+        raise ValueError("two_term_recursion requires r >= 0 and low >= 0")
+    level = [one if s - j >= low else one - one for j in range(r + 1)]
     for i in range(1, r + 1):
-        nxt = []
-        for j in range(r + 1 - i):
-            sj = s - j
-            w = Fraction(1)
-            for k in ks:
-                w *= Fraction(sj - k, sj)
-            nxt.append(level[j] - w * level[j + 1])
-        level = nxt
+        level = [
+            level[j] - weight(i, s - j) * level[j + 1] if s - j > low else level[j]
+            for j in range(r + 1 - i)
+        ]
     return level[0]
 
 

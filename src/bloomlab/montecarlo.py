@@ -159,18 +159,7 @@ def occupancy_histogram(config: TrialConfig, workers: int = 1) -> HistogramResul
     """Per-trial bit-sum tally plus a chi-square fit against the exact law
     (classic with n*k balls for standard filters, batch law for classic)."""
     _, _, hist = run_trials(config, workers)
-    m = config.params.m
-    expected = [
-        config.trials * float(_exact_pmf(config.params, config.n, i))
-        for i in range(m + 1)
-    ]
-    observed = [hist.get(i, 0) for i in range(m + 1)]
-    stat, dof = _chi_square_merged(observed, expected)
-    if dof < 1:
-        p_value = 1.0 if stat == 0 else 0.0
-    else:
-        p_value = float(_chi2.sf(stat, dof))
-    mean_emp = sum(i * c for i, c in hist.items()) / config.trials
+    stat, dof, p_value, mean_emp = _occupancy_fit(config, hist)
     mu, var = _exact_mean_var(config.params, config.n)
     return HistogramResult(
         counts=dict(sorted(hist.items())),
@@ -181,6 +170,23 @@ def occupancy_histogram(config: TrialConfig, workers: int = 1) -> HistogramResul
         exact_mean=float(mu),
         exact_var=float(var),
     )
+
+
+def _occupancy_fit(config: TrialConfig, hist: Counter[int]):
+    """(chi-square, dof, p-value, empirical mean) of a bit-sum tally
+    against the exact occupancy law."""
+    m = config.params.m
+    expected = [
+        config.trials * float(_exact_pmf(config.params, config.n, i))
+        for i in range(m + 1)
+    ]
+    observed = [hist.get(i, 0) for i in range(m + 1)]
+    stat, dof = _chi_square_merged(observed, expected)
+    # One bin holds all `trials` observed and expected, so the exact
+    # statistic is 0 and any nonzero stat is float rounding.
+    p_value = 1.0 if dof < 1 else float(_chi2.sf(stat, dof))
+    mean_emp = sum(i * c for i, c in hist.items()) / config.trials
+    return stat, dof, p_value, mean_emp
 
 
 def _chi_square_merged(observed, expected, min_expected: float = 5.0):
@@ -259,15 +265,8 @@ def run_validation(
         se = math.sqrt(exact * (1 - exact) / total)
         rate = positives / total
         mu, var = _exact_mean_var(params, n)
-        mean_emp = sum(i * c for i, c in hist.items()) / config.trials
+        _, _, p, mean_emp = _occupancy_fit(config, hist)
         mean_se = math.sqrt(float(var) / config.trials)
-        expected = [
-            config.trials * float(_exact_pmf(params, n, i))
-            for i in range(params.m + 1)
-        ]
-        observed = [hist.get(i, 0) for i in range(params.m + 1)]
-        stat, dof = _chi_square_merged(observed, expected)
-        p = 1.0 if dof < 1 and stat == 0 else float(_chi2.sf(stat, max(dof, 1)))
         rows.append(
             ValidationRow(
                 m=params.m,

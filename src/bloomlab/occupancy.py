@@ -12,6 +12,8 @@ Four families, all over m urns:
 Everything returns exact rationals. The probability of any fixed set of i
 urns being jointly occupied is a normalized i-th backward difference, and
 p.m.f.s/moments are assembled from those differences in integer arithmetic.
+The difference loops live in kernel; committee and union moments share one
+assembly, committee being the single-department union.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .kernel import (
+    _difference_row,
+    _nabla_binom_powers,
     binom_poly,
     falling_factorial,
     nabla_power,
@@ -94,34 +98,6 @@ class CommitteeSpec:
 
 
 # --------------------------------------------------------------------------
-# Shared difference helpers
-# --------------------------------------------------------------------------
-
-
-def _delta0_binom_product(ks: list[int], i: int) -> int:
-    """Delta^i [ prod_l C(x, k_l) ] at x = 0, exact integer."""
-    total = 0
-    for j in range(i + 1):
-        term = comb(i, j)
-        for k in ks:
-            if term == 0:
-                break
-            term *= comb(j, k)
-        total += ((-1) ** (i - j)) * term
-    return total
-
-
-def _nabla_binom_power_row(m: int, k: int, n: int, r: int) -> list[int]:
-    """[nabla^0 .. nabla^r] of C(x,k)^n at x = m, via one difference table."""
-    vals = [comb(m - j, k) ** n if m - j >= k else 0 for j in range(r + 1)]
-    out = [vals[0]]
-    for _ in range(r):
-        vals = [vals[j] - vals[j + 1] for j in range(len(vals) - 1)]
-        out.append(vals[0])
-    return out
-
-
-# --------------------------------------------------------------------------
 # Classic occupancy
 # --------------------------------------------------------------------------
 
@@ -175,11 +151,19 @@ def committee_pmf(m: int, n: int, k: int, i: int) -> Fraction:
         raise ValueError("committee_pmf requires 1 <= k <= m")
     if n < 0:
         raise ValueError("batch count must be >= 0")
+    return _batch_pmf(m, [(k, n)], i)
+
+
+def _batch_pmf(m: int, powers: list[tuple[int, int]], i: int) -> Fraction:
+    """P[X = i] for m urns hit by e batches of size k for each (k, e) in
+    powers: C(m, i) Delta^i[prod C(x,k)^e]_0 / prod C(m,k)^e."""
     if i < 0 or i > m:
         return Fraction(0)
-    return Fraction(
-        comb(m, i) * _delta0_binom_product([k] * n, i), comb(m, k) ** n
-    )
+    denom = 1
+    for k, e in powers:
+        denom *= comb(m, k) ** e
+    # Delta^i f(0) = nabla^i f(i)
+    return Fraction(comb(m, i) * _nabla_binom_powers(i, powers, i), denom)
 
 
 def committee_moment(m: int, n: int, k: int, r: int, kind: MomentKind) -> Fraction:
@@ -188,27 +172,28 @@ def committee_moment(m: int, n: int, k: int, r: int, kind: MomentKind) -> Fracti
         raise ValueError("committee_moment requires 1 <= k <= m")
     if n < 0 or r < 0:
         raise ValueError("committee_moment requires n >= 0 and r >= 0")
-    ks = [k] * n
-    if kind is MomentKind.BINOMIAL:
-        return comb(m, r) * _rho_or_zero(r, m, ks)
+    return _batch_moment(m, [k] * n, r, kind)
+
+
+def _batch_moment(m: int, ks: list[int], r: int, kind: MomentKind) -> Fraction:
+    """r-th moment of the occupancy of m urns hit by batches of sizes ks
+    (one entry per batch), from the factorial moments m_(i) rho(i, m)."""
+
+    def factorial_moment(i: int) -> Fraction:
+        # X <= m; no batches (n = 0) leave a point mass at 0
+        if not ks or i > m:
+            return Fraction(int(i == 0))
+        return falling_factorial(m, i) * rho(i, m, ks)
+
     if kind is MomentKind.FACTORIAL:
-        return falling_factorial(m, r) * _rho_or_zero(r, m, ks)
-    total = Fraction(0)
-    for i in range(min(r, m) + 1):
-        s = stirling2(r, i)
-        if s:
-            total += s * falling_factorial(m, i) * _rho_or_zero(i, m, ks)
-    return total
-
-
-def _rho_or_zero(r: int, m: int, ks: list[int]) -> Fraction:
-    # n = 0 casts no balls: occupancy is a point mass at 0, so every
-    # difference of order >= 1 vanishes and order 0 is 1.
-    if not ks:
-        return Fraction(1) if r == 0 else Fraction(0)
-    if r > m:
-        return Fraction(0)
-    return rho(r, m, ks)
+        return factorial_moment(r)
+    if kind is MomentKind.BINOMIAL:
+        return factorial_moment(r) / factorial(r)
+    # S(r, 0) = 0 except at r = 0
+    return sum(
+        (stirling2(r, i) * factorial_moment(i) for i in range(1, min(r, m) + 1)),
+        Fraction(int(r == 0)),
+    )
 
 
 def committee_mean_variance(m: int, n: int, k: int) -> tuple[Fraction, Fraction]:
@@ -247,31 +232,14 @@ def committee_variance_printed_form(m: int, n: int, k: int) -> Fraction:
 
 def union_pmf(spec: CommitteeSpec, i: int) -> Fraction:
     """P[union occupancy = i]: urns hit by at least one department."""
-    if i < 0 or i > spec.m:
-        return Fraction(0)
-    ks = spec.flat_sizes()
-    denom = 1
-    for k in ks:
-        denom *= comb(spec.m, k)
-    return Fraction(comb(spec.m, i) * _delta0_binom_product(ks, i), denom)
+    return _batch_pmf(spec.m, [(k_d, n_d) for n_d, k_d in spec.departments], i)
 
 
 def union_moment(spec: CommitteeSpec, r: int, kind: MomentKind) -> Fraction:
     """r-th moment of the union occupancy number, in the given kind."""
     if r < 0:
         raise ValueError("moment order must be >= 0")
-    ks = spec.flat_sizes()
-    m = spec.m
-    if kind is MomentKind.BINOMIAL:
-        return comb(m, r) * _rho_or_zero(r, m, ks)
-    if kind is MomentKind.FACTORIAL:
-        return falling_factorial(m, r) * _rho_or_zero(r, m, ks)
-    total = Fraction(0)
-    for i in range(min(r, m) + 1):
-        s = stirling2(r, i)
-        if s:
-            total += s * falling_factorial(m, i) * _rho_or_zero(i, m, ks)
-    return total
+    return _batch_moment(spec.m, spec.flat_sizes(), r, kind)
 
 
 # --------------------------------------------------------------------------
@@ -284,20 +252,11 @@ def intersection_moment(spec: CommitteeSpec, r: int) -> Fraction:
 
     Departments are independent, so the joint occupation probability of r
     fixed urns is a product of per-department normalized differences.
-    Single-batch departments (all n_d = 1) reduce to a pure binomial ratio.
     """
     if r < 0:
         raise ValueError("moment order must be >= 0")
     if r > spec.m:
         return Fraction(0)
-    if r == 0:
-        return Fraction(1)
-    if all(n_d == 1 for n_d, _ in spec.departments):
-        num = 1
-        for _, k_d in spec.departments:
-            num *= comb(k_d, r)
-        c = len(spec.departments)
-        return Fraction(num, comb(spec.m, r) ** (c - 1))
     out = Fraction(comb(spec.m, r))
     for n_d, k_d in spec.departments:
         out *= rho(r, spec.m, [k_d] * n_d)
@@ -313,7 +272,8 @@ def intersection_pmf_table(spec: CommitteeSpec) -> list[Fraction]:
     """
     m = spec.m
     rows = [
-        _nabla_binom_power_row(m, k_d, n_d, m) for n_d, k_d in spec.departments
+        _difference_row([comb(m - j, k_d) ** n_d for j in range(m + 1)])
+        for n_d, k_d in spec.departments
     ]
     denom = 1
     for n_d, k_d in spec.departments:

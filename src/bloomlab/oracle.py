@@ -84,10 +84,6 @@ def enumerate_committee_pmf(m: int, n: int, k: int) -> list[Fraction]:
     return [Fraction(c, total) for c in committee_occupancy_counts(m, n, k)]
 
 
-def _department_masks(m: int, n: int, k: int) -> dict[int, int]:
-    return _mask_counts_committee(m, n, k)
-
-
 def enumerate_union_pmf(spec: CommitteeSpec) -> list[Fraction]:
     """Occupancy of urns hit by ANY department, by OR-combining the
     per-department mask distributions."""
@@ -95,7 +91,7 @@ def enumerate_union_pmf(spec: CommitteeSpec) -> list[Fraction]:
     counts = {0: 1}
     total = 1
     for n_d, k_d in spec.departments:
-        dept = _department_masks(m, n_d, k_d)
+        dept = _mask_counts_committee(m, n_d, k_d)
         total *= comb(m, k_d) ** n_d
         nxt: dict[int, int] = {}
         for mask, c in counts.items():
@@ -113,7 +109,7 @@ def enumerate_intersection_pmf(spec: CommitteeSpec) -> list[Fraction]:
     counts = {(1 << m) - 1: 1}
     total = 1
     for n_d, k_d in spec.departments:
-        dept = _department_masks(m, n_d, k_d)
+        dept = _mask_counts_committee(m, n_d, k_d)
         total *= comb(m, k_d) ** n_d
         nxt: dict[int, int] = {}
         for mask, c in counts.items():

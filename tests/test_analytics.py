@@ -130,6 +130,11 @@ class TestTaylor:
         exact = float(fpr_standard_exact(100, 20, 5))
         assert fpr_taylor(100, 20, 5) == pytest.approx(exact, rel=0.02)
 
+    def test_no_overflow_at_paper_optimum(self):
+        # mu ** (k - 2) alone overflows a double at (1024, 5, 133)
+        t = fpr_taylor(1024, 5, 133)
+        assert math.isfinite(t) and t > 0
+
 
 class TestOptimalK:
     def test_exact_mode_matches_unpruned_scan(self):

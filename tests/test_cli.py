@@ -57,6 +57,14 @@ class TestAnalyze:
             "log2_exact",
         }
 
+    @pytest.mark.parametrize("variant", ["standard", "classic"])
+    def test_paper_optimum_configuration(self, runner, variant):
+        result = runner.invoke(
+            cli,
+            ["analyze", "--m", "1024", "--n", "5", "--k", "133", "--variant", variant],
+        )
+        assert result.exit_code == 0, result.output
+
     def test_invalid_params_usage_error(self, runner):
         result = runner.invoke(cli, ["analyze", "--m", "0", "--n", "1", "--k", "1"])
         assert result.exit_code != 0

@@ -1,4 +1,5 @@
 import threading
+from enum import Enum
 from fractions import Fraction
 from math import comb
 
@@ -7,18 +8,58 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bloomlab.kernel import (
-    DifferenceKind,
     binom_poly,
-    difference,
     falling_factorial,
     log2_fraction,
     nabla_binom_product,
     nabla_power,
     nabla_power_row,
     rho,
-    rho_recursive,
     stirling2,
+    two_term_recursion,
 )
+
+
+class DifferenceKind(Enum):
+    """Direction of a finite-difference operator.
+
+    The two are conjugate: the i-th forward difference at a equals the
+    i-th backward difference at a+i.
+    """
+
+    BACKWARD = "backward"
+    FORWARD = "forward"
+
+
+def difference(f, kind, order, at):
+    """Apply an order-th forward or backward difference of f at a point.
+
+    Generic (and O(2^order) naive in f evaluations via the binomial
+    expansion); meant for cross-checking identities, not hot paths.
+    """
+    if order < 0:
+        raise ValueError("difference order must be >= 0")
+    total = 0
+    if kind is DifferenceKind.BACKWARD:
+        for j in range(order + 1):
+            total += (-1) ** j * comb(order, j) * f(at - j)
+    else:
+        for j in range(order + 1):
+            total += (-1) ** (order - j) * comb(order, j) * f(at + j)
+    return total
+
+
+def rho_by_recursion(r, s, ks):
+    """rho(r, s, ks) from the two-term recursion with exact weights
+    prod_d (1 - k_d/t) and lowest nonzero level max(ks)."""
+
+    def weight(_, t):
+        w = Fraction(1)
+        for k in ks:
+            w *= Fraction(t - k, t)
+        return w
+
+    return two_term_recursion(r, s, max(ks), weight, Fraction(1))
 
 
 class TestStirling:
@@ -166,11 +207,17 @@ class TestRho:
         s = data.draw(st.integers(1, 30))
         ks = data.draw(st.lists(st.integers(1, min(s, 6)), min_size=1, max_size=4))
         r = data.draw(st.integers(0, s))
-        assert rho(r, s, ks) == rho_recursive(r, s, ks)
+        assert rho(r, s, ks) == rho_by_recursion(r, s, ks)
 
-    def test_recursive_rejects_r_beyond_s(self):
+    def test_recursion_rejects_negative_order_or_level(self):
+        def weight(_, t):
+            return Fraction(t - 1, t)
+
         with pytest.raises(ValueError):
-            rho_recursive(6, 5, [2])
+            two_term_recursion(-1, 5, 1, weight, Fraction(1))
+        # a negative lowest level would take a step at zero urns
+        with pytest.raises(ValueError):
+            two_term_recursion(6, 5, -1, weight, Fraction(1))
 
     def test_results_are_reduced(self):
         v = rho(2, 8, [3, 2])

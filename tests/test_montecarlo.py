@@ -67,6 +67,15 @@ class TestHistogram:
         assert h.counts == {3: 50}
         assert h.p_value == 1.0
 
+    def test_single_bin_fit_is_perfect(self):
+        # four trials merge every bin into one (dof 0); observed and expected
+        # totals are both 4, so the statistic is rounding noise, not misfit
+        config = _config(m=128, k=4, variant=CLS, n=24, trials=4, probes=1)
+        h = occupancy_histogram(config)
+        assert h.dof == 0
+        assert h.p_value == 1.0
+        assert run_validation([config])[0].chi2_p == 1.0
+
     def test_chi_square_against_exact_law(self):
         h = occupancy_histogram(_config(m=16, k=2, variant=STD, n=4,
                                         trials=5000, probes=0))

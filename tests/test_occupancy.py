@@ -111,6 +111,30 @@ class TestCommitteePmf:
             assert committee_pmf(m, n, k, i) == expect[i]
 
 
+class TestBelowBatchSize:
+    def test_pmfs_vanish_below_batch_size(self):
+        # Delta^i f(0) is taken as nabla^i f(i), a point below k when i < k
+        for m in range(1, 7):
+            for k in range(1, m + 1):
+                for n in range(1, 4):
+                    for i in range(k):
+                        assert committee_pmf(m, n, k, i) == 0
+                    assert committee_pmf(m, n, k, k) == Fraction(1, comb(m, k) ** (n - 1))
+        spec = CommitteeSpec(6, [(2, 3), (1, 4)])
+        expect = oracle.enumerate_union_pmf(spec)
+        for i in range(7):
+            assert union_pmf(spec, i) == expect[i]
+        assert [union_pmf(spec, i) for i in range(4)] == [0, 0, 0, 0]
+
+    def test_mvue_at_batch_size(self):
+        # mu = k: the lower difference sits at k - 1, where C(x,k)^n is 0
+        from bloomlab.estimators import mvue_m_committee
+
+        for k in range(1, 6):
+            for n in range(1, 4):
+                assert mvue_m_committee(k, n, k) == k
+
+
 class TestCommitteeMoments:
     def test_examples(self):
         assert committee_moment(5, 2, 3, 1, MomentKind.RAW) == Fraction(21, 5)
@@ -143,6 +167,17 @@ class TestCommitteeMoments:
             stirling2(r, i) * committee_moment(m, n, k, i, MomentKind.FACTORIAL)
             for i in range(r + 1)
         )
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_single_department_union(self, data):
+        m = data.draw(st.integers(1, 9))
+        k = data.draw(st.integers(1, m))
+        n = data.draw(st.integers(1, 4))
+        r = data.draw(st.integers(0, m + 1))
+        spec = CommitteeSpec(m, [(n, k)])
+        for kind in MomentKind:
+            assert committee_moment(m, n, k, r, kind) == union_moment(spec, r, kind)
 
     def test_mean_variance(self):
         assert committee_mean_variance(9, 1, 4) == (4, 0)
