@@ -12,7 +12,6 @@ from .analytics import (
     FprBounds,
     FprReport,
     OptimalK,
-    OptimizeMode,
     capacity_n_max,
     efficiency,
     fpr_bounds,
@@ -37,12 +36,10 @@ from .filters import (
     deserialize,
     estimate_cardinality,
     filter_intersect,
-    filter_new,
     filter_union,
     index_stream,
     serialize,
 )
-from .kernel import ExactRational
 from .montecarlo import (
     TrialConfig,
     conjecture_scan,
@@ -72,14 +69,12 @@ __all__ = [
     "BloomFilter",
     "CommitteeSpec",
     "EfficiencyPoint",
-    "ExactRational",
     "FilterParams",
     "FilterVariant",
     "FprBounds",
     "FprReport",
     "MomentKind",
     "OptimalK",
-    "OptimizeMode",
     "TrialConfig",
     "capacity_n_max",
     "classic_mean_variance",
@@ -95,7 +90,6 @@ __all__ = [
     "estimate_cardinality",
     "estimate_n",
     "filter_intersect",
-    "filter_new",
     "filter_union",
     "fpr_bounds",
     "fpr_classic_exact",

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from enum import Enum
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Sequence
@@ -33,7 +32,6 @@ __all__ = [
     "FprReport",
     "EfficiencyPoint",
     "OptimalK",
-    "OptimizeMode",
     "UndefinedEfficiencyError",
     "InfeasibleError",
     "fpr_standard_exact",
@@ -56,7 +54,6 @@ __all__ = [
     "valley_crossing",
     "valley_residual",
     "intersection_filter_moments",
-    "intersection_filter_variance_printed_form",
 ]
 
 LN2 = math.log(2)
@@ -121,9 +118,7 @@ def fpr_exact(m: int, n: int, k: int, variant: FilterVariant) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-def fpr_recursive(
-    m: int, n: int, k: int, variant: FilterVariant, digits: int = 40
-) -> float:
+def fpr_recursive(m: int, n: int, k: int, variant: FilterVariant) -> float:
     """kernel.two_term_recursion for either variant, in fixed-precision decimal.
 
     Cancellation amplifies relative error by roughly 1/f, so binary doubles
@@ -142,7 +137,7 @@ def fpr_recursive(
     # classic: rho(r, s) of C(x,k)^n, weight (1 - k/s)^n; both 0 below s = low
     low = 1 if standard else k
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 40
 
         def weight(i: int, s: int) -> Decimal:
             return (Decimal(s - low) / Decimal(s)) ** (n * k + i - 1 if standard else n)
@@ -237,11 +232,6 @@ def fpr_report(m: int, n: int, k: int, variant: FilterVariant) -> FprReport:
 # --------------------------------------------------------------------------
 
 
-class OptimizeMode(Enum):
-    EXACT = "exact"
-    ESTIMATE = "estimate"
-
-
 class OptimalK(NamedTuple):
     k: float
     fpr: Fraction | float
@@ -249,43 +239,36 @@ class OptimalK(NamedTuple):
 
 def optimal_k_estimate(m: int, n: int) -> OptimalK:
     """The closed-form seed k ~ (m/n) ln 2 and its idealized rate 2^-k."""
+    if n < 1:
+        raise ValueError("optimal_k_estimate requires n >= 1")
     k_est = m / n * LN2
     return OptimalK(k_est, 0.5**k_est)
 
 
-def optimal_k(
-    m: int, n: int, variant: FilterVariant, mode: OptimizeMode = OptimizeMode.EXACT
-) -> OptimalK:
+def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     """Hash count minimizing the false-positive rate at fixed (m, n).
 
-    Exact mode scans k = 1..m with exact comparisons, ties toward smaller
-    k. Candidates whose rigorous lower bound (Jensen) already exceeds the
-    best exact value found are skipped; the bound comparison carries a
-    0.5-bit safety margin so float evaluation of the bound cannot change
-    the winner.
+    Scans k = 1..m with exact comparisons, ties toward smaller k.
+    Candidates whose rigorous lower bound (Jensen) already exceeds the best
+    exact value found are skipped; the bound comparison carries a 0.5-bit
+    safety margin so float evaluation of the bound cannot change the winner.
+    The closed-form seed is evaluated first, to set the threshold.
     """
     if m < 1 or n < 0:
         raise ValueError("optimal_k requires m >= 1 and n >= 0")
-    if mode is OptimizeMode.ESTIMATE:
-        if n < 1:
-            raise ValueError("estimate mode requires n >= 1")
-        return optimal_k_estimate(m, n)
     if n == 0:
         return OptimalK(1, Fraction(0))
-
-    def exact(k: int) -> Fraction:
-        return fpr_exact(m, n, k, variant)
-
     seed = min(max(round(m / n * LN2), 1), m)
-    cache = {seed: exact(seed)}
-    threshold = log2_fraction(cache[seed])
+    seed_f = fpr_exact(m, n, seed, variant)
+    threshold = log2_fraction(seed_f)
     best_k, best_f = None, None
     for k in range(1, m + 1):
-        if k not in cache and _fpr_lower_bound_log2(m, n, k, variant) > threshold + 0.5:
+        if k == seed:
+            f = seed_f
+        elif _fpr_lower_bound_log2(m, n, k, variant) > threshold + 0.5:
             continue
-        f = cache.get(k)
-        if f is None:
-            f = exact(k)
+        else:
+            f = fpr_exact(m, n, k, variant)
         if best_f is None or f < best_f:
             best_k, best_f = k, f
             threshold = min(threshold, log2_fraction(f))
@@ -373,15 +356,13 @@ def size_m_min(n: int, p: float, variant: FilterVariant) -> int:
     hi = max(n, 1, round(m_min_estimate(n, p)))
     while not ok(hi):
         hi *= 2
-    lo = 0  # m = 0 is invalid, treated as "not ok"
-    probe_lo = hi // 2
-    while probe_lo > 0 and ok(probe_lo):
-        hi = probe_lo
-        probe_lo //= 2
-    lo = probe_lo
+    lo = hi // 2
+    while lo > 0 and ok(lo):
+        hi = lo
+        lo //= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if mid >= 1 and ok(mid):
+        if ok(mid):
             hi = mid
         else:
             lo = mid
@@ -477,7 +458,7 @@ def max_efficiency_closed_form(m: int, variant: FilterVariant) -> float:
 # --------------------------------------------------------------------------
 
 
-def valley_crossing(k: int, tol: float = 1e-12, max_iter: int = 10_000) -> float:
+def valley_crossing(k: int) -> float:
     """Positive x with (1-e^(-kx))^k = (1-e^(-(k+1)x))^(k+1).
 
     x = ln z for z the positive root of z^(k+1) - z - 1, found by iterating
@@ -486,9 +467,9 @@ def valley_crossing(k: int, tol: float = 1e-12, max_iter: int = 10_000) -> float
     if k < 1:
         raise ValueError("valley_crossing requires k >= 1")
     z = 1.5
-    for _ in range(max_iter):
+    for _ in range(10_000):
         z_next = (1 + z) ** (1 / (k + 1))
-        if abs(z_next - z) < tol:
+        if abs(z_next - z) < 1e-12:
             z = z_next
             break
         z = z_next
@@ -514,9 +495,9 @@ def intersection_filter_moments(
 
     counts holds the item count of each operand filter. The mean is the
     published product formula; the variance comes from the exact first and
-    second intersection binomial moments (the published variance display
-    adds the squared-mean term that should be subtracted -- see
-    intersection_filter_variance_printed_form).
+    second intersection binomial moments. The published variance display
+    adds the squared-mean term that should be subtracted: at m=2, two
+    single-item k=1 filters it gives 3/4 where enumeration gives 1/4.
     """
     if m < 1 or k < 1:
         raise ValueError("intersection_filter_moments requires m >= 1, k >= 1")
@@ -534,29 +515,3 @@ def intersection_filter_moments(
         b2 *= Fraction(nabla_power(m, n_i * k, 2), m ** (n_i * k))
     var = mean + 2 * b2 - mean * mean
     return mean, var
-
-
-def intersection_filter_variance_printed_form(
-    m: int, k: int, counts: Sequence[int]
-) -> Fraction:
-    """The variance expression as printed in the source corollary.
-
-    Kept for comparison only: at m=2, two single-item k=1 filters it gives
-    3/4 where exhaustive enumeration gives 1/4 (a Bernoulli(1/2) bit), so
-    the final squared-mean term evidently carries the wrong sign. Not used
-    by any analytics path.
-    """
-    c = len(counts)
-    total = sum(counts) * k
-    p1 = 1
-    p2 = 1
-    p3 = 1
-    for n_i in counts:
-        a = m ** (n_i * k) - (m - 1) ** (n_i * k)
-        p1 *= a
-        p2 *= m ** (n_i * k) - 2 * (m - 1) ** (n_i * k) + (m - 2) ** (n_i * k)
-        p3 *= a * a
-    return (
-        Fraction((-1) ** c * p1 + (m - 1) * p2, m ** (total - 1))
-        + Fraction(p3, m ** (2 * (total - 1)))
-    )

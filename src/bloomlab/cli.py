@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import click
 
@@ -71,20 +71,16 @@ _VARIANT_OPT = click.option(
     show_default=True,
     help="Filter variant (classic marks k distinct bits per item).",
 )
-_FORMAT_OPT = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json", "csv"]),
-    default="text",
-    show_default=True,
-)
-_TEXT_JSON_OPT = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json"]),
-    default="text",
-    show_default=True,
-)
+
+
+def _format_opt(*formats: str):
+    return click.option(
+        "--format",
+        "fmt",
+        type=click.Choice(["text", *formats]),
+        default="text",
+        show_default=True,
+    )
 
 
 @click.group()
@@ -102,7 +98,7 @@ def cli() -> None:
 @click.option("--n", type=int, required=True, help="Stored item count.")
 @click.option("--k", type=int, required=True, help="Hash bits per item.")
 @_VARIANT_OPT
-@_TEXT_JSON_OPT
+@_format_opt("json")
 def analyze(m: int, n: int, k: int, variant: str, fmt: str) -> None:
     """Exact false-positive rate, bounds, approximations, efficiency."""
     rep = analytics.fpr_report(m, n, k, _variant(variant))
@@ -157,7 +153,7 @@ def analyze(m: int, n: int, k: int, variant: str, fmt: str) -> None:
     default=None,
     help="Filter variant; omit to report both.",
 )
-@_TEXT_JSON_OPT
+@_format_opt("json")
 def optimize(m, n, p, variant: str | None, fmt: str) -> None:
     """Optimal k (given m, n), max n (given m, p), or min m (given n, p)."""
     given = [v is not None for v in (m, n, p)]
@@ -269,39 +265,24 @@ def sweep(variable, start, end, step, m, n, k, variant, outputs, out) -> None:
     if missing:
         raise click.UsageError("missing fixed parameters: " + ", ".join(missing))
     var = _variant(variant)
-    if kstar_only:
-        lines = ["m,n," + ",".join(wanted)]
-        for value in range(start, end + 1, step):
-            point = dict(fixed)
-            point[variable] = value
-            pm, pn = point["m"], point["n"]
-            cells = []
-            for w in wanted:
-                if w == "kstar_est":
-                    cells.append(f"{analytics.optimal_k_estimate(pm, pn).k:.4f}")
-                else:
-                    v = FilterVariant.CLASSIC if w.endswith("classic") else (
-                        FilterVariant.STANDARD
-                    )
-                    cells.append(str(analytics.optimal_k(pm, pn, v).k))
-            lines.append(f"{pm},{pn}," + ",".join(cells))
-        text = "\n".join(lines) + "\n"
-        if out:
-            _write_text(out, text)
-        else:
-            click.echo(text, nl=False)
-        return
-    lines = ["variant,m,n,k," + ",".join(wanted)]
+    lines = [("m,n," if kstar_only else "variant,m,n,k,") + ",".join(wanted)]
     for value in range(start, end + 1, step):
-        point = dict(fixed)
-        point[variable] = value
+        point = {**fixed, variable: value}
         pm, pn, pk = point["m"], point["n"], point["k"]
-        if pk > pm and var is FilterVariant.CLASSIC:
+        if kstar_only:
+            key = f"{pm},{pn},"
+        elif pk > pm and var is FilterVariant.CLASSIC:
             continue
+        else:
+            key = f"{variant},{pm},{pn},{pk},"
         cells = []
         bounds = None
         for w in wanted:
-            if w == "exact":
+            if w == "kstar_est":
+                cells.append(f"{analytics.optimal_k_estimate(pm, pn).k:.4f}")
+            elif w.startswith("kstar_"):
+                cells.append(str(analytics.optimal_k(pm, pn, _variant(w[6:])).k))
+            elif w == "exact":
                 cells.append(fraction_sci(analytics.fpr_exact(pm, pn, pk, var)))
             elif w in ("E", "M", "L", "U"):
                 bounds = bounds or analytics.fpr_bounds(pm, pn, pk)
@@ -313,41 +294,17 @@ def sweep(variable, start, end, step, m, n, k, variant, outputs, out) -> None:
                 cells.append(f"{analytics.fpr_taylor(pm, pn, pk):.9e}")
             elif w == "efficiency":
                 cells.append(f"{analytics.efficiency(pm, pn, pk, var):.9f}")
-        lines.append(f"{variant},{pm},{pn},{pk}," + ",".join(cells))
+        lines.append(key + ",".join(cells))
     text = "\n".join(lines) + "\n"
     if out:
-        _write_text(out, text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         click.echo(text, nl=False)
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise click.ClickException(str(exc)) from None
 
 
 # --------------------------------------------------------------------------
 # filter file operations
 # --------------------------------------------------------------------------
-
-
-def _load_filter(path: str) -> BloomFilter:
-    try:
-        with open(path, "rb") as fh:
-            return deserialize(fh.read())
-    except OSError as exc:
-        raise click.ClickException(str(exc)) from None
-
-
-def _store_filter(path: str, filt: BloomFilter) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(serialize(filt))
-    except OSError as exc:
-        raise click.ClickException(str(exc)) from None
 
 
 def _warn_if_overfull(filt: BloomFilter) -> None:
@@ -369,7 +326,7 @@ def _warn_if_overfull(filt: BloomFilter) -> None:
 def build(m, k, variant, seed, out) -> None:
     """Write an empty serialized filter."""
     params = FilterParams(m=m, k=k, variant=_variant(variant), seed=seed)
-    _store_filter(out, BloomFilter(params))
+    Path(out).write_bytes(serialize(BloomFilter(params)))
     click.echo(f"wrote empty {variant} filter m={m} k={k} to {out}")
 
 
@@ -379,12 +336,12 @@ def build(m, k, variant, seed, out) -> None:
               help="Newline-delimited elements (default stdin).")
 def insert(filter_file, source) -> None:
     """Insert newline-delimited elements and rewrite the filter file."""
-    filt = _load_filter(filter_file)
+    filt = deserialize(Path(filter_file).read_bytes())
     inserted = 0
     for line in source:
         filt.insert(line.rstrip(b"\r\n"))
         inserted += 1
-    _store_filter(filter_file, filt)
+    Path(filter_file).write_bytes(serialize(filt))
     _warn_if_overfull(filt)
     click.echo(f"inserted {inserted} elements; bit sum {filt.bit_sum()}/{filt.params.m}")
 
@@ -393,10 +350,10 @@ def insert(filter_file, source) -> None:
 @click.argument("filter_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--input", "source", type=click.File("rb"), default="-",
               help="Newline-delimited elements (default stdin).")
-@_TEXT_JSON_OPT
+@_format_opt("json")
 def query(filter_file, source, fmt) -> None:
     """Per-element membership verdicts plus a summary."""
-    filt = _load_filter(filter_file)
+    filt = deserialize(Path(filter_file).read_bytes())
     positives = 0
     total = 0
     rows = []
@@ -428,10 +385,10 @@ def query(filter_file, source, fmt) -> None:
 
 @cli.command()
 @click.argument("filter_file", type=click.Path(exists=True, dir_okay=False))
-@_TEXT_JSON_OPT
+@_format_opt("json")
 def info(filter_file, fmt) -> None:
     """Parameters, bit sum, and estimated cardinality of a filter file."""
-    filt = _load_filter(filter_file)
+    filt = deserialize(Path(filter_file).read_bytes())
     try:
         cardinality = estimate_cardinality(filt)
     except SaturationError:
@@ -469,7 +426,7 @@ def info(filter_file, fmt) -> None:
 @click.option("--probes", type=int, default=10, show_default=True,
               help="Never-inserted elements probed per trial.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@_FORMAT_OPT
+@_format_opt("json", "csv")
 def simulate(m, n, k, variant, trials, probes, seed, fmt) -> None:
     """Empirical FPR and occupancy histogram against the exact law."""
     params = FilterParams(m=m, k=k, variant=_variant(variant), seed=seed)
@@ -503,9 +460,9 @@ def verify(suite, out) -> None:
             click.echo(check.line())
             failed |= not check.passed
         if out:
-            os.makedirs(out, exist_ok=True)
+            Path(out).mkdir(parents=True, exist_ok=True)
             for stem, text in result.artifacts.items():
-                _write_text(os.path.join(out, f"{stem}.csv"), text)
+                Path(out, f"{stem}.csv").write_text(text, encoding="utf-8")
     if failed:
         sys.exit(EXIT_VERIFY)
 

@@ -9,13 +9,11 @@ sample, implemented exactly as published.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernel import Scalar, _nabla_binom_powers, stirling2
 
 __all__ = [
-    "Observation",
     "SaturationError",
     "UnsupportedObservationError",
     "estimate_n",
@@ -30,26 +28,6 @@ class SaturationError(ValueError):
 
 class UnsupportedObservationError(ValueError):
     """The estimator's denominator vanishes at this observation."""
-
-
-@dataclass(frozen=True)
-class Observation:
-    """An observed occupancy with whatever parameters are known.
-
-    mu is the occupancy (bit sum); m the urn count when known; k the batch
-    size; n the batch count when known.
-    """
-
-    mu: Fraction
-    m: int | None = None
-    k: int | None = None
-    n: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.mu < 0:
-            raise ValueError("occupancy cannot be negative")
-        if self.m is not None and self.mu > self.m:
-            raise ValueError("occupancy cannot exceed the urn count")
 
 
 def estimate_n(m: int, k: int, mu: Scalar) -> float:

@@ -38,7 +38,6 @@ __all__ = [
     "FormatError",
     "IncompatibleFilterError",
     "index_stream",
-    "filter_new",
     "filter_union",
     "filter_intersect",
     "estimate_cardinality",
@@ -179,14 +178,6 @@ class BloomFilter:
 
     def fill_ratio(self) -> float:
         return self.bit_sum() / self.params.m
-
-    def copy(self) -> "BloomFilter":
-        return BloomFilter(self.params, bytearray(self.bits), self.count)
-
-
-def filter_new(params: FilterParams) -> BloomFilter:
-    """A fresh all-zero filter."""
-    return BloomFilter(params)
 
 
 def _require_same_params(a: BloomFilter, b: BloomFilter) -> None:

@@ -18,7 +18,6 @@ from math import comb
 from typing import Callable, Sequence, TypeVar, Union
 
 __all__ = [
-    "ExactRational",
     "Scalar",
     "stirling2",
     "falling_factorial",
@@ -30,10 +29,6 @@ __all__ = [
     "two_term_recursion",
     "log2_fraction",
 ]
-
-# Carrier for all exact probabilities and moments. fractions.Fraction already
-# guarantees lowest terms, positive denominator, and value equality.
-ExactRational = Fraction
 
 # Integer-valued operators return plain int; anything mixing rationals
 # returns Fraction. The two compare and combine exactly.
@@ -171,7 +166,8 @@ def _nabla_binom_powers(x: int, powers: list[tuple[int, int]], r: int) -> int:
 def nabla_binom_product(m: int, ks: Sequence[int], r: int) -> int:
     """r-th backward difference of prod_d C(x, k_d) evaluated at x = m.
 
-    A power C(x,k)^n is passed as n repetitions of k.  Exact integer.
+    A power C(x,k)^n is passed as n repetitions of k.  Exact integer; for
+    r > m the points below 0 take the polynomial's values C(t, k) at t < 0.
     """
     if r < 0:
         raise ValueError("nabla_binom_product requires r >= 0")
@@ -181,7 +177,14 @@ def nabla_binom_product(m: int, ks: Sequence[int], r: int) -> int:
         raise ValueError("nabla_binom_product requires m >= max(ks)")
     if not ks or r > sum(ks):
         return int(r == 0)
-    return _nabla_binom_powers(m, list(Counter(ks).items()), r)
+    powers = list(Counter(ks).items())
+    total = _nabla_binom_powers(m, powers, r)
+    for j in range(m + 1, r + 1):
+        term = comb(r, j)
+        for k, e in powers:
+            term *= binom_poly(m - j, k) ** e
+        total += -term if j & 1 else term
+    return total
 
 
 # --------------------------------------------------------------------------

@@ -43,7 +43,6 @@ __all__ = [
     "committee_pmf",
     "committee_moment",
     "committee_mean_variance",
-    "committee_variance_printed_form",
     "union_pmf",
     "union_moment",
     "intersection_moment",
@@ -84,10 +83,6 @@ class CommitteeSpec:
                 raise ValueError("batch count n_d must be positive")
             if not 1 <= k_d <= m:
                 raise ValueError("batch size k_d must satisfy 1 <= k_d <= m")
-
-    @property
-    def total_balls(self) -> int:
-        return sum(n_d * k_d for n_d, k_d in self.departments)
 
     def flat_sizes(self) -> list[int]:
         """Batch sizes with multiplicity, one entry per batch."""
@@ -199,9 +194,9 @@ def _batch_moment(m: int, ks: list[int], r: int, kind: MomentKind) -> Fraction:
 def committee_mean_variance(m: int, n: int, k: int) -> tuple[Fraction, Fraction]:
     """Mean (closed form) and variance (from exact binomial moments).
 
-    The variance uses E[X^2] - mu^2 with E[X^2] = mu + 2 E[C(X,2)]; the
-    literature's closed form is kept in committee_variance_printed_form for
-    comparison because it does not reproduce exact enumerations.
+    The variance uses E[X^2] - mu^2 with E[X^2] = mu + 2 E[C(X,2)]. The
+    literature's printed closed form is not used: at (m, n, k) = (5, 2, 3)
+    it is negative while the true variance is 9/25.
     """
     if not 1 <= k <= m:
         raise ValueError("committee_mean_variance requires 1 <= k <= m")
@@ -211,18 +206,6 @@ def committee_mean_variance(m: int, n: int, k: int) -> tuple[Fraction, Fraction]
     b2 = committee_moment(m, n, k, 2, MomentKind.BINOMIAL)
     var = mean + 2 * b2 - mean * mean
     return mean, var
-
-
-def committee_variance_printed_form(m: int, n: int, k: int) -> Fraction:
-    """The committee-variance expression as printed in the source lemma.
-
-    Reported for comparison only: at (m, n, k) = (5, 2, 3) it evaluates to
-    a negative number while the true variance is 9/25, so the transcription
-    cannot be the intended formula.  Do not use for analytics.
-    """
-    p = Fraction(m - k, m) ** n
-    filled = 1 - p
-    return m * filled * (1 - m * filled + (m - 1) * Fraction(m - 1 - k, m - 1) ** n)
 
 
 # --------------------------------------------------------------------------

@@ -199,8 +199,8 @@ def suite_oracle_small() -> SuiteResult:
 # --------------------------------------------------------------------------
 
 
-def suite_invariants(seed: int = 0xB100F) -> SuiteResult:
-    rng = random.Random(seed)
+def suite_invariants() -> SuiteResult:
+    rng = random.Random(0xB100F)
     checks = []
     t_start = time.perf_counter()
 
@@ -401,9 +401,9 @@ def _random_spec(rng: random.Random, max_m: int, max_total: int):
 # --------------------------------------------------------------------------
 
 
-def suite_montecarlo(workers: int = 1) -> SuiteResult:
+def suite_montecarlo() -> SuiteResult:
     t0 = time.perf_counter()
-    rows = montecarlo.run_validation(workers=workers)
+    rows = montecarlo.run_validation()
     elapsed = time.perf_counter() - t0
     fpr_out = [r for r in rows if abs(r.z_score) > 4]
     mean_out = [r for r in rows if abs(r.mean_z) > 4]
@@ -480,15 +480,12 @@ def suite_valley() -> SuiteResult:
 # --------------------------------------------------------------------------
 
 
-def suite_conjectures(
-    m_max: int = 256, n_max: int = 32, with_monotonicity: bool = True
-) -> SuiteResult:
+def suite_conjectures() -> SuiteResult:
     t0 = time.perf_counter()
-    k_values = None
-    if with_monotonicity:
-        k_values = [(m, k) for m in (32, 64, 100) for k in range(1, 11)]
     report = montecarlo.conjecture_scan(
-        range(1, m_max + 1), range(1, n_max + 1), k_values=k_values
+        range(1, 257),
+        range(1, 33),
+        k_values=[(m, k) for m in (32, 64, 100) for k in range(1, 11)],
     )
     elapsed = time.perf_counter() - t0
     bad_cells = [r for r in report.ordering if not r.ok]

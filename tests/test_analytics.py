@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bloomlab import oracle
 from bloomlab.analytics import (
     InfeasibleError,
-    OptimizeMode,
     UndefinedEfficiencyError,
     capacity_n_max,
     efficiency,
@@ -20,7 +19,6 @@ from bloomlab.analytics import (
     fpr_standard_exact,
     fpr_taylor,
     intersection_filter_moments,
-    intersection_filter_variance_printed_form,
     m_min_estimate,
     max_efficiency,
     max_efficiency_closed_form,
@@ -37,6 +35,26 @@ from bloomlab.occupancy import classic_mean_variance
 
 STD = FilterVariant.STANDARD
 CLS = FilterVariant.CLASSIC
+
+
+def intersection_filter_variance_printed_form(m, k, counts):
+    """The variance expression for an AND of standard filters as printed in
+    the source corollary; the paper's erratum, kept for comparison with
+    intersection_filter_moments."""
+    c = len(counts)
+    total = sum(counts) * k
+    p1 = 1
+    p2 = 1
+    p3 = 1
+    for n_i in counts:
+        a = m ** (n_i * k) - (m - 1) ** (n_i * k)
+        p1 *= a
+        p2 *= m ** (n_i * k) - 2 * (m - 1) ** (n_i * k) + (m - 2) ** (n_i * k)
+        p3 *= a * a
+    return (
+        Fraction((-1) ** c * p1 + (m - 1) * p2, m ** (total - 1))
+        + Fraction(p3, m ** (2 * (total - 1)))
+    )
 
 
 class TestExactRates:
@@ -154,10 +172,11 @@ class TestOptimalK:
         assert fpr_classic_exact(255, 1, 128) == best.fpr
 
     def test_estimate_mode(self):
-        est = optimal_k(64, 4, STD, OptimizeMode.ESTIMATE)
+        est = optimal_k_estimate(64, 4)
         assert est.k == pytest.approx(16 * math.log(2), rel=1e-12)
         assert est.fpr == pytest.approx(0.5**est.k, rel=1e-12)
-        assert optimal_k_estimate(64, 4).k == est.k
+        with pytest.raises(ValueError):
+            optimal_k_estimate(64, 0)
 
     def test_zero_items(self):
         assert optimal_k(32, 0, STD) == (1, 0)

@@ -1,9 +1,10 @@
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from bloomlab.cli import cli, fraction_sci
+from bloomlab.cli import cli, fraction_sci, main
 from bloomlab.suites import CheckResult, SuiteResult
 from fractions import Fraction
 
@@ -266,3 +267,38 @@ class TestVerify:
         )
         assert result.exit_code == 0
         assert (tmp_path / "reports" / "table.csv").read_text() == "a,b\n1,2\n"
+
+
+class TestMainExitCodes:
+    """The `bloomlab` entry point maps errors onto the documented exit codes
+    with a one-line message, never a traceback."""
+
+    @staticmethod
+    def _run(monkeypatch, capsys, args):
+        monkeypatch.setattr(sys, "argv", ["bloomlab", *args])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        return exc.value.code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["optimize", "--m", "64", "--n", "0"],
+            ["sweep", "--variable", "n", "--start", "0", "--end", "1",
+             "--m", "8", "--outputs", "kstar_est"],
+            ["simulate", "--m", "8", "--n", "2", "--k", "2", "--probes", "0"],
+        ],
+    )
+    def test_domain_errors_exit_1(self, monkeypatch, capsys, args):
+        code, err = self._run(monkeypatch, capsys, args)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_unwritable_output_exits_2(self, monkeypatch, capsys, tmp_path):
+        out = tmp_path / "missing" / "f.blm"
+        args = ["build", "--m", "64", "--k", "2", "--out", str(out)]
+        code, err = self._run(monkeypatch, capsys, args)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not out.exists()

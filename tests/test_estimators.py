@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from bloomlab.estimators import (
-    Observation,
     SaturationError,
     UnsupportedObservationError,
     estimate_n,
@@ -53,13 +52,6 @@ class TestEstimateN:
             est = estimate_n(32, 3, Fraction(mu_tenths, 10))
             assert est > last
             last = est
-
-    def test_observation_validation(self):
-        Observation(mu=Fraction(3), m=8, k=2, n=1)
-        with pytest.raises(ValueError):
-            Observation(mu=Fraction(9), m=8)
-        with pytest.raises(ValueError):
-            Observation(mu=Fraction(-1))
 
 
 class TestCommitteeMvue:

@@ -15,7 +15,6 @@ from bloomlab.filters import (
     deserialize,
     estimate_cardinality,
     filter_intersect,
-    filter_new,
     filter_union,
     index_stream,
     serialize,
@@ -42,7 +41,7 @@ class TestParams:
             FilterParams(m=8, k=1, variant=STD, seed=1 << 128)
 
     def test_degenerate_single_bit(self):
-        filt = filter_new(FilterParams(m=1, k=1, variant=STD))
+        filt = BloomFilter(FilterParams(m=1, k=1, variant=STD))
         assert filt.bit_sum() == 0
 
 
@@ -88,26 +87,26 @@ class TestIndexStream:
 class TestInsertQuery:
     def test_no_false_negatives(self):
         for variant in (STD, CLS):
-            filt = filter_new(_params(m=128, k=4, variant=variant))
+            filt = BloomFilter(_params(m=128, k=4, variant=variant))
             elements = [b"item-%d" % i for i in range(60)]
             for e in elements:
                 filt.insert(e)
             assert all(filt.query(e) for e in elements)
 
     def test_empty_filter_negative(self):
-        filt = filter_new(_params())
+        filt = BloomFilter(_params())
         assert not filt.query(b"anything")
 
     def test_bit_sum_per_variant(self):
-        classic = filter_new(_params(m=8, k=3, variant=CLS))
+        classic = BloomFilter(_params(m=8, k=3, variant=CLS))
         classic.insert(b"a")
         assert classic.bit_sum() == 3
-        standard = filter_new(_params(m=8, k=3, variant=STD))
+        standard = BloomFilter(_params(m=8, k=3, variant=STD))
         standard.insert(b"a")
         assert 1 <= standard.bit_sum() <= 3
 
     def test_count_tracks_inserts(self):
-        filt = filter_new(_params())
+        filt = BloomFilter(_params())
         for i in range(5):
             filt.insert(b"%d" % i)
         assert filt.count == 5
@@ -115,15 +114,15 @@ class TestInsertQuery:
 
 class TestSetAlgebra:
     def test_union_identity_and_count(self):
-        a = filter_new(_params())
-        empty = filter_new(_params())
+        a = BloomFilter(_params())
+        empty = BloomFilter(_params())
         for e in (b"x", b"y"):
             a.insert(e)
         u = filter_union(a, empty)
         assert u.bits == a.bits and u.count == a.count
 
     def test_intersect_idempotent(self):
-        a = filter_new(_params())
+        a = BloomFilter(_params())
         for e in (b"x", b"y", b"z"):
             a.insert(e)
         i = filter_intersect(a, a)
@@ -131,8 +130,8 @@ class TestSetAlgebra:
         assert i.count is None
 
     def test_union_query_monotone(self):
-        a = filter_new(_params())
-        b = filter_new(_params())
+        a = BloomFilter(_params())
+        b = BloomFilter(_params())
         for e in (b"p", b"q"):
             a.insert(e)
         for e in (b"r",):
@@ -142,25 +141,25 @@ class TestSetAlgebra:
             assert u.query(e)
 
     def test_union_count_propagates_unknown(self):
-        a = filter_new(_params())
+        a = BloomFilter(_params())
         unknown = filter_intersect(a, a)
         assert filter_union(a, unknown).count is None
 
     def test_incompatible_params_rejected(self):
-        a = filter_new(_params(seed=1))
-        b = filter_new(_params(seed=2))
+        a = BloomFilter(_params(seed=1))
+        b = BloomFilter(_params(seed=2))
         with pytest.raises(IncompatibleFilterError):
             filter_union(a, b)
         with pytest.raises(IncompatibleFilterError):
-            filter_intersect(a, filter_new(_params(m=32, k=3)))
+            filter_intersect(a, BloomFilter(_params(m=32, k=3)))
 
 
 class TestCardinality:
     def test_empty(self):
-        assert estimate_cardinality(filter_new(_params())) == 0.0
+        assert estimate_cardinality(BloomFilter(_params())) == 0.0
 
     def test_saturated(self):
-        filt = filter_new(FilterParams(m=1, k=1, variant=STD))
+        filt = BloomFilter(FilterParams(m=1, k=1, variant=STD))
         filt.insert(b"x")
         with pytest.raises(SaturationError):
             estimate_cardinality(filt)
@@ -170,7 +169,7 @@ class TestCardinality:
         m, k, n, reps = 1024, 8, 50, 300
         total = 0.0
         for seed in range(reps):
-            filt = filter_new(FilterParams(m=m, k=k, variant=CLS, seed=seed))
+            filt = BloomFilter(FilterParams(m=m, k=k, variant=CLS, seed=seed))
             for i in range(n):
                 filt.insert(b"e%d" % i)
             total += estimate_cardinality(filt)
@@ -178,7 +177,7 @@ class TestCardinality:
 
     def test_standard_estimate_divides_by_k(self):
         m, k, n = 2048, 4, 100
-        filt = filter_new(FilterParams(m=m, k=k, variant=STD, seed=11))
+        filt = BloomFilter(FilterParams(m=m, k=k, variant=STD, seed=11))
         for i in range(n):
             filt.insert(b"s%d" % i)
         assert abs(estimate_cardinality(filt) - n) < 8
@@ -187,21 +186,21 @@ class TestCardinality:
 class TestSerialization:
     def test_round_trip(self):
         for variant in (STD, CLS):
-            filt = filter_new(_params(m=77, k=5, variant=variant, seed=2**100 + 17))
+            filt = BloomFilter(_params(m=77, k=5, variant=variant, seed=2**100 + 17))
             for i in range(9):
                 filt.insert(b"r%d" % i)
             again = deserialize(serialize(filt))
             assert again == filt
 
     def test_round_trip_unknown_count(self):
-        a = filter_new(_params())
+        a = BloomFilter(_params())
         i = filter_intersect(a, a)
         assert deserialize(serialize(i)).count is None
 
     def test_golden_empty_filter(self):
         # 44-byte header (magic, version, variant, hash scheme, m, k, count,
         # seed) then one zero byte of bit array for m = 8
-        filt = filter_new(FilterParams(m=8, k=1, variant=STD, seed=0))
+        filt = BloomFilter(FilterParams(m=8, k=1, variant=STD, seed=0))
         blob = serialize(filt)
         expect = (
             MAGIC
@@ -218,14 +217,14 @@ class TestSerialization:
         assert len(blob) == 45
 
     def test_bit_order_lsb_first(self):
-        filt = filter_new(FilterParams(m=16, k=1, variant=STD, seed=0))
+        filt = BloomFilter(FilterParams(m=16, k=1, variant=STD, seed=0))
         filt.bits[0] = 0b0000_0001  # bit 0
         filt.bits[1] = 0b1000_0000  # bit 15
         blob = serialize(filt)
         assert blob[-2] == 1 and blob[-1] == 0x80
 
     def test_truncated_rejected(self):
-        blob = serialize(filter_new(_params()))
+        blob = serialize(BloomFilter(_params()))
         with pytest.raises(FormatError):
             deserialize(blob[:-1])
         with pytest.raises(FormatError):
@@ -234,27 +233,27 @@ class TestSerialization:
             deserialize(b"shrt")
 
     def test_bad_magic_and_version(self):
-        blob = bytearray(serialize(filter_new(_params())))
+        blob = bytearray(serialize(BloomFilter(_params())))
         bad = bytes(b"XXXX") + bytes(blob[4:])
         with pytest.raises(FormatError) as exc:
             deserialize(bad)
         assert exc.value.offset == 0
-        blob2 = bytearray(serialize(filter_new(_params())))
+        blob2 = bytearray(serialize(BloomFilter(_params())))
         blob2[4] = 99
         with pytest.raises(FormatError) as exc:
             deserialize(bytes(blob2))
         assert exc.value.offset == 4
 
     def test_padding_bits_rejected(self):
-        filt = filter_new(FilterParams(m=3, k=1, variant=STD, seed=0))
+        filt = BloomFilter(FilterParams(m=3, k=1, variant=STD, seed=0))
         blob = bytearray(serialize(filt))
         blob[-1] = 0b1000  # bit 3 is beyond m = 3
         with pytest.raises(FormatError):
             deserialize(bytes(blob))
 
     def test_injective_on_fields(self):
-        base = serialize(filter_new(_params()))
-        other = serialize(filter_new(_params(seed=12346)))
+        base = serialize(BloomFilter(_params()))
+        other = serialize(BloomFilter(_params(seed=12346)))
         assert base != other
 
 
@@ -267,8 +266,8 @@ class TestAlgebraStatistics:
         params = _params(m=m, k=k, variant=CLS, seed=21)
         total = 0
         for t in range(trials):
-            a = filter_new(params)
-            b = filter_new(params)
+            a = BloomFilter(params)
+            b = BloomFilter(params)
             for i in range(n1):
                 a.insert(b"a-%d-%d" % (t, i))
             for i in range(n2):
@@ -287,7 +286,7 @@ class TestAlgebraStatistics:
         for t in range(trials):
             filters = []
             for j, n_j in enumerate(counts):
-                f = filter_new(params)
+                f = BloomFilter(params)
                 for i in range(n_j):
                     f.insert(b"%d-%d-%d" % (j, t, i))
                 filters.append(f)

@@ -151,6 +151,18 @@ class TestNablaBinomProduct:
     def test_above_degree_vanishes(self):
         assert nabla_binom_product(9, [2, 3], 6) == 0
 
+    def test_orders_beyond_m_are_the_polynomial_difference(self):
+        # for m < r <= sum(ks) the sum reaches points t < 0, where C(t, k)
+        # is the polynomial's value, not 0
+        assert nabla_binom_product(3, [2, 2], 4) == 6
+        assert rho(4, 3, [2, 2]) == Fraction(2, 3)
+        for ks in ([2, 2], [2, 3], [3, 3], [1, 2, 4], [4, 4]):
+            f = lambda x: __import__("math").prod(binom_poly(x, k) for k in ks)  # noqa: E731
+            for m in range(max(ks), sum(ks)):
+                for r in range(m + 1, sum(ks) + 1):
+                    want = difference(f, DifferenceKind.BACKWARD, r, m)
+                    assert nabla_binom_product(m, ks, r) == want, (m, ks, r)
+
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
             nabla_binom_product(2, [3], 1)

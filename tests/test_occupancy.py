@@ -15,7 +15,6 @@ from bloomlab.occupancy import (
     committee_mean_variance,
     committee_moment,
     committee_pmf,
-    committee_variance_printed_form,
     intersection_moment,
     intersection_pmf,
     intersection_pmf_table,
@@ -23,6 +22,14 @@ from bloomlab.occupancy import (
     union_moment,
     union_pmf,
 )
+
+
+def committee_variance_printed_form(m, n, k):
+    """The committee-variance expression as printed in the source lemma;
+    the paper's erratum, kept for comparison with committee_mean_variance."""
+    p = Fraction(m - k, m) ** n
+    filled = 1 - p
+    return m * filled * (1 - m * filled + (m - 1) * Fraction(m - 1 - k, m - 1) ** n)
 
 
 class TestClassicPmf:
