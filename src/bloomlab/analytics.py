@@ -245,27 +245,58 @@ def optimal_k_estimate(m: int, n: int) -> OptimalK:
     return OptimalK(k_est, 0.5**k_est)
 
 
+def _k_seed(m: int, n: int) -> int:
+    """The closed-form k ~ (m/n) ln 2 rounded and clamped to 1..m."""
+    return min(max(round(m / n * LN2), 1), m)
+
+
 def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     """Hash count minimizing the false-positive rate at fixed (m, n).
 
-    Scans k = 1..m with exact comparisons, ties toward smaller k.
-    Candidates whose rigorous lower bound (Jensen) already exceeds the best
-    exact value found are skipped; the bound comparison carries a 0.5-bit
-    safety margin so float evaluation of the bound cannot change the winner.
-    The closed-form seed is evaluated first, to set the threshold.
+    Scans k = 1..m with exact comparisons, ties toward smaller k. The
+    closed-form seed is evaluated first, to set the threshold T, the log2
+    of the best exact rate found so far; T never rises during the scan.
+    A candidate whose proven lower bound B(k) = _fpr_lower_bound_log2
+    exceeds T + 0.5 is skipped; the 0.5-bit safety margin absorbs the float
+    error of B and of T, so skipping cannot change the winner.
+
+    Standard variant: the scan stops at the first skipped k past
+    k0 = ln 2 / |ln q|. Proof that every later k is skipped too: with
+    q = (1 - 1/m)^n and y = q^k,
+
+        B(k) = k log2(1 - y) = -ln(y) ln(1 - y) / (|ln q| ln 2).
+
+    ln(y) ln(1 - y) is positive on (0, 1) and its derivative is
+    r(1 - y) - r(y) with r(t) = ln(t)/(1 - t); r increases on (0, 1)
+    (r' has the sign of 1/t - 1 + ln t > 0), so the derivative is positive
+    on (0, 1/2) and negative on (1/2, 1). y falls as k grows, so B falls
+    while y > 1/2, has its one minimum at y = 1/2 (k = k0), and rises
+    after. So for j > k > k0, B(j) > B(k) > T + 0.5 >= T' + 0.5 for any
+    later threshold T'. Float rounding can misplace k0 by about 1e-16 k0,
+    where B is flat to second order; that moves B by far less than the
+    margin.
+
+    Classic variant: no such proof is at hand for its bound, so it scans
+    the full range (each skipped k costs one O(1) bound evaluation).
     """
     if m < 1 or n < 0:
         raise ValueError("optimal_k requires m >= 1 and n >= 0")
     if n == 0:
         return OptimalK(1, Fraction(0))
-    seed = min(max(round(m / n * LN2), 1), m)
+    seed = _k_seed(m, n)
     seed_f = fpr_exact(m, n, seed, variant)
     threshold = log2_fraction(seed_f)
+    # past k_rise = k0 the standard bound only rises; classic scans to m
+    k_rise = math.inf
+    if variant is FilterVariant.STANDARD and m > 1:
+        k_rise = LN2 / (n * -math.log1p(-1 / m))
     best_k, best_f = None, None
     for k in range(1, m + 1):
         if k == seed:
             f = seed_f
         elif _fpr_lower_bound_log2(m, n, k, variant) > threshold + 0.5:
+            if k > k_rise:
+                break
             continue
         else:
             f = fpr_exact(m, n, k, variant)
@@ -276,21 +307,26 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
 
 
 def _fpr_lower_bound_log2(m: int, n: int, k: int, variant: FilterVariant) -> float:
-    """log2 of a proven lower bound on the exact rate (Jensen both times)."""
+    """log2 of a proven lower bound on the exact rate (Jensen both times).
+
+    standard: f_S = E[(X/m)^k] >= (E[X]/m)^k, E[X] = m (1 - (1 - 1/m)^(nk)).
+    classic: X >= k always and x -> C(x, k) is convex there, so
+    f_C >= C(mu, k) / C(m, k) with mu = m (1 - (1 - k/m)^n); in log form
+    ln C(mu, k) = lgamma(mu + 1) - lgamma(mu - k + 1) for real mu > k - 1,
+    so four lgamma calls replace the k-term product. lgamma's rounding is a
+    few ulps of lgamma(m + 1) (about 1e-10 nats at m = 10^4, 1e-8 at
+    m = 10^6), far inside optimal_k's 0.5-bit margin.
+    """
     if variant is FilterVariant.STANDARD:
-        # f_S >= (mu_S/m)^k, mu_S the classic mean with nk balls
         t = n * k * math.log1p(-1.0 / m)
         return k * math.log2(-math.expm1(t))
-    # f_C >= C(mu_C, k)/C(m, k); X >= k a.s. and x_(k) is convex there
     if k >= m:
         return 0.0 if k == m else math.inf
     mu = m * -math.expm1(n * math.log1p(-k / m))
     if mu <= k - 1 + 1e-12:
         mu = float(k)  # n = 1 gives mu = k exactly; guard float dust
-    total = 0.0
-    for i in range(k):
-        total += math.log2(mu - i) - math.log2(m - i)
-    return total
+    lg = math.lgamma
+    return (lg(mu + 1) - lg(mu - k + 1) - lg(m + 1) + lg(m - k + 1)) / LN2
 
 
 # --------------------------------------------------------------------------
@@ -320,6 +356,15 @@ def capacity_n_max(m: int, p: float, variant: FilterVariant) -> int:
 
     The optimal rate increases strictly with n, so a bracketed binary
     search around the closed-form seed suffices.
+
+    Feasibility of n = 1 is settled by a bound before any exact scan (the
+    scan at n = 1 is the costliest, since its bounds prune least): for
+    every 1 <= k <= m, f(m, 1, k) <= (k/m)^k in both variants.
+    standard: one item sets X <= k bits, so E[(X/m)^k] <= (k/m)^k.
+    classic: f = 1/C(m, k), and C(m, k) = prod_{i<k} (m-i)/(k-i) >= (m/k)^k
+    since (m-i)/(k-i) >= m/k. So (k1/m)^k1 <= p, checked exactly at
+    k1 = round(m/e) (where (k/m)^k is least), proves n = 1 feasible; when it
+    fails the exact probe decides, and raises InfeasibleError.
     """
     _require_rate(p)
     target = Fraction(p)
@@ -327,7 +372,8 @@ def capacity_n_max(m: int, p: float, variant: FilterVariant) -> int:
     def ok(n: int) -> bool:
         return optimal_k(m, n, variant).fpr <= target
 
-    if not ok(1):
+    k1 = max(1, round(m / math.e))
+    if Fraction(k1, m) ** k1 > target and not ok(1):
         raise InfeasibleError(f"rate {p} unreachable at m={m} even for n=1")
     lo = 1
     hi = max(2, round(n_max_estimate(m, p)))

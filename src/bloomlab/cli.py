@@ -184,7 +184,7 @@ def _optimize_one(m, n, p, variant: str) -> dict:
             fpr_exact=fraction_sci(exact.fpr),
             k_estimate=est.k,
             fpr_at_estimate=fraction_sci(
-                analytics.fpr_exact(m, n, min(round(est.k), m), var)
+                analytics.fpr_exact(m, n, analytics._k_seed(m, n), var)
             ),
             estimate_gap=round(est.k) - exact.k,
         )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloomlab import oracle
+from bloomlab import analytics, oracle
 from bloomlab.analytics import (
     InfeasibleError,
     UndefinedEfficiencyError,
@@ -31,6 +31,7 @@ from bloomlab.analytics import (
     valley_residual,
 )
 from bloomlab.filters import FilterVariant
+from bloomlab.kernel import log2_fraction
 from bloomlab.occupancy import classic_mean_variance
 
 STD = FilterVariant.STANDARD
@@ -154,17 +155,70 @@ class TestTaylor:
         assert math.isfinite(t) and t > 0
 
 
+def classic_lower_bound_log2_k_term(m, n, k):
+    """log2 C(mu, k)/C(m, k) as a k-term sum of logs; reference for the
+    lgamma form of the classic bound in analytics._fpr_lower_bound_log2."""
+    if k >= m:
+        return 0.0 if k == m else math.inf
+    mu = m * -math.expm1(n * math.log1p(-k / m))
+    if mu <= k - 1 + 1e-12:
+        mu = float(k)
+    return sum(math.log2(mu - i) - math.log2(m - i) for i in range(k))
+
+
 class TestOptimalK:
-    def test_exact_mode_matches_unpruned_scan(self):
-        for m in (8, 17, 33, 64):
-            for n in (1, 2, 5, 9):
+    def test_exact_mode_matches_unpruned_scan(self, monkeypatch):
+        # the standard scan stops early at n = 3 and n = 24 on m = 96, 128
+        bound, bound_ks = analytics._fpr_lower_bound_log2, []
+
+        def traced_bound(m, n, k, variant):
+            bound_ks.append(k)
+            return bound(m, n, k, variant)
+
+        monkeypatch.setattr(analytics, "_fpr_lower_bound_log2", traced_bound)
+        grid = [(m, n) for m in (8, 17, 33, 64) for n in (1, 2, 5, 9)]
+        grid += [(m, n) for m in (96, 128) for n in (1, 3, 24)]
+        for m, n in grid:
+            for variant in (STD, CLS):
+                bound_ks.clear()
+                best = optimal_k(m, n, variant)
+                brute = min(
+                    ((fpr_exact(m, n, k, variant), k) for k in range(1, m + 1)),
+                    key=lambda t: (t[0], t[1]),
+                )
+                assert (best.fpr, best.k) == brute
+                if m >= 96 and n > 1 and variant is STD:
+                    assert max(bound_ks) < m // 2
+
+    def test_classic_bound_equals_k_term_sum(self):
+        for m in range(2, 301):
+            ks = sorted({*range(1, m, max(1, m // 12)), m - 1, m})
+            for n in (1, 2, 3, 7, 40):
+                for k in ks:
+                    fast = analytics._fpr_lower_bound_log2(m, n, k, CLS)
+                    ref = classic_lower_bound_log2_k_term(m, n, k)
+                    assert fast == pytest.approx(ref, rel=0, abs=1e-9), (m, n, k)
+
+    def test_bound_is_below_exact_rate(self):
+        for m in range(2, 41):
+            for n in (1, 2, 3, 5, 8):
                 for variant in (STD, CLS):
-                    best = optimal_k(m, n, variant)
-                    brute = min(
-                        ((fpr_exact(m, n, k, variant), k) for k in range(1, m + 1)),
-                        key=lambda t: (t[0], t[1]),
-                    )
-                    assert (best.fpr, best.k) == brute
+                    for k in range(1, m + 1):
+                        bound = analytics._fpr_lower_bound_log2(m, n, k, variant)
+                        exact = log2_fraction(fpr_exact(m, n, k, variant))
+                        assert bound <= exact + 1e-9, (m, n, k, variant)
+
+    def test_standard_bound_falls_then_rises(self):
+        # one minimum, at k0 = ln 2 / |ln q|: the point optimal_k stops after
+        for m in (2, 5, 16, 61, 128, 256):
+            for n in (1, 2, 3, 9, 30, 200):
+                k0 = math.log(2) / (n * -math.log1p(-1 / m))
+                b = [analytics._fpr_lower_bound_log2(m, n, k, STD) for k in range(1, m + 2)]
+                for k in range(1, m + 1):  # compares B(k) with B(k + 1)
+                    if k + 1 <= k0:
+                        assert b[k] <= b[k - 1] + 1e-12, (m, n, k)
+                    elif k >= k0:
+                        assert b[k] >= b[k - 1] - 1e-12, (m, n, k)
 
     def test_ties_break_toward_smaller_k(self):
         best = optimal_k(255, 1, CLS)
@@ -180,6 +234,25 @@ class TestOptimalK:
 
     def test_zero_items(self):
         assert optimal_k(32, 0, STD) == (1, 0)
+
+
+def capacity_n_max_probing_n1(m, p, variant):
+    """capacity_n_max that always settles n = 1 by the exact scan; the
+    reference for the bound-first feasibility check."""
+    target = Fraction(p)
+
+    def ok(n):
+        return optimal_k(m, n, variant).fpr <= target
+
+    if not ok(1):
+        raise InfeasibleError(f"rate {p} unreachable at m={m} even for n=1")
+    lo, hi = 1, max(2, round(n_max_estimate(m, p)))
+    while ok(hi):
+        lo, hi = hi, hi * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
 
 
 class TestCapacity:
@@ -211,6 +284,31 @@ class TestCapacity:
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
             capacity_n_max(1, 1e-9, STD)
+        for variant in (STD, CLS):
+            with pytest.raises(InfeasibleError):
+                capacity_n_max(8, 1e-3, variant)
+
+    def test_bound_first_feasibility_matches_exact_probe(self, monkeypatch):
+        for m in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 128):
+            for p in (1e-6, 3e-5, 1e-3, 1e-2):
+                for variant in (STD, CLS):
+                    try:
+                        expected = capacity_n_max_probing_n1(m, p, variant)
+                    except InfeasibleError:
+                        with pytest.raises(InfeasibleError):
+                            capacity_n_max(m, p, variant)
+                    else:
+                        assert capacity_n_max(m, p, variant) == expected, (m, p)
+        # where (k1/m)^k1 <= p the exact scan at n = 1 never runs
+        scanned_n = []
+
+        def traced_optimal_k(m, n, variant):
+            scanned_n.append(n)
+            return optimal_k(m, n, variant)
+
+        monkeypatch.setattr(analytics, "optimal_k", traced_optimal_k)
+        assert capacity_n_max(128, 1e-6, STD) == capacity_n_max_probing_n1(128, 1e-6, STD)
+        assert scanned_n and 1 not in scanned_n
         with pytest.raises(ValueError):
             capacity_n_max(64, 1.5, STD)
 

@@ -295,6 +295,17 @@ class TestMainExitCodes:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_optimize_at_high_load_exits_0(self, monkeypatch, capsys):
+        # m/n < 1/(2 ln 2): the closed-form k rounds to 0; the estimate's
+        # rate is taken at the scan's seed, clamped to 1
+        args = ["bloomlab", "optimize", "--m", "2", "--n", "5", "--format", "json"]
+        monkeypatch.setattr(sys, "argv", args)
+        main()  # returns normally: exit 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [p["variant"] for p in payload] == ["classic", "standard"]
+        assert [p["k_exact"] for p in payload] == [1, 1]
+        assert all(p["fpr_at_estimate"] == p["fpr_exact"] for p in payload)
+
     def test_unwritable_output_exits_2(self, monkeypatch, capsys, tmp_path):
         out = tmp_path / "missing" / "f.blm"
         args = ["build", "--m", "64", "--k", "2", "--out", str(out)]
