@@ -8,9 +8,16 @@ Two variants share one code path:
 
 Hashing (scheme version 1) is fully deterministic given (seed, element):
 a keyed 128-bit blake2b of the element seeds a counter-mode blake2b
-expansion into 64-bit words, and each word is rejection-sampled to an
-exactly uniform position in [0, m).  Exact uniformity is what lets the
-Monte Carlo harness compare against the exact occupancy law.
+expansion into 64-byte chunks, each read as eight little-endian 64-bit
+words, and each word is rejection-sampled to an exactly uniform position
+in [0, m).  Exact uniformity is what lets the Monte Carlo harness compare
+against the exact occupancy law.
+
+One lazy stream (`_positions`) produces an element's k positions, hashing
+one chunk at a time.  `index_stream`, `BloomFilter.insert` and
+`BloomFilter.query` all read it.  `query` stops at the first unset bit, so
+probing an absent element in a filter that is not nearly full usually
+hashes one chunk, whatever k is.
 
 Wire format (little-endian), header 44 bytes then the bit array:
 
@@ -53,6 +60,7 @@ FORMAT_VERSION = 1
 HASH_SCHEME_VERSION = 1
 _HEADER = struct.Struct("<4sHBBQIQ16s")
 _COUNT_UNKNOWN = 0xFFFFFFFFFFFFFFFF
+_unpack_words = struct.Struct("<8Q").unpack  # one hash chunk -> 8 words
 
 
 class FormatError(ValueError):
@@ -86,48 +94,52 @@ class FilterParams:
             raise ValueError("filter length m must be >= 1")
         if not 1 <= self.k <= self.m:
             raise ValueError("hash bits k must satisfy 1 <= k <= m")
+        if self.m >= 1 << 64 or self.k >= 1 << 32:
+            raise ValueError("m must fit in u64 and k in u32 (the header's fields)")
         if not 0 <= self.seed < 1 << 128:
             raise ValueError("seed must fit in 128 bits")
 
 
-def _uniform_words(seed: int, element: bytes):
-    """Endless stream of uniform 64-bit words keyed by (seed, element)."""
+def _positions(params: FilterParams, element: bytes):
+    """Lazy stream of the k bit positions an element maps to (k distinct
+    for CLASSIC), computed one 64-byte chunk at a time.
+
+    Words >= floor(2^64 / m) * m are rejected before the modulo, so every
+    position is exactly uniform on [0, m).
+    """
+    m = params.m
+    left = params.k
+    limit = ((1 << 64) // m) * m
+    seen: set[int] | None = (
+        set() if params.variant is FilterVariant.CLASSIC else None
+    )
     root = hashlib.blake2b(
-        element, key=seed.to_bytes(16, "little"), digest_size=16
+        element, key=params.seed.to_bytes(16, "little"), digest_size=16
     ).digest()
     counter = 0
     while True:
         chunk = hashlib.blake2b(
             counter.to_bytes(8, "little"), key=root, digest_size=64
         ).digest()
-        for off in range(0, 64, 8):
-            yield int.from_bytes(chunk[off : off + 8], "little")
+        for word in _unpack_words(chunk):
+            if word >= limit:
+                continue
+            pos = word % m
+            if seen is not None:
+                if pos in seen:
+                    continue
+                seen.add(pos)
+            yield pos
+            left -= 1
+            if not left:
+                return
         counter += 1
 
 
 def index_stream(params: FilterParams, element: bytes) -> list[int]:
-    """The k bit positions an element maps to (k distinct for CLASSIC).
-
-    Words >= floor(2^64 / m) * m are rejected before the modulo, so every
-    position is exactly uniform on [0, m).
-    """
-    m = params.m
-    limit = ((1 << 64) // m) * m
-    out: list[int] = []
-    seen: set[int] = set()
-    distinct = params.variant is FilterVariant.CLASSIC
-    for word in _uniform_words(params.seed, element):
-        if word >= limit:
-            continue
-        pos = word % m
-        if distinct:
-            if pos in seen:
-                continue
-            seen.add(pos)
-        out.append(pos)
-        if len(out) == params.k:
-            return out
-    raise AssertionError("unreachable: the word stream is endless")
+    """The k bit positions an element maps to (k distinct for CLASSIC), in
+    the order `insert` sets them and `query` tests them."""
+    return list(_positions(params, element))
 
 
 class BloomFilter:
@@ -161,17 +173,20 @@ class BloomFilter:
         )
 
     def insert(self, element: bytes) -> None:
-        for pos in index_stream(self.params, element):
-            self.bits[pos >> 3] |= 1 << (pos & 7)
+        bits = self.bits
+        for pos in _positions(self.params, element):
+            bits[pos >> 3] |= 1 << (pos & 7)
         if self.count is not None:
             self.count += 1
 
     def query(self, element: bytes) -> bool:
+        """True when all k positions are set; hashing stops at the first
+        unset one."""
         bits = self.bits
-        return all(
-            bits[pos >> 3] & (1 << (pos & 7))
-            for pos in index_stream(self.params, element)
-        )
+        for pos in _positions(self.params, element):
+            if not bits[pos >> 3] & (1 << (pos & 7)):
+                return False
+        return True
 
     def bit_sum(self) -> int:
         return int.from_bytes(self.bits, "little").bit_count()
@@ -190,17 +205,17 @@ def _require_same_params(a: BloomFilter, b: BloomFilter) -> None:
 def filter_union(a: BloomFilter, b: BloomFilter) -> BloomFilter:
     """Bitwise OR; represents the union of the encoded sets."""
     _require_same_params(a, b)
-    bits = bytearray(x | y for x, y in zip(a.bits, b.bits))
+    bits = int.from_bytes(a.bits, "little") | int.from_bytes(b.bits, "little")
     count = None if a.count is None or b.count is None else a.count + b.count
-    return BloomFilter(a.params, bits, count)
+    return BloomFilter(a.params, bytearray(bits.to_bytes(len(a.bits), "little")), count)
 
 
 def filter_intersect(a: BloomFilter, b: BloomFilter) -> BloomFilter:
     """Bitwise AND.  The item count of an intersection is not derivable
     from the operand counts, so the result carries count = unknown."""
     _require_same_params(a, b)
-    bits = bytearray(x & y for x, y in zip(a.bits, b.bits))
-    return BloomFilter(a.params, bits, None)
+    bits = int.from_bytes(a.bits, "little") & int.from_bytes(b.bits, "little")
+    return BloomFilter(a.params, bytearray(bits.to_bytes(len(a.bits), "little")), None)
 
 
 def estimate_cardinality(filt: BloomFilter) -> float:

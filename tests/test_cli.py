@@ -306,6 +306,16 @@ class TestMainExitCodes:
         assert [p["k_exact"] for p in payload] == [1, 1]
         assert all(p["fpr_at_estimate"] == p["fpr_exact"] for p in payload)
 
+    def test_build_beyond_wire_format_exits_1(self, monkeypatch, capsys, tmp_path):
+        # m = 2^64 + 1 does not fit the header's u64 field
+        out = tmp_path / "f.blm"
+        args = ["build", "--m", str(2**64 + 1), "--k", "3", "--out", str(out)]
+        code, err = self._run(monkeypatch, capsys, args)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unwritable_output_exits_2(self, monkeypatch, capsys, tmp_path):
         out = tmp_path / "missing" / "f.blm"
         args = ["build", "--m", "64", "--k", "2", "--out", str(out)]

@@ -2,6 +2,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bloomlab.estimators import SaturationError
 from bloomlab.filters import (
@@ -39,6 +41,11 @@ class TestParams:
             FilterParams(m=8, k=0, variant=CLS)
         with pytest.raises(ValueError):
             FilterParams(m=8, k=1, variant=STD, seed=1 << 128)
+        # the header stores m as u64 and k as u32
+        FilterParams(m=2**64 - 1, k=2**32 - 1, variant=CLS)
+        for m, k in ((2**64, 1), (2**64 + 1, 3), (2**40, 2**32)):
+            with pytest.raises(ValueError):
+                FilterParams(m=m, k=k, variant=STD)
 
     def test_degenerate_single_bit(self):
         filt = BloomFilter(FilterParams(m=1, k=1, variant=STD))
@@ -84,6 +91,90 @@ class TestIndexStream:
             assert abs(c - expect) < 5 * sigma
 
 
+def _reference_words(seed, element):
+    """Hash scheme 1 read one word at a time: the endless stream of 64-bit
+    words that index_stream rejection-samples."""
+    root = hashlib.blake2b(
+        element, key=seed.to_bytes(16, "little"), digest_size=16
+    ).digest()
+    counter = 0
+    while True:
+        chunk = hashlib.blake2b(
+            counter.to_bytes(8, "little"), key=root, digest_size=64
+        ).digest()
+        for off in range(0, 64, 8):
+            yield int.from_bytes(chunk[off : off + 8], "little")
+        counter += 1
+
+
+def _reference_index_stream(params, element):
+    """(positions, rejected word count), built word by word from the
+    scheme's definition."""
+    m = params.m
+    limit = ((1 << 64) // m) * m
+    out, seen, rejected = [], set(), 0
+    for word in _reference_words(params.seed, element):
+        if word >= limit:
+            rejected += 1
+            continue
+        pos = word % m
+        if params.variant is CLS:
+            if pos in seen:
+                continue
+            seen.add(pos)
+        out.append(pos)
+        if len(out) == params.k:
+            return out, rejected
+
+
+# Powers of two never reject a word; the last three sizes reject about
+# 25%, 50% and 2^-64 of them.
+_SIZES = [1, 97, 2**16, 2**20, 3 * 2**62, 2**63 + 1, 2**64 - 1]
+_SEEDS = st.integers(0, 2**128 - 1)
+_ELEMENTS = st.binary(max_size=40)
+
+
+class TestStreamMatchesReference:
+    @given(data=st.data(), seed=_SEEDS, element=_ELEMENTS)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_word_stream(self, data, seed, element):
+        m = data.draw(st.sampled_from(_SIZES), "m")
+        k = data.draw(st.integers(1, min(m, 64)), "k")
+        variant = data.draw(st.sampled_from([STD, CLS]), "variant")
+        params = FilterParams(m, k, variant, seed)
+        assert index_stream(params, element) == (
+            _reference_index_stream(params, element)[0]
+        )
+
+    @given(m=st.integers(1, 24), seed=_SEEDS, element=_ELEMENTS)
+    @settings(max_examples=60, deadline=None)
+    def test_classic_k_equals_m(self, m, seed, element):
+        # every position once; the last few need many chunks of draws
+        params = FilterParams(m, m, CLS, seed)
+        assert index_stream(params, element) == (
+            _reference_index_stream(params, element)[0]
+        )
+
+    @given(seed=_SEEDS, element=_ELEMENTS)
+    @settings(max_examples=60, deadline=None)
+    def test_classic_spans_chunks(self, seed, element):
+        params = FilterParams(97, 64, CLS, seed)
+        assert index_stream(params, element) == (
+            _reference_index_stream(params, element)[0]
+        )
+
+    @pytest.mark.parametrize("m", [3 * 2**62, 2**63 + 1])
+    def test_rejection_branch(self, m):
+        rejected = 0
+        for variant in (STD, CLS):
+            params = FilterParams(m, 32, variant, 2**127 + 5)
+            for i in range(20):
+                ref, r = _reference_index_stream(params, b"rej%d" % i)
+                assert index_stream(params, b"rej%d" % i) == ref
+                rejected += r
+        assert rejected > 0
+
+
 class TestInsertQuery:
     def test_no_false_negatives(self):
         for variant in (STD, CLS):
@@ -104,6 +195,30 @@ class TestInsertQuery:
         standard = BloomFilter(_params(m=8, k=3, variant=STD))
         standard.insert(b"a")
         assert 1 <= standard.bit_sum() <= 3
+
+    @pytest.mark.parametrize("k", [3, 32])
+    @pytest.mark.parametrize("variant", [STD, CLS])
+    @pytest.mark.parametrize("fill", ["empty", "half", "ones"])
+    def test_query_is_all_positions_set(self, fill, variant, k):
+        params = _params(m=1024, k=k, variant=variant, seed=77)
+        filt = BloomFilter(params)
+        if fill == "half":
+            i = 0
+            while filt.bit_sum() < params.m // 2:
+                filt.insert(b"h%d" % i)
+                i += 1
+        elif fill == "ones":
+            filt.bits[:] = b"\xff" * len(filt.bits)
+        verdicts = set()
+        for i in range(300):
+            e = b"q%d" % (i // 2) if i % 2 else b"h%d" % (i // 2)
+            expect = all(
+                filt.bits[pos >> 3] >> (pos & 7) & 1
+                for pos in index_stream(params, e)
+            )
+            assert filt.query(e) == expect
+            verdicts.add(expect)
+        assert verdicts == ({True, False} if fill == "half" else {fill == "ones"})
 
     def test_count_tracks_inserts(self):
         filt = BloomFilter(_params())
