@@ -43,8 +43,6 @@ from .filters import (
 from .montecarlo import (
     TrialConfig,
     conjecture_scan,
-    empirical_fpr,
-    occupancy_histogram,
     run_validation,
 )
 from .occupancy import (
@@ -86,7 +84,6 @@ __all__ = [
     "conjecture_scan",
     "deserialize",
     "efficiency",
-    "empirical_fpr",
     "estimate_cardinality",
     "estimate_n",
     "filter_intersect",
@@ -106,7 +103,6 @@ __all__ = [
     "moment_bounds",
     "mvue_m_classic",
     "mvue_m_committee",
-    "occupancy_histogram",
     "optimal_k",
     "peak_efficiency",
     "run_validation",

@@ -212,7 +212,7 @@ class FprReport:
 def fpr_report(m: int, n: int, k: int, variant: FilterVariant) -> FprReport:
     exact = fpr_exact(m, n, k, variant)
     log2e = log2_fraction(exact) if exact > 0 else float("-inf")
-    eff = -(n / m) * log2e if exact > 0 else 0.0
+    eff = _efficiency(m, n, exact) if exact > 0 else 0.0
     return FprReport(
         m=m,
         n=n,
@@ -426,11 +426,14 @@ def efficiency(m: int, n: int, k: int, variant: FilterVariant) -> float:
     log2 goes through bit lengths, so rates way below double-precision
     underflow still give full-precision efficiencies.
     """
-    f = fpr_exact(m, n, k, variant)
+    return _efficiency(m, n, fpr_exact(m, n, k, variant))
+
+
+def _efficiency(m: int, n: int, f: Fraction) -> float:
     if f == 0:
         raise UndefinedEfficiencyError("efficiency undefined for zero rate (n = 0)")
     if f == 1:
-        return 0.0
+        return 0.0  # not -(n/m) * 0.0, which is -0.0
     return -(n / m) * log2_fraction(f)
 
 

@@ -102,6 +102,8 @@ def cli() -> None:
 def analyze(m: int, n: int, k: int, variant: str, fmt: str) -> None:
     """Exact false-positive rate, bounds, approximations, efficiency."""
     rep = analytics.fpr_report(m, n, k, _variant(variant))
+    # 0.0 - x rather than -x, so a rate of 1 cuts down 0 bits, not -0
+    cutdown = 0.0 - rep.log2_exact
     payload = {
         "m": m,
         "n": n,
@@ -110,7 +112,7 @@ def analyze(m: int, n: int, k: int, variant: str, fmt: str) -> None:
         "exact_fraction": f"{rep.exact.numerator}/{rep.exact.denominator}",
         "exact": fraction_sci(rep.exact),
         "log2_exact": rep.log2_exact if math.isfinite(rep.log2_exact) else None,
-        "bits_of_cutdown": -rep.log2_exact if math.isfinite(rep.log2_exact) else None,
+        "bits_of_cutdown": cutdown if math.isfinite(cutdown) else None,
         "bound_E": rep.bounds.E,
         "bound_M": fraction_sci(rep.bounds.M),
         "bound_L": fraction_sci(rep.bounds.L),
@@ -124,11 +126,11 @@ def analyze(m: int, n: int, k: int, variant: str, fmt: str) -> None:
         return
     click.echo(f"m={m} n={n} k={k} variant={variant}")
     num, den = rep.exact.numerator, rep.exact.denominator
-    frac = f"{num}/{den}" if den != 1 and len(str(den)) <= 40 else None
+    frac = f"{num}/{den}" if den != 1 and den < 10**40 else None
     click.echo(
         "exact fpr      " + fraction_sci(rep.exact) + (f"  (= {frac})" if frac else "")
     )
-    click.echo(f"log2 exact     {rep.log2_exact:.6f}  (cut-down {-rep.log2_exact:.4f} bits)")
+    click.echo(f"log2 exact     {rep.log2_exact:.6f}  (cut-down {cutdown:.4f} bits)")
     click.echo(f"bound E        {rep.bounds.E:.6e}")
     click.echo(f"bound M        {fraction_sci(rep.bounds.M)}")
     click.echo(f"bound L        {fraction_sci(rep.bounds.L)}")
@@ -469,6 +471,10 @@ def verify(suite, out) -> None:
 
 def main() -> None:
     """Entry point mapping exception classes onto the documented exit codes."""
+    # analyze prints exact fractions in full, often past Python's default
+    # 4300-digit cap on int-to-str conversion
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         cli.main(standalone_mode=False)
     except click.UsageError as exc:

@@ -16,8 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.stats import chi2 as _chi2
-
 from .analytics import fpr_exact, optimal_k, optimal_k_estimate, peak_efficiency
 from .filters import BloomFilter, FilterParams, FilterVariant
 from .occupancy import (
@@ -29,10 +27,6 @@ from .occupancy import (
 
 __all__ = [
     "TrialConfig",
-    "FprResult",
-    "HistogramResult",
-    "empirical_fpr",
-    "occupancy_histogram",
     "run_trials",
     "ValidationRow",
     "validation_suite",
@@ -109,29 +103,6 @@ def run_trials(config: TrialConfig, workers: int = 1):
     return positives, probe_count, hist
 
 
-@dataclass(frozen=True)
-class FprResult:
-    rate: float
-    std_error: float
-    positives: int
-    probes: int
-
-
-def empirical_fpr(config: TrialConfig, workers: int = 1) -> FprResult:
-    """Fraction of never-inserted probe elements that query positive,
-    with its binomial standard error."""
-    if config.trials * config.probes < 1:
-        raise ValueError("need at least one probe")
-    positives, total, _ = run_trials(config, workers)
-    rate = positives / total
-    return FprResult(
-        rate=rate,
-        std_error=math.sqrt(rate * (1 - rate) / total),
-        positives=positives,
-        probes=total,
-    )
-
-
 def _exact_pmf(params: FilterParams, n: int, i: int) -> Fraction:
     if params.variant is FilterVariant.STANDARD:
         return classic_pmf(params.m, n * params.k, i)
@@ -144,49 +115,53 @@ def _exact_mean_var(params: FilterParams, n: int) -> tuple[Fraction, Fraction]:
     return committee_mean_variance(params.m, n, params.k)
 
 
-@dataclass(frozen=True)
-class HistogramResult:
-    counts: dict[int, int]
-    chi_square: float
-    dof: int
-    p_value: float
-    mean: float
-    exact_mean: float
-    exact_var: float
-
-
-def occupancy_histogram(config: TrialConfig, workers: int = 1) -> HistogramResult:
-    """Per-trial bit-sum tally plus a chi-square fit against the exact law
-    (classic with n*k balls for standard filters, batch law for classic)."""
-    _, _, hist = run_trials(config, workers)
-    stat, dof, p_value, mean_emp = _occupancy_fit(config, hist)
-    mu, var = _exact_mean_var(config.params, config.n)
-    return HistogramResult(
-        counts=dict(sorted(hist.items())),
-        chi_square=stat,
-        dof=dof,
-        p_value=p_value,
-        mean=mean_emp,
-        exact_mean=float(mu),
-        exact_var=float(var),
-    )
-
-
 def _occupancy_fit(config: TrialConfig, hist: Counter[int]):
-    """(chi-square, dof, p-value, empirical mean) of a bit-sum tally
-    against the exact occupancy law."""
-    m = config.params.m
+    """(chi-square p-value, empirical mean) of a bit-sum tally against the
+    exact occupancy law."""
+    # The bit sum cannot exceed n*k: bins above it expect 0 and hold 0, so
+    # leaving them out changes neither the statistic nor the dof.
+    top = min(config.params.m, config.n * config.params.k)
     expected = [
         config.trials * float(_exact_pmf(config.params, config.n, i))
-        for i in range(m + 1)
+        for i in range(top + 1)
     ]
-    observed = [hist.get(i, 0) for i in range(m + 1)]
+    observed = [hist.get(i, 0) for i in range(top + 1)]
     stat, dof = _chi_square_merged(observed, expected)
     # One bin holds all `trials` observed and expected, so the exact
     # statistic is 0 and any nonzero stat is float rounding.
-    p_value = 1.0 if dof < 1 else float(_chi2.sf(stat, dof))
+    p_value = 1.0 if dof < 1 else _chi2.sf(stat, dof)
     mean_emp = sum(i * c for i, c in hist.items()) / config.trials
-    return stat, dof, p_value, mean_emp
+    return p_value, mean_emp
+
+
+class _chi2:
+    """Chi-square upper tail for integer dof, called as ``_chi2.sf(x, dof)``.
+
+    perfbench's tracer times the tail by patching this module-level name,
+    so it keeps the shape of a distribution object with an ``sf``.
+    """
+
+    @staticmethod
+    def sf(x: float, dof: int) -> float:
+        """P[X > x] for X ~ chi-square(dof), dof >= 1.
+
+        With h = x/2, even dof is the Poisson sum
+        e^-h sum_{i<dof/2} h^i / i!, and odd dof is erfc(sqrt h) plus
+        e^-h sum_{i<(dof-1)/2} h^(i+1/2) / Gamma(i+3/2). Each term is formed
+        in log space, so e^-h cannot underflow when dof (and with it x) is
+        large.
+        """
+        if x <= 0:
+            return 1.0
+        h = x / 2
+        log_h = math.log(h)
+        s = (dof % 2) / 2
+        head = math.erfc(math.sqrt(h)) if s else 0.0
+        tail = head + math.fsum(
+            math.exp((i + s) * log_h - h - math.lgamma(i + s + 1))
+            for i in range(dof // 2)
+        )
+        return min(tail, 1.0)  # rounding can lift a near-1 sum past 1
 
 
 def _chi_square_merged(observed, expected):
@@ -268,7 +243,7 @@ def run_validation(
         se = math.sqrt(exact * (1 - exact) / total)
         rate = positives / total
         mu, var = _exact_mean_var(params, n)
-        _, _, p, mean_emp = _occupancy_fit(config, hist)
+        p, mean_emp = _occupancy_fit(config, hist)
         mean_se = math.sqrt(float(var) / config.trials)
         rows.append(
             ValidationRow(

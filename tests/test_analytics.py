@@ -438,3 +438,10 @@ class TestReport:
             -(4 / 64) * rep.log2_exact, rel=1e-12
         )
         assert rep.recursive == pytest.approx(float(rep.exact), rel=1e-9)
+
+    def test_saturated_rate_efficiency_is_positive_zero(self):
+        # f = 1: -(n/m) * log2(1) would give -0.0
+        rep = fpr_report(8, 1, 8, CLS)
+        assert rep.exact == 1
+        assert math.copysign(1.0, rep.efficiency) == 1.0
+        assert rep.efficiency == efficiency(8, 1, 8, CLS)

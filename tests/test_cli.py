@@ -1,10 +1,13 @@
 import json
+import math
 import sys
 
 import pytest
 from click.testing import CliRunner
 
+from bloomlab import analytics
 from bloomlab.cli import cli, fraction_sci, main
+from bloomlab.filters import FilterVariant
 from bloomlab.suites import CheckResult, SuiteResult
 from fractions import Fraction
 
@@ -12,6 +15,14 @@ from fractions import Fraction
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+@pytest.fixture(autouse=True)
+def _restore_int_str_limit():
+    """main() lifts the int-to-str digit cap for the whole process."""
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 class TestFractionSci:
@@ -65,6 +76,17 @@ class TestAnalyze:
             ["analyze", "--m", "1024", "--n", "5", "--k", "133", "--variant", variant],
         )
         assert result.exit_code == 0, result.output
+
+    def test_saturated_rate_prints_no_negative_zero(self, runner):
+        args = ["analyze", "--m", "8", "--n", "1", "--k", "8", "--variant", "classic"]
+        text = runner.invoke(cli, args)
+        assert text.exit_code == 0
+        assert "-0.0" not in text.output
+        assert "efficiency     0.000000" in text.output
+        payload = json.loads(runner.invoke(cli, args + ["--format", "json"]).output)
+        assert payload["exact"] == "1.00000e+00"
+        for key in ("efficiency", "bits_of_cutdown"):
+            assert math.copysign(1.0, payload[key]) == 1.0, key
 
     def test_invalid_params_usage_error(self, runner):
         result = runner.invoke(cli, ["analyze", "--m", "0", "--n", "1", "--k", "1"])
@@ -305,6 +327,21 @@ class TestMainExitCodes:
         assert [p["variant"] for p in payload] == ["classic", "standard"]
         assert [p["k_exact"] for p in payload] == [1, 1]
         assert all(p["fpr_at_estimate"] == p["fpr_exact"] for p in payload)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_huge_exact_fraction_exits_0(self, monkeypatch, capsys, fmt):
+        args = ["bloomlab", "analyze", "--m", "1024", "--n", "64", "--k", "22",
+                "--format", fmt]
+        monkeypatch.setattr(sys, "argv", args)
+        main()  # returns normally: exit 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            exact = Fraction(json.loads(out)["exact_fraction"])
+            assert exact == analytics.fpr_exact(1024, 64, 22, FilterVariant.STANDARD)
+            assert len(str(exact.denominator)) > 4300
+        else:
+            # a 40-digit-plus denominator is not printed
+            assert "exact fpr      1.71758e-03\n" in out
 
     def test_build_beyond_wire_format_exits_1(self, monkeypatch, capsys, tmp_path):
         # m = 2^64 + 1 does not fit the header's u64 field
