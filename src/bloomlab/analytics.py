@@ -20,12 +20,19 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .filters import FilterVariant
-from .kernel import log2_fraction, nabla_power, two_term_recursion
-from .occupancy import classic_mean_variance, classic_raw_moment
+from .kernel import (
+    _alternating_power_sum,
+    log2_fraction,
+    nabla_power,
+    two_term_recursion,
+)
+from .occupancy import _classic_moment_numerator, classic_mean_variance
 
 __all__ = [
     "FprBounds",
@@ -76,12 +83,15 @@ def fpr_standard_exact(m: int, n: int, k: int) -> Fraction:
     """Exact rate for a standard filter:
 
         f = E[X^k] / m^k
+          = sum_j (-1)^j C(m,j) nabla^j[x^k]_m (m-j)^(nk) / m^(nk+k)
 
-    the k-th raw moment of the n*k-ball classic occupancy number over m^k.
+    the k-th raw moment of the n*k-ball classic occupancy number over m^k,
+    in the dual form of occupancy.classic_raw_moment: j bits left clear by
+    the n*k insert positions and covered by the k probe positions.
     """
     if m < 1 or k < 1 or n < 0:
         raise ValueError("fpr_standard_exact requires m >= 1, k >= 1, n >= 0")
-    return classic_raw_moment(m, n * k, k) / m**k
+    return Fraction(_classic_moment_numerator(m, n * k, k), m ** (n * k + k))
 
 
 def fpr_classic_exact(m: int, n: int, k: int) -> Fraction:
@@ -98,12 +108,11 @@ def fpr_classic_exact(m: int, n: int, k: int) -> Fraction:
     if n == 1:
         # nabla^k C(x,k) at m collapses to C(m-k, 0) = 1
         return Fraction(1, comb(m, k))
-    num = 0
-    sign = 1
-    for i in range(k + 1):
-        c = comb(m - i, k)
-        num += sign * comb(k, i) * (c**n if c else 0 if n else 1)
-        sign = -sign
+    num = _alternating_power_sum(
+        map(comb, repeat(k), range(k + 1)),
+        map(comb, range(m, m - k - 1, -1), repeat(k)),
+        n,
+    )
     return Fraction(num, comb(m, k) ** n)
 
 
@@ -278,6 +287,14 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
 
     Classic variant: no such proof is at hand for its bound, so it scans
     the full range (each skipped k costs one O(1) bound evaluation).
+
+    Evaluation: the standard scan does not call fpr_exact per k. It steps
+    the dual form of fpr_standard_exact through k (_standard_rate_steps):
+    the coefficients A(k, .) by an exact O(k) recurrence at every k, the
+    powers (m-j)^(nk) by one multiply when k-1 was evaluated too. Each
+    value is the same Fraction fpr_standard_exact returns, so the bound,
+    the margin, the early stop and its proof above, the set of evaluated k
+    and the result are untouched; only the cost per evaluated k falls.
     """
     if m < 1 or n < 0:
         raise ValueError("optimal_k requires m >= 1 and n >= 0")
@@ -288,8 +305,12 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     threshold = log2_fraction(seed_f)
     # past k_rise = k0 the standard bound only rises; classic scans to m
     k_rise = math.inf
-    if variant is FilterVariant.STANDARD and m > 1:
-        k_rise = LN2 / (n * -math.log1p(-1 / m))
+    if variant is FilterVariant.STANDARD:
+        rate = _standard_rate_steps(m, n)
+        if m > 1:
+            k_rise = LN2 / (n * -math.log1p(-1 / m))
+    else:
+        rate = partial(fpr_exact, m, n, variant=variant)
     best_k, best_f = None, None
     for k in range(1, m + 1):
         if k == seed:
@@ -299,11 +320,63 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
                 break
             continue
         else:
-            f = fpr_exact(m, n, k, variant)
+            f = rate(k)
         if best_f is None or f < best_f:
             best_k, best_f = k, f
             threshold = min(threshold, log2_fraction(f))
     return OptimalK(best_k, best_f)
+
+
+def _standard_rate_steps(m: int, n: int) -> Callable[[int], Fraction]:
+    """rate(k) == fpr_standard_exact(m, n, k), for k increasing from call
+    to call, carrying the dual form's state from one k to the next.
+
+    The coefficients A(k, .) come from _dual_coefficient_rows, stepped for
+    every k. The powers (m-j)^(nk) step by one multiply by (m-j)^n when the
+    previous call was at k-1, and are taken afresh otherwise.
+    """
+    rows = _dual_coefficient_rows(m)
+    coeffs, at = next(rows), 0
+    powers, powers_at = [], 0
+    steps: list[int] = []
+
+    def rate(k: int) -> Fraction:
+        nonlocal coeffs, at, powers, powers_at
+        while at < k:
+            coeffs, at = next(rows), at + 1
+        size = len(coeffs)
+        if powers and powers_at == k - 1:
+            steps.extend((m - j) ** n for j in range(len(steps), size))
+            powers = [p * s for p, s in zip(powers, steps)]
+            powers += [(m - j) ** (n * k) for j in range(len(powers), size)]
+        else:
+            powers = [(m - j) ** (n * k) for j in range(size)]
+        powers_at = k
+        num = _alternating_power_sum(coeffs, powers, 1)
+        return Fraction(num, m ** (n * k + k))
+
+    return rate
+
+
+def _dual_coefficient_rows(m: int) -> Iterator[list[int]]:
+    """A(k, .) for k = 0, 1, 2, ...: A(k, j) = C(m,j) nabla^j[x^k]_m for
+    j <= min(k, m), stepped exactly in O(k) small-integer work per k:
+
+        A(0, .) = [1],  A(k+1, j) = (m-j) A(k, j) + (m-j+1) A(k, j-1).
+
+    k+1 probe positions cover j given bits when the first k cover them and
+    the last lands elsewhere, or the first k cover all but the one the last
+    lands on; and j C(m,j) = (m-j+1) C(m,j-1). The row stops at j = m,
+    where the factor m-j+1 leaves nothing for j = m+1.
+    """
+    row = [1]
+    while True:
+        yield row
+        lower = row + [0] if len(row) <= m else row
+        row = [
+            (m - j) * a + (m - j + 1) * b
+            for j, (a, b) in enumerate(zip(lower, [0] + row))
+        ]
 
 
 def _fpr_lower_bound_log2(m: int, n: int, k: int, variant: FilterVariant) -> float:

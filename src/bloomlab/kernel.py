@@ -14,8 +14,9 @@ import math
 import threading
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from math import comb
-from typing import Callable, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 __all__ = [
     "Scalar",
@@ -117,10 +118,27 @@ def nabla_power(m: Scalar, n: int, r: int) -> Scalar:
         raise ValueError("nabla_power requires n >= 0 and r >= 0")
     if r > n:
         return 0
+    return _alternating_power_sum(
+        map(comb, repeat(r), range(r + 1)), (m - j for j in range(r + 1)), n
+    )
+
+
+def _alternating_power_sum(
+    coeffs: Iterable[int], bases: Iterable[Scalar], e: int
+) -> Scalar:
+    """sum_j (-1)^j coeffs[j] * bases[j]**e, in exact arithmetic.
+
+    The one alternating sum behind nabla_power, the classic rate
+    (coeffs C(k,j), bases C(m-j,k), e = n) and the dual form of the raw
+    occupancy moments (coeffs C(m,j) nabla^j[x^r]_m, bases m-j, e = N).
+    e = 1 skips the power, so a caller that already holds the raised
+    powers passes them as bases with e = 1.
+    """
+    powers = bases if e == 1 else (c**e for c in bases)
     total: Scalar = 0
     sign = 1
-    for j in range(r + 1):
-        total += sign * comb(r, j) * (m - j) ** n
+    for a, p in zip(coeffs, powers):
+        total += sign * a * p
         sign = -sign
     return total
 
@@ -151,8 +169,9 @@ def _nabla_binom_powers(x: int, powers: list[tuple[int, int]], r: int) -> int:
     powers, summed over the points t = x - j >= 0 (C(t, k) is 0 below).
 
     Each distinct k is raised to its power once per point. Unchecked: the
-    forward difference Delta^r f(0) that batch p.m.f.s need is the backward
-    difference at x = r, which sits below the batch size when r < k.
+    forward difference Delta^r f(0) that the committee estimator needs is
+    the backward difference at x = r, which sits below the batch size when
+    r < k.
     """
     total = 0
     for j in range(min(r, x) + 1):

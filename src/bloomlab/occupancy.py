@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .kernel import (
+    _alternating_power_sum,
     _difference_row,
-    _nabla_binom_powers,
     binom_poly,
     falling_factorial,
     nabla_power,
@@ -107,21 +108,26 @@ def classic_pmf(m: int, n: int, i: int) -> Fraction:
 
 
 def classic_raw_moment(m: int, n: int, r: int) -> Fraction:
-    """E[X^r] via Stirling inversion of the binomial moments.
+    """E[X^r] in the dual inclusion-exclusion form
 
-    The sum runs to min(r, m) rather than m, which keeps high-precision
-    moments cheap even for large m.
+        E[X^r] = sum_j (-1)^j C(m,j) nabla^j[x^r]_m (m-j)^n / m^n,
+
+    j urns left empty by the n balls and covered by r independent uniform
+    draws. The difference table is over r-th powers, and the sum runs to
+    min(r, m) rather than m, which keeps high-precision moments cheap even
+    for large m.
     """
     if r < 0:
         raise ValueError("moment order must be >= 0")
-    top = min(r, m)
-    row = nabla_power_row(m, n, top)
-    num = 0
-    ff = 1
-    for i in range(top + 1):
-        num += stirling2(r, i) * ff * row[i]
-        ff *= m - i
-    return Fraction(num, m**n)
+    return Fraction(_classic_moment_numerator(m, n, r), m**n)
+
+
+def _classic_moment_numerator(m: int, n: int, r: int) -> int:
+    """m^n E[X^r] for n balls in m urns, as an exact integer."""
+    row = nabla_power_row(m, r, min(r, m))
+    return _alternating_power_sum(
+        (comb(m, j) * d for j, d in enumerate(row)), range(m, m - len(row), -1), n
+    )
 
 
 def classic_mean_variance(m: int, n: int) -> tuple[Fraction, Fraction]:
@@ -151,14 +157,41 @@ def committee_pmf(m: int, n: int, k: int, i: int) -> Fraction:
 
 def _batch_pmf(m: int, powers: list[tuple[int, int]], i: int) -> Fraction:
     """P[X = i] for m urns hit by e batches of size k for each (k, e) in
-    powers: C(m, i) Delta^i[prod C(x,k)^e]_0 / prod C(m,k)^e."""
+    powers, read from the law's cached p.m.f. row."""
     if i < 0 or i > m:
         return Fraction(0)
+    row = _batch_pmf_row(m, tuple(powers))
+    return row[i] if i < len(row) else Fraction(0)
+
+
+@lru_cache(maxsize=4)
+def _batch_pmf_row(
+    m: int, powers: tuple[tuple[int, int], ...]
+) -> tuple[Fraction, ...]:
+    """[P[X = 0], ..., P[X = top]], top = min(m, sum k*e) the largest
+    reachable count: C(m, i) Delta^i[prod C(x,k)^e]_0 / prod C(m,k)^e.
+
+    One forward-difference table over f(t) = prod C(t,k)^e, t = 0..top,
+    gives every Delta^i f(0), so a sweep over i (a chi-square fit, a
+    normalization check) costs one table instead of a fresh i-term sum per
+    i. Cached, as an immutable tuple, because callers ask for the law one i
+    at a time.
+    """
+    top = min(m, sum(k * e for k, e in powers))
     denom = 1
     for k, e in powers:
         denom *= comb(m, k) ** e
-    # Delta^i f(0) = nabla^i f(i)
-    return Fraction(comb(m, i) * _nabla_binom_powers(i, powers, i), denom)
+    values = []
+    for t in range(top + 1):
+        f = 1
+        for k, e in powers:
+            f *= comb(t, k) ** e
+        values.append(f)
+    # _difference_row of f(0), f(1), ... gives (-1)^i Delta^i f(0)
+    return tuple(
+        Fraction(comb(m, i) * (-d if i & 1 else d), denom)
+        for i, d in enumerate(_difference_row(values))
+    )
 
 
 def committee_moment(m: int, n: int, k: int, r: int, kind: MomentKind) -> Fraction:

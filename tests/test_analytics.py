@@ -31,7 +31,7 @@ from bloomlab.analytics import (
     valley_residual,
 )
 from bloomlab.filters import FilterVariant
-from bloomlab.kernel import log2_fraction
+from bloomlab.kernel import log2_fraction, nabla_power, stirling2
 from bloomlab.occupancy import classic_mean_variance
 
 STD = FilterVariant.STANDARD
@@ -166,9 +166,40 @@ def classic_lower_bound_log2_k_term(m, n, k):
     return sum(math.log2(mu - i) - math.log2(m - i) for i in range(k))
 
 
+def fpr_standard_stirling(m, n, k):
+    """The standard rate in its Stirling form,
+
+        f = sum_i S(k,i) m_(i) nabla^i[x^(nk)]_m / m^(nk+k),
+
+    with its own difference table and loops, so it shares no code with the
+    dual form that fpr_standard_exact and optimal_k's stepped scan use."""
+    top = min(k, m)
+    vals = [(m - j) ** (n * k) for j in range(top + 1)]
+    row = [vals[0]]
+    for _ in range(top):
+        vals = [vals[j] - vals[j + 1] for j in range(len(vals) - 1)]
+        row.append(vals[0])
+    num, ff = 0, 1
+    for i in range(top + 1):
+        num += stirling2(k, i) * ff * row[i]
+        ff *= m - i
+    return Fraction(num, m ** (n * k + k))
+
+
+def fpr_classic_direct(m, n, k):
+    """The classic rate sum_i (-1)^i C(k,i) C(m-i,k)^n / C(m,k)^n as a plain
+    loop, independent of the kernel's alternating-sum helper."""
+    num = 0
+    for i in range(k + 1):
+        num += (-1) ** i * math.comb(k, i) * math.comb(m - i, k) ** n
+    return Fraction(num, math.comb(m, k) ** n)
+
+
 class TestOptimalK:
     def test_exact_mode_matches_unpruned_scan(self, monkeypatch):
-        # the standard scan stops early at n = 3 and n = 24 on m = 96, 128
+        # the standard scan stops early at n >= 2 on m = 96, 128 (before m/2
+        # from n = 3; at k = 53 and 70 for n = 2); at m/n < 0.7 ((16, 40),
+        # (32, 60)) it evaluates every k back to back
         bound, bound_ks = analytics._fpr_lower_bound_log2, []
 
         def traced_bound(m, n, k, variant):
@@ -177,18 +208,40 @@ class TestOptimalK:
 
         monkeypatch.setattr(analytics, "_fpr_lower_bound_log2", traced_bound)
         grid = [(m, n) for m in (8, 17, 33, 64) for n in (1, 2, 5, 9)]
-        grid += [(m, n) for m in (96, 128) for n in (1, 3, 24)]
+        grid += [(m, n) for m in (96, 128) for n in (1, 2, 3, 24)]
+        grid += [(16, 40), (32, 60)]
+        oracle_rate = {STD: fpr_standard_stirling, CLS: fpr_classic_direct}
         for m, n in grid:
             for variant in (STD, CLS):
                 bound_ks.clear()
                 best = optimal_k(m, n, variant)
                 brute = min(
-                    ((fpr_exact(m, n, k, variant), k) for k in range(1, m + 1)),
+                    ((oracle_rate[variant](m, n, k), k) for k in range(1, m + 1)),
                     key=lambda t: (t[0], t[1]),
                 )
-                assert (best.fpr, best.k) == brute
+                assert (best.fpr, best.k) == brute, (m, n, variant)
                 if m >= 96 and n > 1 and variant is STD:
-                    assert max(bound_ks) < m // 2
+                    assert max(bound_ks) < (m // 2 if n > 2 else m)
+
+    def test_stepped_rates_match_stirling_form(self):
+        # consecutive k step the powers; gaps and the first call take them
+        # afresh; m = 1 and k = m cover the capped coefficient row
+        for m, n in [(1, 1), (2, 3), (7, 1), (7, 4), (20, 2), (33, 5)]:
+            for ks in (range(1, m + 1), range(1, m + 1, 3), [m]):
+                rate = analytics._standard_rate_steps(m, n)
+                for k in ks:
+                    assert rate(k) == fpr_standard_stirling(m, n, k), (m, n, k)
+
+    def test_dual_coefficient_rows_match_nabla_power(self):
+        # A(k, j) = C(m,j) nabla^j[x^k]_m, including m < k
+        for m in range(1, 41):
+            rows = analytics._dual_coefficient_rows(m)
+            for k in range(41):
+                row = next(rows)
+                assert row == [
+                    math.comb(m, j) * nabla_power(m, k, j)
+                    for j in range(min(k, m) + 1)
+                ], (m, k)
 
     def test_classic_bound_equals_k_term_sum(self):
         for m in range(2, 301):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bloomlab.analytics import fpr_classic_exact
 from bloomlab.kernel import (
+    _alternating_power_sum,
     binom_poly,
     falling_factorial,
     log2_fraction,
@@ -138,6 +140,47 @@ class TestNablaPower:
         # nabla^n x^n = n!
         for n in range(0, 9):
             assert nabla_power(n + 3, n, n) == __import__("math").factorial(n)
+
+
+class TestAlternatingPowerSum:
+    """kernel._alternating_power_sum, the one sum behind nabla_power, the
+    classic rate and the dual form of the raw occupancy moments."""
+
+    def test_reproduces_nabla_power(self):
+        for m in (0, 1, 5, 12, Fraction(7, 2)):
+            for n in range(0, 7):
+                for r in range(0, 8):
+                    want = difference(lambda x: x**n, DifferenceKind.BACKWARD, r, m)
+                    if r > n:
+                        assert want == 0  # above the degree
+                    got = _alternating_power_sum(
+                        [comb(r, j) for j in range(r + 1)],
+                        [m - j for j in range(r + 1)],
+                        n,
+                    )
+                    assert got == want, (m, n, r)
+                    assert nabla_power(m, n, r) == want, (m, n, r)
+
+    def test_reproduces_classic_rate(self):
+        for m in range(1, 14):
+            for k in range(1, m + 1):
+                for n in range(0, 6):
+                    num = 0
+                    for i in range(k + 1):
+                        num += (-1) ** i * comb(k, i) * comb(m - i, k) ** n
+                    coeffs = [comb(k, i) for i in range(k + 1)]
+                    bases = [comb(m - i, k) for i in range(k + 1)]
+                    assert _alternating_power_sum(coeffs, bases, n) == num
+                    assert fpr_classic_exact(m, n, k) == Fraction(num, comb(m, k) ** n)
+
+    def test_unit_exponent_takes_raised_powers(self):
+        bases = [9, 8, 7, 6]
+        powers = [b**5 for b in bases]
+        coeffs = [1, 4, 6, 4]
+        want = _alternating_power_sum(coeffs, bases, 5)
+        assert _alternating_power_sum(coeffs, powers, 1) == want
+        assert _alternating_power_sum(iter(coeffs), iter(bases), 5) == want
+        assert _alternating_power_sum([], [], 3) == 0
 
 
 class TestNablaBinomProduct:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bloomlab import oracle
+from bloomlab.kernel import _nabla_binom_powers
 from bloomlab.occupancy import (
     CommitteeSpec,
     MomentKind,
@@ -94,6 +95,17 @@ class TestClassicMoments:
         ) ** n * classic_raw_moment(m - 1, n, r)
         assert lhs == rhs
 
+    def test_dual_form_edges_match_enumeration(self):
+        # no balls (X = 0, and the j = m term is 0^0 = 1) and the zeroth
+        # moment, with orders past m
+        for m in range(1, 7):
+            for n in range(0, 7):
+                pmf = oracle.enumerate_classic_pmf(m, n)
+                orders = range(0, 9) if n == 0 else [0]
+                for r in orders:
+                    want = oracle.enumerate_moment(pmf, r, "raw")
+                    assert classic_raw_moment(m, n, r) == want, (m, n, r)
+
     @given(m=st.integers(1, 6), n=st.integers(0, 6), r=st.integers(0, 5))
     @settings(max_examples=40, deadline=None)
     def test_matches_enumeration(self, m, n, r):
@@ -116,6 +128,29 @@ class TestCommitteePmf:
         expect = oracle.enumerate_committee_pmf(m, n, k)
         for i in range(m + 1):
             assert committee_pmf(m, n, k, i) == expect[i]
+
+
+    def test_row_matches_per_count_difference(self):
+        # the law is read from one forward-difference table; each entry must
+        # equal the direct i-term sum C(m,i) nabla^i[C(x,k)^n]_i / C(m,k)^n,
+        # including the counts above n*k, which are exactly 0
+        for m, n, k in [(1, 3, 1), (9, 0, 2), (12, 2, 5), (30, 4, 3), (64, 9, 7)]:
+            for i in range(-1, m + 2):
+                if 0 <= i <= m:
+                    want = Fraction(
+                        comb(m, i) * _nabla_binom_powers(i, [(k, n)], i),
+                        comb(m, k) ** n,
+                    )
+                else:
+                    want = 0
+                assert committee_pmf(m, n, k, i) == want, (m, n, k, i)
+        spec = CommitteeSpec(40, [(3, 2), (5, 4), (2, 1)])
+        for i in range(41):
+            want = Fraction(
+                comb(40, i) * _nabla_binom_powers(i, [(2, 3), (4, 5), (1, 2)], i),
+                comb(40, 2) ** 3 * comb(40, 4) ** 5 * comb(40, 1) ** 2,
+            )
+            assert union_pmf(spec, i) == want, i
 
 
 class TestBelowBatchSize:
