@@ -4,7 +4,9 @@ Two evaluation backends. The exact backend works in integer/rational
 arithmetic and is authoritative: the alternating sums underneath these
 formulas are catastrophically cancellative in floating point once rates
 drop below ~1e-15, and interesting configurations reach 1e-43. The
-recursive backend is the approximate fast path.
+recursive backend runs the same cancellation in 40-digit decimal; it is
+neither accurate nor faster at the paper's configurations (see
+fpr_recursive).
 
 Rates for an m-bit filter storing n items with k hash bits per item:
 
@@ -30,9 +32,15 @@ from .kernel import (
     _alternating_power_sum,
     log2_fraction,
     nabla_power,
+    nabla_power_row,
     two_term_recursion,
 )
-from .occupancy import _classic_moment_numerator, classic_mean_variance
+from .occupancy import (
+    CommitteeSpec,
+    _empty_urn_sum,
+    classic_mean_variance,
+    intersection_moment,
+)
 
 __all__ = [
     "FprBounds",
@@ -86,12 +94,13 @@ def fpr_standard_exact(m: int, n: int, k: int) -> Fraction:
           = sum_j (-1)^j C(m,j) nabla^j[x^k]_m (m-j)^(nk) / m^(nk+k)
 
     the k-th raw moment of the n*k-ball classic occupancy number over m^k,
-    in the dual form of occupancy.classic_raw_moment: j bits left clear by
-    the n*k insert positions and covered by the k probe positions.
+    from occupancy's empty-urn sum as in classic_raw_moment: j bits left
+    clear by the n*k insert positions and covered by the k probe positions.
     """
     if m < 1 or k < 1 or n < 0:
         raise ValueError("fpr_standard_exact requires m >= 1, k >= 1, n >= 0")
-    return Fraction(_classic_moment_numerator(m, n * k, k), m ** (n * k + k))
+    num = _empty_urn_sum(m, [(1, n * k)], nabla_power_row(m, k, min(k, m)))
+    return Fraction(num, m ** (n * k + k))
 
 
 def fpr_classic_exact(m: int, n: int, k: int) -> Fraction:
@@ -128,12 +137,18 @@ def fpr_exact(m: int, n: int, k: int, variant: FilterVariant) -> Fraction:
 
 
 def fpr_recursive(m: int, n: int, k: int, variant: FilterVariant) -> float:
-    """kernel.two_term_recursion for either variant, in fixed-precision decimal.
+    """kernel.two_term_recursion for either variant, in 40-digit decimal.
 
-    Cancellation amplifies relative error by roughly 1/f, so binary doubles
-    cannot give 6 significant digits at f ~ 1e-12; 40 decimal digits leave
-    a wide margin. Approximate by contract; the exact backend is the
-    authority.
+    Approximate, and with no error estimate; the exact backend is the
+    authority. Cancellation amplifies the rounding error by at least 1/f
+    and, at large k, by much more, so 40 digits do not carry the small
+    rates: at (m, n, k) = (1024, 5, 133) this returns 1.6e-16 for standard
+    (exact 2.9e-42) and -6.2e-19 for classic (exact 1.1e-43), and at
+    (256, 2, 90) it is 9-16% off. Nor is it a fast path there: it takes
+    20-40 ms at (1024, 5, 133), against 2-6 ms for the exact backend; it
+    wins only at large m*n, such as (4096, 100, 28). Making it carry the
+    precision it reports, or say that it cannot, is open (ROADMAP item 2,
+    the recursive backend).
     """
     if m < 1 or k < 1 or n < 0:
         raise ValueError("fpr_recursive requires m >= 1, k >= 1, n >= 0")
@@ -615,9 +630,10 @@ def intersection_filter_moments(
 ) -> tuple[Fraction, Fraction]:
     """(mean, variance) of the bit sum of an AND of standard filters.
 
-    counts holds the item count of each operand filter. The mean is the
-    published product formula; the variance comes from the exact first and
-    second intersection binomial moments. The published variance display
+    counts holds the item count of each operand filter. Filter i is a
+    department of n_i * k single-bit batches, so the mean and variance
+    come from the exact first and second intersection binomial moments; an
+    empty operand empties the AND. The published variance display
     adds the squared-mean term that should be subtracted: at m=2, two
     single-item k=1 filters it gives 3/4 where enumeration gives 1/4.
     """
@@ -627,13 +643,9 @@ def intersection_filter_moments(
         raise ValueError("at least one filter required")
     if any(n_i < 0 for n_i in counts):
         raise ValueError("item counts must be >= 0")
-    total = sum(counts) * k
-    mean_num = 1
-    for n_i in counts:
-        mean_num *= m ** (n_i * k) - (m - 1) ** (n_i * k)
-    mean = Fraction(mean_num, m ** (total - 1)) if total else Fraction(0)
-    b2 = Fraction(comb(m, 2))
-    for n_i in counts:
-        b2 *= Fraction(nabla_power(m, n_i * k, 2), m ** (n_i * k))
-    var = mean + 2 * b2 - mean * mean
+    if 0 in counts:
+        return Fraction(0), Fraction(0)
+    spec = CommitteeSpec(m, [(n_i * k, 1) for n_i in counts])
+    mean = intersection_moment(spec, 1)
+    var = mean + 2 * intersection_moment(spec, 2) - mean * mean
     return mean, var

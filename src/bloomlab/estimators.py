@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .kernel import Scalar, _nabla_binom_powers, stirling2
+from .kernel import Scalar, _difference_row, stirling2
 
 __all__ = [
     "SaturationError",
@@ -67,14 +67,13 @@ def mvue_m_committee(mu: int, n: int, k: int) -> Fraction:
         raise ValueError("mvue_m_committee requires n >= 1 and k >= 1")
     if not k <= mu <= n * k:
         raise ValueError("occupancy must lie in [k, n*k]")
-    # Delta^i f(0) = nabla^i f(i)
-    d_hi = _nabla_binom_powers(mu, [(k, n)], mu)
-    if d_hi == 0:
+    # _difference_row of f(0), f(1), ... gives (-1)^i Delta^i f(0)
+    row = _difference_row([math.comb(t, k) ** n for t in range(mu + 1)])
+    if row[mu] == 0:
         raise UnsupportedObservationError(
             "Delta^mu [C(x,k)^n]_0 = 0; observation not attainable"
         )
-    d_lo = _nabla_binom_powers(mu - 1, [(k, n)], mu - 1)
-    return mu * (1 + Fraction(d_lo, d_hi))
+    return mu * (1 - Fraction(row[mu - 1], row[mu]))
 
 
 def mvue_m_classic(mu: int, n: int, *, m_exceeds_n: bool) -> Fraction:

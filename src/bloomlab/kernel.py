@@ -128,9 +128,10 @@ def _alternating_power_sum(
 ) -> Scalar:
     """sum_j (-1)^j coeffs[j] * bases[j]**e, in exact arithmetic.
 
-    The one alternating sum behind nabla_power, the classic rate
-    (coeffs C(k,j), bases C(m-j,k), e = n) and the dual form of the raw
-    occupancy moments (coeffs C(m,j) nabla^j[x^r]_m, bases m-j, e = N).
+    The one alternating sum behind nabla_power, nabla_binom_product, the
+    classic rate (coeffs C(k,j), bases C(m-j,k), e = n) and the empty-urn
+    sum of every occupancy moment (coeffs C(m,j) nabla^j[g]_m, bases
+    prod C(m-j,k)^e, e = 1).
     e = 1 skips the power, so a caller that already holds the raised
     powers passes them as bases with e = 1.
     """
@@ -164,24 +165,6 @@ def nabla_power_row(m: int, n: int, r: int) -> list[int]:
     return _difference_row([(m - j) ** n for j in range(r + 1)])
 
 
-def _nabla_binom_powers(x: int, powers: list[tuple[int, int]], r: int) -> int:
-    """r-th backward difference of prod C(t, k)^e at t = x, for (k, e) in
-    powers, summed over the points t = x - j >= 0 (C(t, k) is 0 below).
-
-    Each distinct k is raised to its power once per point. Unchecked: the
-    forward difference Delta^r f(0) that the committee estimator needs is
-    the backward difference at x = r, which sits below the batch size when
-    r < k.
-    """
-    total = 0
-    for j in range(min(r, x) + 1):
-        term = comb(r, j)
-        for k, e in powers:
-            term *= comb(x - j, k) ** e
-        total += -term if j & 1 else term
-    return total
-
-
 def nabla_binom_product(m: int, ks: Sequence[int], r: int) -> int:
     """r-th backward difference of prod_d C(x, k_d) evaluated at x = m.
 
@@ -196,14 +179,11 @@ def nabla_binom_product(m: int, ks: Sequence[int], r: int) -> int:
         raise ValueError("nabla_binom_product requires m >= max(ks)")
     if not ks or r > sum(ks):
         return int(r == 0)
-    powers = list(Counter(ks).items())
-    total = _nabla_binom_powers(m, powers, r)
-    for j in range(m + 1, r + 1):
-        term = comb(r, j)
-        for k, e in powers:
-            term *= binom_poly(m - j, k) ** e
-        total += -term if j & 1 else term
-    return total
+    powers = Counter(ks).items()
+    values = (
+        math.prod(binom_poly(m - j, k) ** e for k, e in powers) for j in range(r + 1)
+    )
+    return _alternating_power_sum(map(comb, repeat(r), range(r + 1)), values, 1)
 
 
 # --------------------------------------------------------------------------

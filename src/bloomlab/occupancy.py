@@ -9,11 +9,17 @@ Four families, all over m urns:
                any department hits it.
 * intersection -- same setup; an urn counts only if every department hits it.
 
-Everything returns exact rationals. The probability of any fixed set of i
-urns being jointly occupied is a normalized i-th backward difference, and
-p.m.f.s/moments are assembled from those differences in integer arithmetic.
-The difference loops live in kernel; committee and union moments share one
-assembly, committee being the single-department union.
+Everything returns exact rationals. Classic, committee and union are one
+law: each department's batches of size k hit e times, so a fixed set of j
+urns stays empty with probability prod (C(m-j,k)/C(m,k))^e. Every moment
+of that law comes from one empty-urn sum, Newton's expansion of g(m - Y)
+in C(Y, j) for Y the number of empty urns:
+
+    E[g(X)] = sum_j (-1)^j C(m,j) nabla^j[g]_m prod C(m-j,k)^e / prod C(m,k)^e
+
+over j <= min(deg g, m), with g = x^r, x_(r) or C(x,r) for the three
+moment kinds. The p.m.f.s come from one forward-difference table of the
+same product. The difference loops live in kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
+from typing import Sequence
 
 from .kernel import (
     _alternating_power_sum,
@@ -85,13 +92,6 @@ class CommitteeSpec:
             if not 1 <= k_d <= m:
                 raise ValueError("batch size k_d must satisfy 1 <= k_d <= m")
 
-    def flat_sizes(self) -> list[int]:
-        """Batch sizes with multiplicity, one entry per batch."""
-        out: list[int] = []
-        for n_d, k_d in self.departments:
-            out.extend([k_d] * n_d)
-        return out
-
 
 # --------------------------------------------------------------------------
 # Classic occupancy
@@ -108,37 +108,24 @@ def classic_pmf(m: int, n: int, i: int) -> Fraction:
 
 
 def classic_raw_moment(m: int, n: int, r: int) -> Fraction:
-    """E[X^r] in the dual inclusion-exclusion form
+    """E[X^r], the empty-urn sum with batches of one urn: j urns left empty
+    by the n balls and covered by r independent uniform draws,
 
-        E[X^r] = sum_j (-1)^j C(m,j) nabla^j[x^r]_m (m-j)^n / m^n,
+        E[X^r] = sum_j (-1)^j C(m,j) nabla^j[x^r]_m (m-j)^n / m^n.
 
-    j urns left empty by the n balls and covered by r independent uniform
-    draws. The difference table is over r-th powers, and the sum runs to
+    The difference table is over r-th powers, and the sum runs to
     min(r, m) rather than m, which keeps high-precision moments cheap even
     for large m.
     """
-    if r < 0:
-        raise ValueError("moment order must be >= 0")
-    return Fraction(_classic_moment_numerator(m, n, r), m**n)
-
-
-def _classic_moment_numerator(m: int, n: int, r: int) -> int:
-    """m^n E[X^r] for n balls in m urns, as an exact integer."""
-    row = nabla_power_row(m, r, min(r, m))
-    return _alternating_power_sum(
-        (comb(m, j) * d for j, d in enumerate(row)), range(m, m - len(row), -1), n
-    )
+    return _moment(m, ((1, n),), r, MomentKind.RAW)
 
 
 def classic_mean_variance(m: int, n: int) -> tuple[Fraction, Fraction]:
-    """Closed-form mean and variance of the classic occupancy number."""
+    """Mean and variance of the classic occupancy number, from the raw
+    moments of order 1 and 2."""
     if m < 1 or n < 0:
         raise ValueError("classic_mean_variance requires m >= 1 and n >= 0")
-    a = Fraction(m - 1, m) ** n
-    b = Fraction(m - 2, m) ** n
-    mean = m * (1 - a)
-    var = m * (a - b) - m * m * (a * a - b)
-    return mean, var
+    return _mean_variance(m, ((1, n),))
 
 
 # --------------------------------------------------------------------------
@@ -178,20 +165,63 @@ def _batch_pmf_row(
     at a time.
     """
     top = min(m, sum(k * e for k, e in powers))
-    denom = 1
-    for k, e in powers:
-        denom *= comb(m, k) ** e
-    values = []
-    for t in range(top + 1):
-        f = 1
-        for k, e in powers:
-            f *= comb(t, k) ** e
-        values.append(f)
+    denom = _binom_product(m, powers)
+    values = [_binom_product(t, powers) for t in range(top + 1)]
     # _difference_row of f(0), f(1), ... gives (-1)^i Delta^i f(0)
     return tuple(
         Fraction(comb(m, i) * (-d if i & 1 else d), denom)
         for i, d in enumerate(_difference_row(values))
     )
+
+
+def _binom_product(t: int, powers: Sequence[tuple[int, int]]) -> int:
+    """prod C(t,k)^e over (k, e) in powers: the number of ways the batches
+    land inside t given urns (t >= 0)."""
+    out = 1
+    for k, e in powers:
+        out *= comb(t, k) ** e
+    return out
+
+
+def _empty_urn_sum(
+    m: int, powers: Sequence[tuple[int, int]], row: list[int]
+) -> int:
+    """sum_j (-1)^j C(m,j) row[j] prod C(m-j,k)^e, the numerator of
+    E[g(X)] over prod C(m,k)^e for row[j] = nabla^j[g]_m.
+
+    Newton's expansion g(m - Y) = sum_j (-1)^j nabla^j[g]_m C(Y,j) in the
+    empty-urn count Y, with E[C(Y,j)] = C(m,j) prod (C(m-j,k)/C(m,k))^e.
+    The row stops at j = min(deg g, m): higher differences of g vanish and
+    C(Y,j) = 0 for j > m.
+    """
+    return _alternating_power_sum(
+        (comb(m, j) * d for j, d in enumerate(row)),
+        (_binom_product(m - j, powers) for j in range(len(row))),
+        1,
+    )
+
+
+def _moment(
+    m: int, powers: Sequence[tuple[int, int]], r: int, kind: MomentKind
+) -> Fraction:
+    """r-th moment, in the given kind, of the occupancy of m urns hit by e
+    batches of size k for each (k, e) in powers."""
+    if r < 0:
+        raise ValueError("moment order must be >= 0")
+    top = min(r, m)
+    if kind is MomentKind.RAW:
+        row = nabla_power_row(m, r, top)
+    else:
+        g = falling_factorial if kind is MomentKind.FACTORIAL else comb
+        row = _difference_row([g(m - j, r) for j in range(top + 1)])
+    return Fraction(_empty_urn_sum(m, powers, row), _binom_product(m, powers))
+
+
+def _mean_variance(
+    m: int, powers: Sequence[tuple[int, int]]
+) -> tuple[Fraction, Fraction]:
+    mean = _moment(m, powers, 1, MomentKind.RAW)
+    return mean, _moment(m, powers, 2, MomentKind.RAW) - mean * mean
 
 
 def committee_moment(m: int, n: int, k: int, r: int, kind: MomentKind) -> Fraction:
@@ -200,45 +230,21 @@ def committee_moment(m: int, n: int, k: int, r: int, kind: MomentKind) -> Fracti
         raise ValueError("committee_moment requires 1 <= k <= m")
     if n < 0 or r < 0:
         raise ValueError("committee_moment requires n >= 0 and r >= 0")
-    return _batch_moment(m, [k] * n, r, kind)
-
-
-def _batch_moment(m: int, ks: list[int], r: int, kind: MomentKind) -> Fraction:
-    """r-th moment of the occupancy of m urns hit by batches of sizes ks
-    (one entry per batch), from the factorial moments m_(i) rho(i, m)."""
-
-    def factorial_moment(i: int) -> Fraction:
-        # X <= m; no batches (n = 0) leave a point mass at 0
-        if not ks or i > m:
-            return Fraction(int(i == 0))
-        return falling_factorial(m, i) * rho(i, m, ks)
-
-    if kind is MomentKind.FACTORIAL:
-        return factorial_moment(r)
-    if kind is MomentKind.BINOMIAL:
-        return factorial_moment(r) / factorial(r)
-    # S(r, 0) = 0 except at r = 0
-    return sum(
-        (stirling2(r, i) * factorial_moment(i) for i in range(1, min(r, m) + 1)),
-        Fraction(int(r == 0)),
-    )
+    return _moment(m, ((k, n),), r, kind)
 
 
 def committee_mean_variance(m: int, n: int, k: int) -> tuple[Fraction, Fraction]:
-    """Mean (closed form) and variance (from exact binomial moments).
+    """Mean and variance of the committee occupancy number, from the raw
+    moments of order 1 and 2.
 
-    The variance uses E[X^2] - mu^2 with E[X^2] = mu + 2 E[C(X,2)]. The
-    literature's printed closed form is not used: at (m, n, k) = (5, 2, 3)
-    it is negative while the true variance is 9/25.
+    The literature's printed closed form for the variance is not used: at
+    (m, n, k) = (5, 2, 3) it is negative while the true variance is 9/25.
     """
     if not 1 <= k <= m:
         raise ValueError("committee_mean_variance requires 1 <= k <= m")
     if n < 0:
         raise ValueError("batch count must be >= 0")
-    mean = m * (1 - Fraction(m - k, m) ** n)
-    b2 = committee_moment(m, n, k, 2, MomentKind.BINOMIAL)
-    var = mean + 2 * b2 - mean * mean
-    return mean, var
+    return _mean_variance(m, ((k, n),))
 
 
 # --------------------------------------------------------------------------
@@ -253,9 +259,7 @@ def union_pmf(spec: CommitteeSpec, i: int) -> Fraction:
 
 def union_moment(spec: CommitteeSpec, r: int, kind: MomentKind) -> Fraction:
     """r-th moment of the union occupancy number, in the given kind."""
-    if r < 0:
-        raise ValueError("moment order must be >= 0")
-    return _batch_moment(spec.m, spec.flat_sizes(), r, kind)
+    return _moment(spec.m, [(k_d, n_d) for n_d, k_d in spec.departments], r, kind)
 
 
 # --------------------------------------------------------------------------
@@ -282,32 +286,31 @@ def intersection_moment(spec: CommitteeSpec, r: int) -> Fraction:
 def intersection_pmf_table(spec: CommitteeSpec) -> list[Fraction]:
     """[P[X = 0], ..., P[X = m]] for the intersection occupancy.
 
-    Inverts the joint occupation probabilities with one inclusion-exclusion
-    pass; O(m^2) integer operations after O(m^2) per-department difference
-    tables (exact but intended for m up to a few hundred).
+    With q(w) the probability that w fixed urns are hit by every
+    department (a product of per-department normalized differences),
+
+        P[X = i] = C(m,i) (-1)^(m-i) nabla^(m-i)[q]_m,
+
+    so one difference table over q inverts them all; O(m^2) integer
+    operations per department (exact but intended for m up to a few
+    hundred).
     """
     m = spec.m
     rows = [
-        _difference_row([comb(m - j, k_d) ** n_d for j in range(m + 1)])
+        _difference_row([_binom_product(m - j, [(k_d, n_d)]) for j in range(m + 1)])
         for n_d, k_d in spec.departments
     ]
-    denom = 1
-    for n_d, k_d in spec.departments:
-        denom *= comb(m, k_d) ** n_d
-    # joint[w] = (unnormalized) P[w fixed urns all fully occupied] * denom
+    denom = _binom_product(m, [(k_d, n_d) for n_d, k_d in spec.departments])
+    # joint[w] = q(w) * denom, listed from w = m down to 0
     joint = [1] * (m + 1)
     for w in range(m + 1):
         for row in rows:
-            joint[w] *= row[w]
-    table = []
-    for i in range(m + 1):
-        num = 0
-        sign = 1
-        for j in range(m - i + 1):
-            num += sign * comb(m - i, j) * joint[i + j]
-            sign = -sign
-        table.append(Fraction(comb(m, i) * num, denom))
-    return table
+            joint[m - w] *= row[w]
+    # reversed, the row's entry i is nabla^(m-i)[q]_m * denom
+    return [
+        Fraction(comb(m, i) * (-d if (m - i) & 1 else d), denom)
+        for i, d in enumerate(reversed(_difference_row(joint)))
+    ]
 
 
 def intersection_pmf(spec: CommitteeSpec, i: int) -> Fraction:

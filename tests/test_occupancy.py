@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bloomlab import oracle
-from bloomlab.kernel import _nabla_binom_powers
+from bloomlab.estimators import UnsupportedObservationError, mvue_m_committee
 from bloomlab.occupancy import (
     CommitteeSpec,
     MomentKind,
@@ -23,6 +23,19 @@ from bloomlab.occupancy import (
     union_moment,
     union_pmf,
 )
+
+
+def nabla_binom_powers(x, powers, r):
+    """r-th backward difference of prod C(t, k)^e at t = x, term by term,
+    summed over the points t = x - j >= 0 (C(t, k) is 0 below). At x = r
+    this is the forward difference Delta^r at 0."""
+    total = 0
+    for j in range(min(r, x) + 1):
+        term = comb(r, j)
+        for k, e in powers:
+            term *= comb(x - j, k) ** e
+        total += -term if j & 1 else term
+    return total
 
 
 def committee_variance_printed_form(m, n, k):
@@ -128,6 +141,11 @@ class TestCommitteePmf:
         expect = oracle.enumerate_committee_pmf(m, n, k)
         for i in range(m + 1):
             assert committee_pmf(m, n, k, i) == expect[i]
+        for r in range(m + 2):
+            for kind in MomentKind:
+                assert committee_moment(m, n, k, r, kind) == (
+                    oracle.enumerate_moment(expect, r, kind.value)
+                ), (m, n, k, r, kind)
 
 
     def test_row_matches_per_count_difference(self):
@@ -138,7 +156,7 @@ class TestCommitteePmf:
             for i in range(-1, m + 2):
                 if 0 <= i <= m:
                     want = Fraction(
-                        comb(m, i) * _nabla_binom_powers(i, [(k, n)], i),
+                        comb(m, i) * nabla_binom_powers(i, [(k, n)], i),
                         comb(m, k) ** n,
                     )
                 else:
@@ -147,7 +165,7 @@ class TestCommitteePmf:
         spec = CommitteeSpec(40, [(3, 2), (5, 4), (2, 1)])
         for i in range(41):
             want = Fraction(
-                comb(40, i) * _nabla_binom_powers(i, [(2, 3), (4, 5), (1, 2)], i),
+                comb(40, i) * nabla_binom_powers(i, [(2, 3), (4, 5), (1, 2)], i),
                 comb(40, 2) ** 3 * comb(40, 4) ** 5 * comb(40, 1) ** 2,
             )
             assert union_pmf(spec, i) == want, i
@@ -170,11 +188,27 @@ class TestBelowBatchSize:
 
     def test_mvue_at_batch_size(self):
         # mu = k: the lower difference sits at k - 1, where C(x,k)^n is 0
-        from bloomlab.estimators import mvue_m_committee
-
         for k in range(1, 6):
             for n in range(1, 4):
                 assert mvue_m_committee(k, n, k) == k
+
+    def test_mvue_matches_term_by_term_differences(self):
+        # m_hat = mu (1 + Delta^(mu-1) f(0) / Delta^mu f(0)), f = C(x,k)^n,
+        # raising UnsupportedObservationError exactly where Delta^mu f(0) = 0
+        for k in range(1, 6):
+            for n in range(1, 6):
+                for mu in range(k, n * k + 1):
+                    d_hi = nabla_binom_powers(mu, [(k, n)], mu)
+                    if d_hi == 0:
+                        with pytest.raises(UnsupportedObservationError):
+                            mvue_m_committee(mu, n, k)
+                        continue
+                    d_lo = nabla_binom_powers(mu - 1, [(k, n)], mu - 1)
+                    want = mu * (1 + Fraction(d_lo, d_hi))
+                    assert mvue_m_committee(mu, n, k) == want, (mu, n, k)
+                for mu in (k - 1, n * k + 1):
+                    with pytest.raises(ValueError):
+                        mvue_m_committee(mu, n, k)
 
 
 class TestCommitteeMoments:
@@ -280,13 +314,11 @@ class TestUnion:
         expect = oracle.enumerate_union_pmf(spec)
         for i in range(spec.m + 1):
             assert union_pmf(spec, i) == expect[i]
-        for r in range(0, 4):
-            assert union_moment(spec, r, MomentKind.BINOMIAL) == (
-                oracle.enumerate_moment(expect, r, "binomial")
-            )
-            assert union_moment(spec, r, MomentKind.RAW) == (
-                oracle.enumerate_moment(expect, r, "raw")
-            )
+        for r in range(spec.m + 2):
+            for kind in MomentKind:
+                assert union_moment(spec, r, kind) == (
+                    oracle.enumerate_moment(expect, r, kind.value)
+                ), (spec, r, kind)
 
 
 class TestIntersection:
