@@ -27,7 +27,7 @@ class SaturationError(ValueError):
 
 
 class UnsupportedObservationError(ValueError):
-    """The estimator's denominator vanishes at this observation."""
+    """The observation cannot occur under the model (estimate_n at k = m)."""
 
 
 def estimate_n(m: int, k: int, mu: Scalar) -> float:
@@ -69,10 +69,7 @@ def mvue_m_committee(mu: int, n: int, k: int) -> Fraction:
         raise ValueError("occupancy must lie in [k, n*k]")
     # _difference_row of f(0), f(1), ... gives (-1)^i Delta^i f(0)
     row = _difference_row([math.comb(t, k) ** n for t in range(mu + 1)])
-    if row[mu] == 0:
-        raise UnsupportedObservationError(
-            "Delta^mu [C(x,k)^n]_0 = 0; observation not attainable"
-        )
+    # row[mu] counts the n-tuples of k-subsets covering a mu-set: positive
     return mu * (1 - Fraction(row[mu - 1], row[mu]))
 
 
@@ -89,9 +86,7 @@ def mvue_m_classic(mu: int, n: int, *, m_exceeds_n: bool) -> Fraction:
         raise ValueError("mvue_m_classic requires n >= 1")
     if not 1 <= mu <= n:
         raise ValueError("occupancy must lie in [1, n]")
-    denom = stirling2(n, mu)
-    if denom == 0:
-        raise UnsupportedObservationError("S(n, mu) = 0; observation not attainable")
+    denom = stirling2(n, mu)  # positive for 1 <= mu <= n
     if m_exceeds_n:
         return mu + Fraction(stirling2(n, mu - 1), denom)
     return Fraction(stirling2(n + 1, mu), denom)

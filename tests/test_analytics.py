@@ -1,11 +1,13 @@
+import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloomlab import analytics, oracle
+from bloomlab import analytics, kernel, oracle
 from bloomlab.analytics import (
     InfeasibleError,
     UndefinedEfficiencyError,
@@ -195,6 +197,100 @@ def fpr_classic_direct(m, n, k):
     return Fraction(num, math.comb(m, k) ** n)
 
 
+def scan_q(m, n, k, variant):
+    """The bits per factor optimal_k asks of its bracket at k (at m = 1 the
+    scan brackets nothing, since k = 1 is the seed; f = 1 there)."""
+    bound = analytics._fpr_lower_bound_log2(m, n, k, variant) if m > 1 else 0.0
+    return k + math.ceil(-bound) + analytics._GUARD_BITS
+
+
+def rate_brackets(m, n, variant, ks, q=None):
+    """(k, lo, hi) from optimal_k's bracket for each k of ks, in order, at
+    the scan's q or at a fixed q."""
+    if variant is STD:
+        bracket = analytics._standard_rate_steps(m, n)
+    else:
+        bracket = partial(analytics._classic_rate_bracket, m, n)
+    for k in ks:
+        yield (k, *bracket(k, scan_q(m, n, k, variant) if q is None else q))
+
+
+class TestRateBrackets:
+    def test_brackets_hold_the_exact_rate(self):
+        # every k at m <= 40, n <= 6, and deep cuts at the paper's optimum
+        # and at a low load; the width stays under 2^-40 of the rate
+        cells = [(m, n, range(1, m + 1)) for m in range(1, 41) for n in range(1, 7)]
+        cells += [(1024, 5, range(120, 146)), (256, 1, [138])]
+        cut = 0
+        for m, n, ks in cells:
+            for variant in (STD, CLS):
+                for k, lo, hi in rate_brackets(m, n, variant, ks):
+                    exact = fpr_exact(m, n, k, variant)
+                    assert lo <= exact <= hi, (m, n, k, variant)
+                    assert hi - lo <= exact / 2**40, (m, n, k, variant)
+                    cut += lo < hi
+        assert cut > 500
+
+    def test_bracket_survives_worst_case_rounding(self):
+        # factors ending in all ones lose almost a whole unit when cut, and
+        # ones ending in ...0001 almost nothing; bases equal to or just under
+        # the largest one make its rounding bounds tight for every term
+        top = 1 << 2000
+        shapes = itertools.product((1, 2, 5), (8, 30), (1, 2, 3), (-1, 2))
+        for e, q, size, slope in shapes:
+            for ends in itertools.product((1, -1), repeat=4):
+                even, odd, rb0, rb = ends  # low ends of a_j (j even, odd), b_0, b_j
+                if rb > rb0:
+                    continue
+                ends_a = [odd if j % 2 else even for j in range(size)]
+                coeffs = [(9 + slope * j) * top + r for j, r in enumerate(ends_a)]
+                bases = [5 * top + rb0] + [5 * top + rb] * (size - 1)
+                den = sum(coeffs) * bases[0] ** e
+                lo, hi = analytics._rate_bracket(coeffs, bases, e, den, q)
+                f = Fraction(kernel._alternating_power_sum(coeffs, bases, e), den)
+                assert lo <= f <= hi, (e, q, size, slope, ends)
+                # den is S = (sum a) b_0^e: at most 2^(2-q) wide, plus rounding
+                assert 0 < hi - lo <= Fraction(5, 2**q), (e, q, size, slope, ends)
+
+    def test_untruncated_bracket_is_the_exact_rate(self):
+        # more bits asked than any factor has: nothing is cut
+        for m, n in [(1, 1), (9, 2), (40, 6), (256, 1)]:
+            for variant in (STD, CLS):
+                ks = range(1, m + 1, max(1, m // 17))
+                for k, lo, hi in rate_brackets(m, n, variant, ks, q=10**6):
+                    assert lo == hi == fpr_exact(m, n, k, variant), (m, n, k, variant)
+
+    def test_scan_is_unchanged_by_wide_brackets(self, monkeypatch):
+        # 63 guard bits fewer make the brackets wider than the rates, so
+        # most comparisons fall back to exact rates; the result may not move
+        grid = [(96, 3, STD), (128, 2, STD), (256, 2, STD), (512, 8, STD)]
+        grid += [(512, 8, CLS), (700, 10, CLS), (1000, 20, CLS)]
+        want = {(m, n, v): optimal_k(m, n, v) for m, n, v in grid}
+        calls = []
+
+        def counted(m, n, k, variant):
+            calls.append(k)
+            return fpr_exact(m, n, k, variant)
+
+        monkeypatch.setattr(analytics, "_GUARD_BITS", analytics._GUARD_BITS - 63)
+        monkeypatch.setattr(analytics, "fpr_exact", counted)
+        for (m, n, v), best in want.items():
+            calls.clear()
+            assert optimal_k(m, n, v) == best, (m, n, v)
+            assert len(calls) > 2, (m, n, v)
+
+    def test_touching_brackets_tie_toward_smaller_k(self, monkeypatch):
+        # f(255, 1, 127) == f(255, 1, 128); brackets [f, f + t] at odd k and
+        # [f - t, f] at even k touch at f, so only the exact rates decide
+        def touching(m, n, k, q):
+            f = fpr_classic_exact(m, n, k)
+            t = f / 2**50
+            return (f, f + t) if k % 2 else (f - t, f)
+
+        monkeypatch.setattr(analytics, "_classic_rate_bracket", touching)
+        assert optimal_k(255, 1, CLS) == (127, fpr_classic_exact(255, 1, 127))
+
+
 class TestOptimalK:
     def test_exact_mode_matches_unpruned_scan(self, monkeypatch):
         # the standard scan stops early at n >= 2 on m = 96, 128 (before m/2
@@ -210,6 +306,8 @@ class TestOptimalK:
         grid = [(m, n) for m in (8, 17, 33, 64) for n in (1, 2, 5, 9)]
         grid += [(m, n) for m in (96, 128) for n in (1, 2, 3, 24)]
         grid += [(16, 40), (32, 60)]
+        # low loads, where the brackets cut most of every term
+        grid += [(256, 1), (256, 2)]
         oracle_rate = {STD: fpr_standard_stirling, CLS: fpr_classic_direct}
         for m, n in grid:
             for variant in (STD, CLS):
@@ -225,12 +323,18 @@ class TestOptimalK:
 
     def test_stepped_rates_match_stirling_form(self):
         # consecutive k step the powers; gaps and the first call take them
-        # afresh; m = 1 and k = m cover the capped coefficient row
-        for m, n in [(1, 1), (2, 3), (7, 1), (7, 4), (20, 2), (33, 5)]:
+        # afresh; m = 1 and k = m cover the capped coefficient row. Asked
+        # for more bits than any factor has, the stepped bracket is the
+        # exact rate; at the scan's q it holds it
+        for m, n in [(1, 1), (2, 3), (7, 1), (7, 4), (20, 2), (33, 5), (64, 2)]:
             for ks in (range(1, m + 1), range(1, m + 1, 3), [m]):
-                rate = analytics._standard_rate_steps(m, n)
+                exact = analytics._standard_rate_steps(m, n)
+                scan = analytics._standard_rate_steps(m, n)
                 for k in ks:
-                    assert rate(k) == fpr_standard_stirling(m, n, k), (m, n, k)
+                    want = fpr_standard_stirling(m, n, k)
+                    assert exact(k, 10**6) == (want, want), (m, n, k)
+                    lo, hi = scan(k, scan_q(m, n, k, STD))
+                    assert lo <= want <= hi, (m, n, k)
 
     def test_dual_coefficient_rows_match_nabla_power(self):
         # A(k, j) = C(m,j) nabla^j[x^k]_m, including m < k

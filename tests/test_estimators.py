@@ -36,6 +36,9 @@ class TestEstimateN:
             estimate_n(8, 2, 8)
         with pytest.raises(ValueError):
             estimate_n(8, 2, 9)
+        # one batch of k = m fills every urn, so 0 < mu < m cannot occur
+        with pytest.raises(UnsupportedObservationError):
+            estimate_n(8, 8, 3)
 
     def test_exact_inverse_over_parameter_sweep(self):
         rng = random.Random(7)
