@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 from math import comb
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -156,11 +156,17 @@ def fpr_recursive(m: int, n: int, k: int, variant: FilterVariant) -> float:
     and, at large k, by much more, so 40 digits do not carry the small
     rates: at (m, n, k) = (1024, 5, 133) this returns 1.6e-16 for standard
     (exact 2.9e-42) and -6.2e-19 for classic (exact 1.1e-43), and at
-    (256, 2, 90) it is 9-16% off. Nor is it a fast path there: it takes
-    20-40 ms at (1024, 5, 133), against 2-6 ms for the exact backend; it
-    wins only at large m*n, such as (4096, 100, 28). Making it carry the
-    precision it reports, or say that it cannot, is open (ROADMAP item 2,
-    the recursive backend).
+    (256, 2, 90) it is 9-16% off. Nor is it a fast path there: at
+    (1024, 5, 133) it takes about 28 ms for standard and 4 ms for classic,
+    against 4.3 and 0.6 ms for the exact backend (CPython 3.11 on a shared
+    2-CPU x86-64 VM); it wins only at large m*n, such as (4096, 100, 28).
+    Making it carry the precision it reports, or say that it cannot, is
+    open (ROADMAP item 3, the recursive backend).
+
+    The classic weight (1 - k/s)^n does not depend on the level, so it is
+    taken once per urn count s: k powers, not about k^2/2. Each standard
+    weight (1 - 1/s)^(nk+i-1) is its own 40-digit power, since forming it
+    from shared factors would change its last digits.
     """
     if m < 1 or k < 1 or n < 0:
         raise ValueError("fpr_recursive requires m >= 1, k >= 1, n >= 0")
@@ -175,8 +181,21 @@ def fpr_recursive(m: int, n: int, k: int, variant: FilterVariant) -> float:
     with localcontext() as ctx:
         ctx.prec = 40
 
-        def weight(i: int, s: int) -> Decimal:
-            return (Decimal(s - low) / Decimal(s)) ** (n * k + i - 1 if standard else n)
+        def power(s: int, e: int) -> Decimal:
+            return (Decimal(s - low) / Decimal(s)) ** e
+
+        if standard:
+
+            def weight(i: int, s: int) -> Decimal:
+                return power(s, n * k + i - 1)
+
+        else:
+            # (1 - k/s)^n does not depend on the level i: one power per urn
+            # count s, and the recursion steps only at s = m-k+1..m
+            per_s = {s: power(s, n) for s in range(max(m - k, low) + 1, m + 1)}
+
+            def weight(i: int, s: int) -> Decimal:
+                return per_s[s]
 
         return float(two_term_recursion(k, m, low, weight, Decimal(1)))
 
@@ -191,25 +210,39 @@ class FprBounds:
     """E <= M <= f_standard <= U and L <= f <= U for both variants
     (guaranteed for 1 <= k <= (m-1)/2; returned unflagged outside).
 
-    E is irrational and carried as a float; M, L, U are exact.
+    E is irrational and carried as a float; L and U are exact. M is
+    M_base ** M_exp with M_base = 1 - ((m-1)/m)^(nk) and M_exp = k: the base
+    has about nk log2 m bits, M itself k times as many (884,309 in its
+    numerator at (1024, 5, 133)). The exact M is computed on first read of
+    .M and cached; the CLI prints it from a bracket of the base instead
+    (cli.power_sci) and never reads it.
     """
 
     E: float
-    M: Fraction
+    M_base: Fraction
+    M_exp: int
     L: Fraction
     U: Fraction
 
+    @cached_property
+    def M(self) -> Fraction:
+        return self.M_base**self.M_exp
+
 
 def fpr_bounds(m: int, n: int, k: int) -> FprBounds:
+    """The four bounds of FprBounds; M is carried as its base and exponent
+    and formed only if .M is read."""
     if m < 1 or k < 1 or n < 0:
         raise ValueError("fpr_bounds requires m >= 1, k >= 1, n >= 0")
     if n == 0:
-        return FprBounds(E=0.0, M=Fraction(0), L=Fraction(0), U=Fraction(0))
+        zero = Fraction(0)
+        return FprBounds(E=0.0, M_base=zero, M_exp=k, L=zero, U=zero)
     e_val = (-math.expm1(-k * n / m)) ** k
-    m_val = (1 - Fraction(m - 1, m) ** (k * n)) ** k
     l_val = Fraction(nabla_power(m, n * k, k), m ** (n * k))
     u_val = (1 - Fraction(max(m - k, 0), m) ** n) ** k if k <= m else Fraction(1)
-    return FprBounds(E=e_val, M=m_val, L=l_val, U=u_val)
+    return FprBounds(
+        E=e_val, M_base=1 - Fraction(m - 1, m) ** (k * n), M_exp=k, L=l_val, U=u_val
+    )
 
 
 def fpr_taylor(m: int, n: int, k: int) -> float:

@@ -60,6 +60,27 @@ def fraction_sci(value: Fraction, sig: int = 6) -> str:
     return f"{'-' if neg else ''}{mantissa}e{exp:+03d}"
 
 
+def power_sci(base: Fraction, k: int) -> str:
+    """fraction_sci(base ** k) for base >= 0, without forming base ** k.
+
+    r = floor(base 2^s) keeps about 64 + bit_length(k) + 8 significant bits,
+    so r^k / 2^(sk) <= base^k <= (r+1)^k / 2^(sk), a bracket some 2^-70 wide
+    relative to base^k that costs k times r's bits, not k times base's.
+    Rounding to significant digits is monotone, so where both ends print the
+    same string, base ** k prints it too. Otherwise base ** k lies at or next
+    to a rounding boundary (the tie 2^-10 = 9.765625e-04 is one), and the
+    exact power decides.
+    """
+    num, den = base.numerator, base.denominator
+    s = max(64 + k.bit_length() + 8 + den.bit_length() - num.bit_length(), 0)
+    r = (num << s) // den
+    one = 1 << (s * k)
+    low = fraction_sci(Fraction(r**k, one))
+    if low == fraction_sci(Fraction((r + 1) ** k, one)):
+        return low
+    return fraction_sci(base**k)
+
+
 def _variant(name: str) -> FilterVariant:
     return FilterVariant.CLASSIC if name == "classic" else FilterVariant.STANDARD
 
@@ -114,7 +135,7 @@ def analyze(m: int, n: int, k: int, variant: str, fmt: str) -> None:
         "log2_exact": rep.log2_exact if math.isfinite(rep.log2_exact) else None,
         "bits_of_cutdown": cutdown if math.isfinite(cutdown) else None,
         "bound_E": rep.bounds.E,
-        "bound_M": fraction_sci(rep.bounds.M),
+        "bound_M": power_sci(rep.bounds.M_base, rep.bounds.M_exp),
         "bound_L": fraction_sci(rep.bounds.L),
         "bound_U": fraction_sci(rep.bounds.U),
         "taylor": rep.taylor,
@@ -128,13 +149,13 @@ def analyze(m: int, n: int, k: int, variant: str, fmt: str) -> None:
     num, den = rep.exact.numerator, rep.exact.denominator
     frac = f"{num}/{den}" if den != 1 and den < 10**40 else None
     click.echo(
-        "exact fpr      " + fraction_sci(rep.exact) + (f"  (= {frac})" if frac else "")
+        "exact fpr      " + payload["exact"] + (f"  (= {frac})" if frac else "")
     )
     click.echo(f"log2 exact     {rep.log2_exact:.6f}  (cut-down {cutdown:.4f} bits)")
     click.echo(f"bound E        {rep.bounds.E:.6e}")
-    click.echo(f"bound M        {fraction_sci(rep.bounds.M)}")
-    click.echo(f"bound L        {fraction_sci(rep.bounds.L)}")
-    click.echo(f"bound U        {fraction_sci(rep.bounds.U)}")
+    click.echo(f"bound M        {payload['bound_M']}")
+    click.echo(f"bound L        {payload['bound_L']}")
+    click.echo(f"bound U        {payload['bound_U']}")
     click.echo(f"taylor approx  {rep.taylor:.6e}")
     click.echo(f"recursive      {rep.recursive:.6e}")
     click.echo(f"efficiency     {rep.efficiency:.6f}")
@@ -288,10 +309,12 @@ def sweep(variable, start, end, step, m, n, k, variant, outputs, out) -> None:
                 cells.append(fraction_sci(analytics.fpr_exact(pm, pn, pk, var)))
             elif w in ("E", "M", "L", "U"):
                 bounds = bounds or analytics.fpr_bounds(pm, pn, pk)
-                val = getattr(bounds, w)
-                cells.append(
-                    f"{val:.9e}" if isinstance(val, float) else fraction_sci(val)
-                )
+                if w == "E":
+                    cells.append(f"{bounds.E:.9e}")
+                elif w == "M":
+                    cells.append(power_sci(bounds.M_base, bounds.M_exp))
+                else:
+                    cells.append(fraction_sci(getattr(bounds, w)))
             elif w == "taylor":
                 cells.append(f"{analytics.fpr_taylor(pm, pn, pk):.9e}")
             elif w == "efficiency":

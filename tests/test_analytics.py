@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
 
@@ -119,6 +120,28 @@ class TestRecursiveBackend:
                 approx = fpr_recursive(m, n, k, variant)
                 assert abs(approx - float(exact)) <= 5e-7 * float(exact)
 
+    @staticmethod
+    def _classic_per_level(m, n, k):
+        """The classic recursion with its weight (1 - k/t)^n taken afresh at
+        every level i and urn count t, in the same 40-digit context."""
+        if n == 0:
+            return 0.0
+        with localcontext() as ctx:
+            ctx.prec = 40
+
+            def weight(i, t):
+                return (Decimal(t - k) / Decimal(t)) ** n
+
+            return float(kernel.two_term_recursion(k, m, k, weight, Decimal(1)))
+
+    def test_classic_bit_identical_to_per_level_weights(self):
+        cells = [
+            (m, n, k) for m in range(1, 41) for n in range(7) for k in range(1, m + 1)
+        ]
+        for m, n, k in cells + [(1024, 5, 133)]:
+            got = fpr_recursive(m, n, k, CLS)
+            assert got == self._classic_per_level(m, n, k), (m, n, k)
+
 
 class TestBounds:
     def test_worked_example(self):
@@ -131,6 +154,14 @@ class TestBounds:
     def test_zero_items(self):
         b = fpr_bounds(17, 0, 3)
         assert b.E == 0 and b.M == 0 and b.L == 0 and b.U == 0
+
+    def test_m_is_the_power_computed_on_first_read(self):
+        b = fpr_bounds(1024, 5, 133)
+        assert b.M_base == 1 - Fraction(1023, 1024) ** 665
+        assert b.M_exp == 133
+        assert "M" not in vars(b)
+        assert b.M == (1 - Fraction(1023, 1024) ** 665) ** 133
+        assert b.M is b.M
 
     def test_numeric_ordering_large(self):
         b = fpr_bounds(1000, 20, 30)

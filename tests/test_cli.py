@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -6,7 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from bloomlab import analytics
-from bloomlab.cli import cli, fraction_sci, main
+from bloomlab import cli as cli_module
+from bloomlab.cli import cli, fraction_sci, main, power_sci
 from bloomlab.filters import FilterVariant
 from bloomlab.suites import CheckResult, SuiteResult
 from fractions import Fraction
@@ -91,6 +93,204 @@ class TestAnalyze:
     def test_invalid_params_usage_error(self, runner):
         result = runner.invoke(cli, ["analyze", "--m", "0", "--n", "1", "--k", "1"])
         assert result.exit_code != 0
+
+
+# analyze's stdout as printed while M was formed as an exact Fraction: text
+# in full, JSON (which carries the exact rate's fraction) by sha256
+_ANALYZE_PINNED = {
+    (1024, 5, 133, "standard"): (
+        (
+            "m=1024 n=5 k=133 variant=standard\n"
+            "exact fpr      2.91401e-42\n"
+            "log2 exact     -137.977977  (cut-down 137.9780 bits)\n"
+            "bound E        2.095989e-43\n"
+            "bound M        2.19495e-43\n"
+            "bound L        1.34919e-46\n"
+            "bound U        1.27780e-40\n"
+            "taylor approx  8.154329e-43\n"
+            "recursive      1.603632e-16\n"
+            "efficiency     0.673721\n"
+        ),
+        "046cf35e09c9aa5a3b7e7335d47245568882e1088a0bd9ab9402558ae17a9b41",
+    ),
+    (1024, 5, 133, "classic"): (
+        (
+            "m=1024 n=5 k=133 variant=classic\n"
+            "exact fpr      1.10944e-43\n"
+            "log2 exact     -142.693080  (cut-down 142.6931 bits)\n"
+            "bound E        2.095989e-43\n"
+            "bound M        2.19495e-43\n"
+            "bound L        1.34919e-46\n"
+            "bound U        1.27780e-40\n"
+            "taylor approx  8.154329e-43\n"
+            "recursive      -6.182972e-19\n"
+            "efficiency     0.696744\n"
+        ),
+        "09c79e0607273b7175348d7a70e9655ac1ab59c24047b57eaa2e129e502da73a",
+    ),
+    (64, 4, 11, "classic"): (
+        (
+            "m=64 n=4 k=11 variant=classic\n"
+            "exact fpr      4.85097e-04\n"
+            "log2 exact     -11.009440  (cut-down 11.0094 bits)\n"
+            "bound E        4.587107e-04\n"
+            "bound M        4.87104e-04\n"
+            "bound L        2.45988e-04\n"
+            "bound U        9.20970e-04\n"
+            "taylor approx  6.148560e-04\n"
+            "recursive      4.850967e-04\n"
+            "efficiency     0.688090\n"
+        ),
+        "8bbe5ffccd7837603c395f6cf1e62cb1bd4757352c3527ef961e96d2272c9ef4",
+    ),
+    (1, 3, 2, "standard"): (
+        (
+            "m=1 n=3 k=2 variant=standard\n"
+            "exact fpr      1.00000e+00\n"
+            "log2 exact     0.000000  (cut-down 0.0000 bits)\n"
+            "bound E        9.950486e-01\n"
+            "bound M        1.00000e+00\n"
+            "bound L        2.00000e+00\n"
+            "bound U        1.00000e+00\n"
+            "taylor approx  1.000000e+00\n"
+            "recursive      1.000000e+00\n"
+            "efficiency     0.000000\n"
+        ),
+        "a7bcba1182e1c26643ab0238d40fb29fdacb53f21d00b0a4ebe50ac2ca616b22",
+    ),
+    (1, 2, 1, "classic"): (
+        (
+            "m=1 n=2 k=1 variant=classic\n"
+            "exact fpr      1.00000e+00\n"
+            "log2 exact     0.000000  (cut-down 0.0000 bits)\n"
+            "bound E        8.646647e-01\n"
+            "bound M        1.00000e+00\n"
+            "bound L        1.00000e+00\n"
+            "bound U        1.00000e+00\n"
+            "taylor approx  1.000000e+00\n"
+            "recursive      1.000000e+00\n"
+            "efficiency     0.000000\n"
+        ),
+        "95404e358b59e6ebc498d7ab57a6618072414e473be6198ca7dcfc721844ad76",
+    ),
+    (17, 0, 3, "standard"): (
+        (
+            "m=17 n=0 k=3 variant=standard\n"
+            "exact fpr      0\n"
+            "log2 exact     -inf  (cut-down inf bits)\n"
+            "bound E        0.000000e+00\n"
+            "bound M        0\n"
+            "bound L        0\n"
+            "bound U        0\n"
+            "taylor approx  0.000000e+00\n"
+            "recursive      0.000000e+00\n"
+            "efficiency     0.000000\n"
+        ),
+        "1e07156efc7601a33ad5244948af534366dfc6d8a746b0e12eb2ec9002b538dc",
+    ),
+    (8, 2, 20, "standard"): (
+        (
+            "m=8 n=2 k=20 variant=standard\n"
+            "exact fpr      9.64576e-01\n"
+            "log2 exact     -0.052033  (cut-down 0.0520 bits)\n"
+            "bound E        8.735281e-01\n"
+            "bound M        9.08439e-01\n"
+            "bound L        5.55488e+06\n"
+            "bound U        1.00000e+00\n"
+            "taylor approx  1.010315e+00\n"
+            "recursive      9.645764e-01\n"
+            "efficiency     0.013008\n"
+        ),
+        "8aeb6d11ce7f74fe5f9fe0b4577b0366af54f763fb682b771fb4811d55b5146a",
+    ),
+}
+
+
+def _main_stdout(monkeypatch, capsys, args):
+    monkeypatch.setattr(sys, "argv", ["bloomlab", *args])
+    main()  # returns normally: exit 0
+    return capsys.readouterr().out
+
+
+class TestAnalyzePinnedOutput:
+    """analyze prints M from a bracket of its base (power_sci), never from
+    the exact power, and its stdout is unchanged byte for byte."""
+
+    @pytest.mark.parametrize("config", list(_ANALYZE_PINNED))
+    def test_stdout_unchanged(self, monkeypatch, capsys, config):
+        m, n, k, variant = config
+        args = ["analyze", "--m", str(m), "--n", str(n), "--k", str(k),
+                "--variant", variant]
+        text, json_sha = _ANALYZE_PINNED[config]
+        assert _main_stdout(monkeypatch, capsys, args) == text
+        out = _main_stdout(monkeypatch, capsys, args + ["--format", "json"])
+        assert hashlib.sha256(out.encode()).hexdigest() == json_sha
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_paper_configuration_never_forms_exact_m(self, monkeypatch, capsys, fmt):
+        def refuse(self):
+            raise AssertionError("the exact M was formed")
+
+        monkeypatch.setattr(analytics.FprBounds, "M", property(refuse))
+        args = ["analyze", "--m", "1024", "--n", "5", "--k", "133", "--format", fmt]
+        out = _main_stdout(monkeypatch, capsys, args)
+        assert "2.19495e-43" in out
+
+
+class TestPowerSci:
+    """power_sci(base, k) prints exactly what fraction_sci(base ** k) does."""
+
+    BASES = [
+        Fraction(0),
+        Fraction(1),
+        Fraction(1, 2),
+        Fraction(1, 3),
+        Fraction(2, 3),
+        Fraction(9, 8),
+        Fraction(999, 1000),
+        Fraction(1, 10**30),
+        Fraction(10**30 + 1, 10**30),
+    ] + [
+        1 - Fraction(m - 1, m) ** (n * k)
+        for m in (2, 7, 64, 1000, 1024)
+        for n in (1, 5, 20)
+        for k in (1, 3, 30)
+    ]
+
+    @pytest.fixture()
+    def formatted(self, monkeypatch):
+        """Every value power_sci hands to fraction_sci, in order."""
+        seen = []
+
+        def spy(value):
+            seen.append(value)
+            return fraction_sci(value)
+
+        monkeypatch.setattr(cli_module, "fraction_sci", spy)
+        return seen
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 30, 133])
+    def test_matches_the_exact_power(self, k):
+        for base in self.BASES:
+            assert power_sci(base, k) == fraction_sci(base**k), (base, k)
+
+    @pytest.mark.parametrize(
+        "base, k, text",
+        [
+            (Fraction(1, 2), 10, "9.76562e-04"),  # 9.765625e-04
+            (Fraction(1, 1024), 1, "9.76562e-04"),
+            (Fraction(9, 8), 2, "1.26562e+00"),  # 1.265625
+        ],
+    )
+    def test_rounding_tie_takes_the_exact_power(self, formatted, base, k, text):
+        assert power_sci(base, k) == text
+        # the two bracket ends print apart, so the exact power decides
+        assert len(formatted) == 3 and formatted[-1] == base**k
+
+    def test_bracket_alone_decides_away_from_ties(self, formatted):
+        base = 1 - Fraction(1023, 1024) ** 665
+        assert power_sci(base, 133) == "2.19495e-43"
+        assert len(formatted) == 2
 
 
 class TestOptimize:
