@@ -33,8 +33,8 @@ EXIT_IO = 2
 EXIT_VERIFY = 3
 
 
-def fraction_sci(value: Fraction, sig: int = 6) -> str:
-    """Scientific-notation decimal for an exact rational of any magnitude.
+def fraction_sci(value: Fraction) -> str:
+    """Scientific notation to 6 significant digits, for a rational of any size.
 
     float() would underflow around 1e-308; this scales by exact powers of
     ten instead, so 1e-43 rates (and far smaller) print correctly.
@@ -51,13 +51,12 @@ def fraction_sci(value: Fraction, sig: int = 6) -> str:
     elif a >= 10 * scale:
         exp += 1
         scale *= 10
-    digits = round(a / scale * 10 ** (sig - 1))
-    if digits >= 10**sig:
+    digits = round(a / scale * 10**5)
+    if digits >= 10**6:  # rounded up to the next power of ten
         digits //= 10
         exp += 1
     text = str(digits)
-    mantissa = text[0] + ("." + text[1:] if sig > 1 else "")
-    return f"{'-' if neg else ''}{mantissa}e{exp:+03d}"
+    return f"{'-' if neg else ''}{text[0]}.{text[1:]}e{exp:+03d}"
 
 
 def power_sci(base: Fraction, k: int) -> str:

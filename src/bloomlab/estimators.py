@@ -3,7 +3,9 @@
 estimate_n inverts the mean-occupancy formula to recover the batch count
 from an observed occupancy (a filter's bit sum); the mvue_* functions are
 minimum-variance unbiased estimators for the urn count from a tagged
-sample, implemented exactly as published.
+sample. The committee estimator is the published difference quotient; the
+classic one is the committee estimator at k = 1, which equals both
+published Stirling-number forms by S(n+1, mu) = mu S(n, mu) + S(n, mu-1).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .kernel import Scalar, _difference_row, stirling2
+from .kernel import Scalar, _difference_row
 
 __all__ = [
     "SaturationError",
@@ -73,20 +75,17 @@ def mvue_m_committee(mu: int, n: int, k: int) -> Fraction:
     return mu * (1 - Fraction(row[mu - 1], row[mu]))
 
 
-def mvue_m_classic(mu: int, n: int, *, m_exceeds_n: bool) -> Fraction:
+def mvue_m_classic(mu: int, n: int) -> Fraction:
     """MVUE for the urn count in the classic model, given occupancy mu.
 
-    Two published branches, selected by the caller's regime knowledge
-    (m is the unknown, so the regime cannot be inferred from the data):
-
-        m > n :  mu + S(n, mu-1) / S(n, mu)
-        m <= n:  S(n+1, mu) / S(n, mu)
+    Classic occupancy is batch occupancy with k = 1, so this is
+    mvue_m_committee(mu, n, 1) = mu + S(n, mu-1) / S(n, mu). The two
+    published branches (m > n and m <= n) are the same value: the Stirling
+    recurrence S(n+1, mu) = mu S(n, mu) + S(n, mu-1) turns the second,
+    S(n+1, mu) / S(n, mu), into the first.
     """
     if n < 1:
         raise ValueError("mvue_m_classic requires n >= 1")
     if not 1 <= mu <= n:
         raise ValueError("occupancy must lie in [1, n]")
-    denom = stirling2(n, mu)  # positive for 1 <= mu <= n
-    if m_exceeds_n:
-        return mu + Fraction(stirling2(n, mu - 1), denom)
-    return Fraction(stirling2(n + 1, mu), denom)
+    return mvue_m_committee(mu, n, 1)

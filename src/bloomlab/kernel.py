@@ -25,7 +25,6 @@ __all__ = [
     "binom_poly",
     "nabla_power",
     "nabla_power_row",
-    "nabla_binom_product",
     "rho",
     "two_term_recursion",
     "log2_fraction",
@@ -128,7 +127,7 @@ def _alternating_power_sum(
 ) -> Scalar:
     """sum_j (-1)^j coeffs[j] * bases[j]**e, in exact arithmetic.
 
-    The one alternating sum behind nabla_power, nabla_binom_product, the
+    The one alternating sum behind nabla_power, rho, the
     classic rate (coeffs C(k,j), bases C(m-j,k), e = n) and the empty-urn
     sum of every occupancy moment (coeffs C(m,j) nabla^j[g]_m, bases
     prod C(m-j,k)^e, e = 1).
@@ -165,27 +164,6 @@ def nabla_power_row(m: int, n: int, r: int) -> list[int]:
     return _difference_row([(m - j) ** n for j in range(r + 1)])
 
 
-def nabla_binom_product(m: int, ks: Sequence[int], r: int) -> int:
-    """r-th backward difference of prod_d C(x, k_d) evaluated at x = m.
-
-    A power C(x,k)^n is passed as n repetitions of k.  Exact integer; for
-    r > m the points below 0 take the polynomial's values C(t, k) at t < 0.
-    """
-    if r < 0:
-        raise ValueError("nabla_binom_product requires r >= 0")
-    if any(k < 1 for k in ks):
-        raise ValueError("batch sizes must be positive")
-    if ks and m < max(ks):
-        raise ValueError("nabla_binom_product requires m >= max(ks)")
-    if not ks or r > sum(ks):
-        return int(r == 0)
-    powers = Counter(ks).items()
-    values = (
-        math.prod(binom_poly(m - j, k) ** e for k, e in powers) for j in range(r + 1)
-    )
-    return _alternating_power_sum(map(comb, repeat(r), range(r + 1)), values, 1)
-
-
 # --------------------------------------------------------------------------
 # Normalized differences of binomial products
 # --------------------------------------------------------------------------
@@ -195,16 +173,26 @@ def rho(r: int, s: int, ks: Sequence[int]) -> Fraction:
     """nabla^r [ prod_d C(x,k_d) / C(s,k_d) ] at x = s, by direct sum.
 
     This is the normalized difference driving every batch-occupancy moment;
-    rho(0, s) == 1 and rho(r, s) in [0, 1] for 0 <= r <= s.
+    rho(0, s) == 1 and rho(r, s) in [0, 1] for 0 <= r <= s. A power
+    C(x,k)^n is passed as n repetitions of k. For r > s the points below 0
+    take the polynomial's values C(t, k) at t < 0.
     """
+    if r < 0:
+        raise ValueError("rho requires r >= 0")
     if not ks:
         raise ValueError("rho requires at least one batch size")
+    if any(k < 1 for k in ks):
+        raise ValueError("batch sizes must be positive")
     if s < max(ks):
         raise ValueError("rho requires s >= max(ks)")
-    denom = 1
-    for k in ks:
-        denom *= comb(s, k)
-    return Fraction(nabla_binom_product(s, ks, r), denom)
+    if r > sum(ks):  # beyond the degree of the product
+        return Fraction(0)
+    powers = Counter(ks).items()
+    values = [
+        math.prod(binom_poly(s - j, k) ** e for k, e in powers) for j in range(r + 1)
+    ]
+    coeffs = map(comb, repeat(r), range(r + 1))
+    return Fraction(_alternating_power_sum(coeffs, values, 1), values[0])
 
 
 def two_term_recursion(

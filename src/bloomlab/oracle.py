@@ -15,32 +15,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .occupancy import CommitteeSpec
-
 __all__ = [
     "classic_occupancy_counts",
     "committee_occupancy_counts",
     "enumerate_classic_pmf",
     "enumerate_committee_pmf",
-    "enumerate_union_pmf",
-    "enumerate_intersection_pmf",
-    "enumerate_moment",
     "enumerate_fpr_standard",
     "enumerate_fpr_classic",
 ]
-
-
-def _mask_counts_classic(m: int, n: int) -> dict[int, int]:
-    """mask -> number of length-n urn sequences occupying exactly mask."""
-    counts = {0: 1}
-    for _ in range(n):
-        nxt: dict[int, int] = {}
-        for mask, c in counts.items():
-            for u in range(m):
-                key = mask | (1 << u)
-                nxt[key] = nxt.get(key, 0) + c
-        counts = nxt
-    return counts
 
 
 def _mask_counts_committee(m: int, n: int, k: int) -> dict[int, int]:
@@ -66,7 +48,7 @@ def _occupancy_hist(mask_counts: dict[int, int], m: int) -> list[int]:
 
 def classic_occupancy_counts(m: int, n: int) -> list[int]:
     """hist[i] = number of the m^n placements with occupancy exactly i."""
-    return _occupancy_hist(_mask_counts_classic(m, n), m)
+    return committee_occupancy_counts(m, n, 1)  # size-1 batches: single urns
 
 
 def committee_occupancy_counts(m: int, n: int, k: int) -> list[int]:
@@ -82,61 +64,6 @@ def enumerate_classic_pmf(m: int, n: int) -> list[Fraction]:
 def enumerate_committee_pmf(m: int, n: int, k: int) -> list[Fraction]:
     total = comb(m, k) ** n
     return [Fraction(c, total) for c in committee_occupancy_counts(m, n, k)]
-
-
-def enumerate_union_pmf(spec: CommitteeSpec) -> list[Fraction]:
-    """Occupancy of urns hit by ANY department, by OR-combining the
-    per-department mask distributions."""
-    m = spec.m
-    counts = {0: 1}
-    total = 1
-    for n_d, k_d in spec.departments:
-        dept = _mask_counts_committee(m, n_d, k_d)
-        total *= comb(m, k_d) ** n_d
-        nxt: dict[int, int] = {}
-        for mask, c in counts.items():
-            for dmask, dc in dept.items():
-                key = mask | dmask
-                nxt[key] = nxt.get(key, 0) + c * dc
-        counts = nxt
-    hist = _occupancy_hist(counts, m)
-    return [Fraction(c, total) for c in hist]
-
-
-def enumerate_intersection_pmf(spec: CommitteeSpec) -> list[Fraction]:
-    """Occupancy of urns hit by EVERY department (AND-combination)."""
-    m = spec.m
-    counts = {(1 << m) - 1: 1}
-    total = 1
-    for n_d, k_d in spec.departments:
-        dept = _mask_counts_committee(m, n_d, k_d)
-        total *= comb(m, k_d) ** n_d
-        nxt: dict[int, int] = {}
-        for mask, c in counts.items():
-            for dmask, dc in dept.items():
-                key = mask & dmask
-                nxt[key] = nxt.get(key, 0) + c * dc
-        counts = nxt
-    hist = _occupancy_hist(counts, m)
-    return [Fraction(c, total) for c in hist]
-
-
-def enumerate_moment(pmf: list[Fraction], r: int, kind: str = "raw") -> Fraction:
-    """Moment of an enumerated pmf: kind in {raw, factorial, binomial}."""
-    total = Fraction(0)
-    for i, p in enumerate(pmf):
-        if kind == "raw":
-            w = i**r
-        elif kind == "factorial":
-            w = 1
-            for j in range(r):
-                w *= i - j
-        elif kind == "binomial":
-            w = comb(i, r)
-        else:
-            raise ValueError(f"unknown moment kind {kind!r}")
-        total += p * w
-    return total
 
 
 def enumerate_fpr_standard(m: int, n: int, k: int) -> Fraction:

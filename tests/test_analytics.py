@@ -606,7 +606,7 @@ class TestIntersectionFilterMoments:
         # m=3, two filters with 1 and 2 items, k=1: enumerate all 3^3 fills
         from bloomlab.occupancy import CommitteeSpec
 
-        from bloomlab.oracle import enumerate_intersection_pmf, enumerate_moment
+        from enumerators import enumerate_intersection_pmf, enumerate_moment
 
         spec = CommitteeSpec(3, [(1, 1), (2, 1)])
         pmf = enumerate_intersection_pmf(spec)

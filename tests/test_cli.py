@@ -31,13 +31,14 @@ class TestFractionSci:
     def test_values(self):
         assert fraction_sci(Fraction(0)) == "0"
         assert fraction_sci(Fraction(11, 20)) == "5.50000e-01"
-        assert fraction_sci(Fraction(1, 10**50), sig=3) == "1.00e-50"
-        assert fraction_sci(Fraction(-3, 4), sig=2) == "-7.5e-01"
-        assert fraction_sci(Fraction(999999, 1000), sig=3) == "1.00e+03"
+        assert fraction_sci(Fraction(1, 10**50)) == "1.00000e-50"
+        assert fraction_sci(Fraction(-3, 4)) == "-7.50000e-01"
+        # 999.9995 rounds up to the next power of ten and carries
+        assert fraction_sci(Fraction(9999995, 10000)) == "1.00000e+03"
 
     def test_far_below_float_range(self):
-        # 2^2000 = 1.1486e602, so 3/2^2000 = 2.6118e-602
-        assert fraction_sci(Fraction(3, 2**2000), sig=3) == "2.61e-602"
+        # 2^2000 = 1.148130e602, so 3/2^2000 = 2.612943e-602
+        assert fraction_sci(Fraction(3, 2**2000)) == "2.61294e-602"
 
 
 class TestAnalyze:

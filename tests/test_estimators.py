@@ -10,6 +10,7 @@ from bloomlab.estimators import (
     mvue_m_classic,
     mvue_m_committee,
 )
+from bloomlab.kernel import stirling2
 from bloomlab.occupancy import classic_pmf, committee_mean_variance
 
 
@@ -78,24 +79,33 @@ class TestCommitteeMvue:
 
 class TestClassicMvue:
     def test_examples(self):
-        assert mvue_m_classic(2, 2, m_exceeds_n=True) == 3
-        assert mvue_m_classic(1, 5, m_exceeds_n=True) == 1
-        assert mvue_m_classic(2, 3, m_exceeds_n=False) == Fraction(7, 3)
+        assert mvue_m_classic(2, 2) == 3
+        assert mvue_m_classic(1, 5) == 1
+        assert mvue_m_classic(2, 3) == Fraction(7, 3)
 
     def test_rejects_invalid_occupancy(self):
         with pytest.raises(ValueError):
-            mvue_m_classic(0, 3, m_exceeds_n=True)
+            mvue_m_classic(0, 3)
         with pytest.raises(ValueError):
-            mvue_m_classic(4, 3, m_exceeds_n=True)
+            mvue_m_classic(4, 3)
+
+    def test_equals_both_published_forms_and_committee_at_k1(self):
+        # m > n: mu + S(n, mu-1)/S(n, mu); m <= n: S(n+1, mu)/S(n, mu);
+        # equal by S(n+1, mu) = mu S(n, mu) + S(n, mu-1)
+        for n in range(1, 41):
+            for mu in range(1, n + 1):
+                got = mvue_m_classic(mu, n)
+                denom = stirling2(n, mu)
+                assert got == mu + Fraction(stirling2(n, mu - 1), denom), (mu, n)
+                assert got == Fraction(stirling2(n + 1, mu), denom), (mu, n)
+                assert got == mvue_m_committee(mu, n, 1), (mu, n)
 
     def test_unbiasedness_remains_open(self, capsys):
-        # Tiny-scale expectation check of the published branch: at m=3, n=2
-        # the estimator's expectation is not m. Reported, not asserted; the
-        # formulas are implemented exactly as published.
+        # Tiny-scale expectation check of the m > n form: at m=3, n=2 the
+        # estimator's expectation is not m. Reported, not asserted.
         m, n = 3, 2
         expectation = sum(
-            classic_pmf(m, n, mu) * mvue_m_classic(mu, n, m_exceeds_n=True)
-            for mu in range(1, n + 1)
+            classic_pmf(m, n, mu) * mvue_m_classic(mu, n) for mu in range(1, n + 1)
         )
         print(f"E[m_hat | m={m}, n={n}] = {expectation} (true m = {m})")
         assert expectation != m  # documents the open question

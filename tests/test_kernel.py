@@ -1,3 +1,4 @@
+import math
 import threading
 from enum import Enum
 from fractions import Fraction
@@ -13,7 +14,6 @@ from bloomlab.kernel import (
     binom_poly,
     falling_factorial,
     log2_fraction,
-    nabla_binom_product,
     nabla_power,
     nabla_power_row,
     rho,
@@ -49,6 +49,14 @@ def difference(f, kind, order, at):
         for j in range(order + 1):
             total += (-1) ** (order - j) * comb(order, j) * f(at + j)
     return total
+
+
+def binom_product_difference(m, ks, r):
+    """r-th backward difference of prod_d C(x, k_d) at x = m, read off rho
+    as rho(r, m, ks) * prod_d C(m, k_d); always an integer."""
+    value = rho(r, m, ks) * math.prod(comb(m, k) for k in ks)
+    assert value.denominator == 1, (m, ks, r)
+    return value.numerator
 
 
 def rho_by_recursion(r, s, ks):
@@ -184,31 +192,33 @@ class TestAlternatingPowerSum:
 
 
 class TestNablaBinomProduct:
+    """The unnormalized difference inside rho."""
+
     def test_zeroth_difference(self):
-        assert nabla_binom_product(6, [2, 3], 0) == comb(6, 2) * comb(6, 3)
+        assert binom_product_difference(6, [2, 3], 0) == comb(6, 2) * comb(6, 3)
 
     def test_examples(self):
-        assert nabla_binom_product(5, [3, 3], 3) == 55
-        assert nabla_binom_product(4, [2, 2], 1) == 27
+        assert binom_product_difference(5, [3, 3], 3) == 55
+        assert binom_product_difference(4, [2, 2], 1) == 27
 
     def test_above_degree_vanishes(self):
-        assert nabla_binom_product(9, [2, 3], 6) == 0
+        assert binom_product_difference(9, [2, 3], 6) == 0
 
     def test_orders_beyond_m_are_the_polynomial_difference(self):
         # for m < r <= sum(ks) the sum reaches points t < 0, where C(t, k)
         # is the polynomial's value, not 0
-        assert nabla_binom_product(3, [2, 2], 4) == 6
+        assert binom_product_difference(3, [2, 2], 4) == 6
         assert rho(4, 3, [2, 2]) == Fraction(2, 3)
         for ks in ([2, 2], [2, 3], [3, 3], [1, 2, 4], [4, 4]):
-            f = lambda x: __import__("math").prod(binom_poly(x, k) for k in ks)  # noqa: E731
+            f = lambda x: math.prod(binom_poly(x, k) for k in ks)  # noqa: E731
             for m in range(max(ks), sum(ks)):
                 for r in range(m + 1, sum(ks) + 1):
                     want = difference(f, DifferenceKind.BACKWARD, r, m)
-                    assert nabla_binom_product(m, ks, r) == want, (m, ks, r)
+                    assert binom_product_difference(m, ks, r) == want, (m, ks, r)
 
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
-            nabla_binom_product(2, [3], 1)
+            binom_product_difference(2, [3], 1)
 
 
 class TestDifferenceDuality:

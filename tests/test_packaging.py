@@ -56,3 +56,40 @@ def test_cli_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     ).stdout
     assert out.strip() == "[]"
+
+
+def _is_click_command(func: ast.FunctionDef) -> bool:
+    """Decorated with @<group>.command, @click.group or either called."""
+    for d in func.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if isinstance(target, ast.Attribute) and target.attr in {"command", "group"}:
+            return True
+    return False
+
+
+def test_every_function_in_src_has_a_caller_in_src():
+    """Code only tests use belongs in tests/, not in the package."""
+    defined = []  # (module, name) of each module-level function
+    referenced = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = top.name
+                if not _is_click_command(top):
+                    defined.append((path.stem, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:  # a recursive call is not a caller
+                    referenced.add(name)
+    unused = [
+        f"{module}.{name}"
+        for module, name in defined
+        if name not in referenced and name not in bloomlab.__all__
+    ]
+    assert unused == [], f"module-level functions only tests use: {unused}"
