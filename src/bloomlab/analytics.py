@@ -19,7 +19,8 @@ optimal_k compares candidates through certified brackets lo <= f <= hi:
 the same alternating sums with every factor cut to the bits the comparison
 needs, in integer arithmetic. Exact rates are computed only where two
 brackets cannot decide, and for the winner, so every result is the one an
-all-exact scan gives.
+all-exact scan gives. The capacity searches walk the same brackets but ask
+only whether some k meets the target rate, which needs no minimum.
 """
 
 from __future__ import annotations
@@ -375,6 +376,10 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     early stop above hold as written. So the winner, and the exact rate
     returned for it, are those of the exact scan; q only decides how often
     a bracket is too wide to decide on its own.
+
+    The walk over k, with the bound test, the early stop and the brackets,
+    is _bracket_walk, which _rate_at_most (the capacity searches' probe)
+    walks too; the comparisons above are optimal_k's own.
     """
     if m < 1 or n < 0:
         raise ValueError("optimal_k requires m >= 1 and n >= 0")
@@ -383,27 +388,8 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     seed = _k_seed(m, n)
     exact = {seed: fpr_exact(m, n, seed, variant)}
     threshold = log2_fraction(exact[seed])
-    # past k_rise = k0 the standard bound only rises; classic scans to m
-    k_rise = math.inf
-    if variant is FilterVariant.STANDARD:
-        bracket = _standard_rate_steps(m, n)
-        if m > 1:
-            k_rise = LN2 / (n * -math.log1p(-1 / m))
-    else:
-        bracket = partial(_classic_rate_bracket, m, n)
     best_k = best_lo = best_hi = None
-    for k in range(1, m + 1):
-        if k == seed:
-            lo = hi = exact[k]
-        else:
-            bound = _fpr_lower_bound_log2(m, n, k, variant)
-            if bound > threshold + 0.5:
-                if k > k_rise:
-                    break
-                continue
-            lo, hi = bracket(k, k + math.ceil(-bound) + _GUARD_BITS)
-            if lo is hi:  # nothing was cut
-                exact[k] = lo
+    for k, lo, hi in _bracket_walk(m, n, variant, exact, lambda: threshold):
         if best_k is not None:
             if lo >= best_hi:
                 continue
@@ -420,6 +406,74 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     if best_k not in exact:
         exact[best_k] = fpr_exact(m, n, best_k, variant)
     return OptimalK(best_k, exact[best_k])
+
+
+def _bracket_walk(
+    m: int,
+    n: int,
+    variant: FilterVariant,
+    exact: dict[int, Fraction],
+    limit: Callable[[], float],
+) -> Iterator[tuple[int, Fraction, Fraction]]:
+    """(k, lo, hi) with lo <= f(m, n, k) <= hi for k = 1..m in increasing
+    order, less every k whose bound proves f(k) > 2^limit(): the candidate
+    walk of optimal_k and _rate_at_most (n >= 1, and m >= 2 unless exact
+    holds k = 1).
+
+    A k in exact is yielded at its exact rate, unbounded. Any other k with
+    B(k) = _fpr_lower_bound_log2 > limit() + 0.5 is skipped, and for the
+    standard variant the walk ends at the first skipped k past k0 (both
+    argued in optimal_k's docstring). limit() is read at the start and
+    after each yield, so the caller may lower it between candidates; it
+    must never rise. The rest get q = k + ceil(-B(k)) + _GUARD_BITS bits,
+    and a bracket that cut nothing is the exact rate, recorded in exact.
+    """
+    # past k_rise = k0 the standard bound only rises; classic scans to m
+    k_rise = math.inf
+    if variant is FilterVariant.STANDARD:
+        bracket = _standard_rate_steps(m, n)
+        if m > 1:
+            k_rise = LN2 / (n * -math.log1p(-1 / m))
+    else:
+        bracket = partial(_classic_rate_bracket, m, n)
+    cut = limit() + 0.5
+    for k in range(1, m + 1):
+        if k in exact:
+            lo = hi = exact[k]
+        else:
+            bound = _fpr_lower_bound_log2(m, n, k, variant)
+            if bound > cut:
+                if k > k_rise:
+                    return
+                continue
+            lo, hi = bracket(k, k + math.ceil(-bound) + _GUARD_BITS)
+            if lo is hi:  # nothing was cut
+                exact[k] = lo
+        yield k, lo, hi
+        cut = limit() + 0.5
+
+
+def _rate_at_most(m: int, n: int, variant: FilterVariant, target: Fraction) -> bool:
+    """min_k f(m, n, k) <= target, decided without the minimum (n >= 1).
+
+    The minimum meets target exactly when some k does, so this walks
+    optimal_k's candidates (_bracket_walk) against the fixed threshold
+    log2(target): a skipped k has f(k) > target by the same 0.5-bit
+    margin, and the standard walk's early stop holds for a fixed threshold
+    as for a falling one. It answers True at the first bracket with
+    hi <= target, passes over a bracket with lo > target, and computes an
+    exact rate only for a bracket that straddles target. m = 1 is settled
+    by its one exact rate, as optimal_k settles it through its seed.
+    """
+    if m == 1:
+        return fpr_exact(1, n, 1, variant) <= target
+    limit = log2_fraction(target)
+    for k, lo, hi in _bracket_walk(m, n, variant, {}, lambda: limit):
+        if hi <= target:
+            return True
+        if lo <= target and fpr_exact(m, n, k, variant) <= target:
+            return True
+    return False
 
 
 # optimal_k's brackets: q = k + ceil(-B(k)) + _GUARD_BITS significant bits
@@ -598,12 +652,23 @@ def capacity_n_max(m: int, p: float, variant: FilterVariant) -> int:
     since (m-i)/(k-i) >= m/k. So (k1/m)^k1 <= p, checked exactly at
     k1 = round(m/e) (where (k/m)^k is least), proves n = 1 feasible; when it
     fails the exact probe decides, and raises InfeasibleError.
+
+    Each probe asks only whether min_k f(m, n, k) <= p, which holds exactly
+    when some k has f(k) <= p; _rate_at_most answers that on optimal_k's
+    own candidate walk (_bracket_walk) with p as a fixed threshold: a k
+    whose lower bound exceeds log2 p by 0.5 bits is skipped, the standard
+    walk stops where its bound rises past that, and brackets settle the
+    rest, exact rates only where a bracket straddles p. So every probe
+    answers as optimal_k(m, n, variant).fpr <= p would, without the
+    minimum.
     """
     _require_rate(p)
+    if m < 1:
+        raise ValueError("capacity_n_max requires m >= 1")
     target = Fraction(p)
 
     def ok(n: int) -> bool:
-        return optimal_k(m, n, variant).fpr <= target
+        return _rate_at_most(m, n, variant, target)
 
     k1 = max(1, round(m / math.e))
     if Fraction(k1, m) ** k1 > target and not ok(1):
@@ -623,14 +688,19 @@ def capacity_n_max(m: int, p: float, variant: FilterVariant) -> int:
 
 
 def size_m_min(n: int, p: float, variant: FilterVariant) -> int:
-    """Smallest m whose optimally-hashed exact rate meets p at fixed n."""
+    """Smallest m whose optimally-hashed exact rate meets p at fixed n.
+
+    Each probe is capacity_n_max's: _rate_at_most decides
+    min_k f(m, n, k) <= p on optimal_k's candidate walk with p as a fixed
+    threshold, and answers as optimal_k(m, n, variant).fpr <= p would.
+    """
     _require_rate(p)
     if n < 1:
         raise ValueError("size_m_min requires n >= 1")
     target = Fraction(p)
 
     def ok(m: int) -> bool:
-        return optimal_k(m, n, variant).fpr <= target
+        return _rate_at_most(m, n, variant, target)
 
     hi = max(n, 1, round(m_min_estimate(n, p)))
     while not ok(hi):

@@ -199,6 +199,7 @@ def _optimize_one(m, n, p, variant: str) -> dict:
     if p is None:
         exact = analytics.optimal_k(m, n, var)
         est = analytics.optimal_k_estimate(m, n)
+        seed = analytics._k_seed(m, n)
         payload.update(
             m=m,
             n=n,
@@ -206,7 +207,7 @@ def _optimize_one(m, n, p, variant: str) -> dict:
             fpr_exact=fraction_sci(exact.fpr),
             k_estimate=est.k,
             fpr_at_estimate=fraction_sci(
-                analytics.fpr_exact(m, n, analytics._k_seed(m, n), var)
+                exact.fpr if exact.k == seed else analytics.fpr_exact(m, n, seed, var)
             ),
             estimate_gap=round(est.k) - exact.k,
         )

@@ -443,6 +443,26 @@ def capacity_n_max_probing_n1(m, p, variant):
     return lo
 
 
+def size_m_min_probing_optimal_k(n, p, variant):
+    """size_m_min with every probe an optimal_k solve; the reference for
+    its feasibility probe."""
+    target = Fraction(p)
+
+    def ok(m):
+        return optimal_k(m, n, variant).fpr <= target
+
+    hi = max(n, 1, round(m_min_estimate(n, p)))
+    while not ok(hi):
+        hi *= 2
+    lo = hi // 2
+    while lo > 0 and ok(lo):
+        hi, lo = lo, lo // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
+
+
 class TestCapacity:
     def test_estimates(self):
         assert n_max_estimate(1024, 2**-10) == pytest.approx(
@@ -469,6 +489,27 @@ class TestCapacity:
             if m_min > 1:
                 assert float(optimal_k(m_min - 1, n, variant).fpr) > p
 
+    def test_probe_matches_unpruned_minimum(self):
+        # every m <= 24 and n <= 2m, m = 1 and the high loads where nothing
+        # prunes included; targets at the minimum (a tie meets it), a
+        # hair either side, and spread over the rates the grid reaches
+        spread = [Fraction(10 ** (-i / 4)) for i in range(1, 25)]
+        for variant in (STD, CLS):
+            for m in range(1, 25):
+                for n in range(1, 2 * m + 1):
+                    best = min(fpr_exact(m, n, k, variant) for k in range(1, m + 1))
+                    hair = best / 2**200
+                    for target in [best, best - hair, best + hair, *spread]:
+                        got = analytics._rate_at_most(m, n, variant, target)
+                        assert got == (best <= target), (m, n, variant, target)
+
+    def test_m_min_matches_optimal_k_probes(self):
+        for n in (1, 2, 3, 5, 9, 16):
+            for p in (1e-6, 3e-5, 1e-3, 1e-2, 0.3):
+                for variant in (STD, CLS):
+                    want = size_m_min_probing_optimal_k(n, p, variant)
+                    assert size_m_min(n, p, variant) == want, (n, p, variant)
+
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
             capacity_n_max(1, 1e-9, STD)
@@ -487,14 +528,15 @@ class TestCapacity:
                             capacity_n_max(m, p, variant)
                     else:
                         assert capacity_n_max(m, p, variant) == expected, (m, p)
-        # where (k1/m)^k1 <= p the exact scan at n = 1 never runs
+        # where (k1/m)^k1 <= p the exact probe at n = 1 never runs
         scanned_n = []
+        probe = analytics._rate_at_most
 
-        def traced_optimal_k(m, n, variant):
+        def traced_probe(m, n, variant, target):
             scanned_n.append(n)
-            return optimal_k(m, n, variant)
+            return probe(m, n, variant, target)
 
-        monkeypatch.setattr(analytics, "optimal_k", traced_optimal_k)
+        monkeypatch.setattr(analytics, "_rate_at_most", traced_probe)
         assert capacity_n_max(128, 1e-6, STD) == capacity_n_max_probing_n1(128, 1e-6, STD)
         assert scanned_n and 1 not in scanned_n
         with pytest.raises(ValueError):

@@ -518,6 +518,12 @@ class TestMainExitCodes:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_capacity_without_bits_exits_1(self, monkeypatch, capsys, m):
+        code, err = self._run(monkeypatch, capsys, ["optimize", "--m", m, "--p", "0.01"])
+        assert code == 1
+        assert err == "error: capacity_n_max requires m >= 1\n"
+
     def test_optimize_at_high_load_exits_0(self, monkeypatch, capsys):
         # m/n < 1/(2 ln 2): the closed-form k rounds to 0; the estimate's
         # rate is taken at the scan's seed, clamped to 1
