@@ -121,21 +121,23 @@ def fpr_classic_exact(m: int, n: int, k: int) -> Fraction:
         raise ValueError("fpr_classic_exact requires 1 <= k <= m")
     if n < 0:
         raise ValueError("fpr_classic_exact requires n >= 0")
+    coeffs, bases, e, den = _classic_terms(m, n, k)
+    return Fraction(_alternating_power_sum(coeffs, bases, e), den)
+
+
+def _classic_terms(m: int, n: int, k: int) -> tuple[list[int], list[int], int, int]:
+    """(coeffs, bases, e, den) with the classic rate
+    sum_j (-1)^j coeffs[j] bases[j]^e / den: C(k, i) and C(m-i, k)^n over
+    C(m, k)^n, the bases stepped by the exact ratio
+    C(m-i-1, k) = C(m-i, k) (m-i-k) / (m-i) instead of k+1 comb calls.
+    At n = 1, nabla^k C(x,k) at m collapses to C(m-k, 0) = 1: the one
+    term 1 / C(m, k)."""
     if n == 1:
-        # nabla^k C(x,k) at m collapses to C(m-k, 0) = 1
-        return Fraction(1, comb(m, k))
-    bases = _classic_bases(m, k)
-    num = _alternating_power_sum(map(comb, repeat(k), range(k + 1)), bases, n)
-    return Fraction(num, bases[0] ** n)
-
-
-def _classic_bases(m: int, k: int) -> list[int]:
-    """[C(m-i, k) for i = 0..k], stepped by the exact ratio
-    C(m-i-1, k) = C(m-i, k) (m-i-k) / (m-i) instead of k+1 comb calls."""
+        return [1], [1], 1, comb(m, k)
     bases = [comb(m, k)]
     for i in range(k):
         bases.append(bases[-1] * (m - i - k) // (m - i))
-    return bases
+    return list(map(comb, repeat(k), range(k + 1))), bases, n, bases[0] ** n
 
 
 def fpr_exact(m: int, n: int, k: int, variant: FilterVariant) -> Fraction:
@@ -532,12 +534,7 @@ def _rate_bracket(
 
 def _classic_rate_bracket(m: int, n: int, k: int, q: int) -> _Bracket:
     """optimal_k's bracket of fpr_classic_exact(m, n, k) for q bits."""
-    if n == 1:
-        f = Fraction(1, comb(m, k))
-        return f, f
-    bases = _classic_bases(m, k)
-    coeffs = list(map(comb, repeat(k), range(k + 1)))
-    return _rate_bracket(coeffs, bases, n, bases[0] ** n, q)
+    return _rate_bracket(*_classic_terms(m, n, k), q)
 
 
 def _standard_rate_steps(m: int, n: int) -> Callable[[int, int], _Bracket]:
@@ -641,26 +638,9 @@ def _require_rate(p: float) -> None:
 def capacity_n_max(m: int, p: float, variant: FilterVariant) -> int:
     """Largest n whose optimally-hashed exact rate still meets p.
 
-    The optimal rate increases strictly with n, so a bracketed binary
-    search around the closed-form seed suffices.
-
-    Feasibility of n = 1 is settled by a bound before any exact scan (the
-    scan at n = 1 is the costliest, since its bounds prune least): for
-    every 1 <= k <= m, f(m, 1, k) <= (k/m)^k in both variants.
-    standard: one item sets X <= k bits, so E[(X/m)^k] <= (k/m)^k.
-    classic: f = 1/C(m, k), and C(m, k) = prod_{i<k} (m-i)/(k-i) >= (m/k)^k
-    since (m-i)/(k-i) >= m/k. So (k1/m)^k1 <= p, checked exactly at
-    k1 = round(m/e) (where (k/m)^k is least), proves n = 1 feasible; when it
-    fails the exact probe decides, and raises InfeasibleError.
-
-    Each probe asks only whether min_k f(m, n, k) <= p, which holds exactly
-    when some k has f(k) <= p; _rate_at_most answers that on optimal_k's
-    own candidate walk (_bracket_walk) with p as a fixed threshold: a k
-    whose lower bound exceeds log2 p by 0.5 bits is skipped, the standard
-    walk stops where its bound rises past that, and brackets settle the
-    rest, exact rates only where a bracket straddles p. So every probe
-    answers as optimal_k(m, n, variant).fpr <= p would, without the
-    minimum.
+    The optimal rate increases strictly with n, so every n is probed by
+    _rate_at_most in one monotone search from the closed-form seed, n = 1
+    first: InfeasibleError if even that misses p.
     """
     _require_rate(p)
     if m < 1:
@@ -670,52 +650,43 @@ def capacity_n_max(m: int, p: float, variant: FilterVariant) -> int:
     def ok(n: int) -> bool:
         return _rate_at_most(m, n, variant, target)
 
-    k1 = max(1, round(m / math.e))
-    if Fraction(k1, m) ** k1 > target and not ok(1):
+    if not ok(1):
         raise InfeasibleError(f"rate {p} unreachable at m={m} even for n=1")
-    lo = 1
-    hi = max(2, round(n_max_estimate(m, p)))
-    while ok(hi):
-        lo = hi
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _last_true(ok, round(n_max_estimate(m, p)))
 
 
 def size_m_min(n: int, p: float, variant: FilterVariant) -> int:
     """Smallest m whose optimally-hashed exact rate meets p at fixed n.
 
-    Each probe is capacity_n_max's: _rate_at_most decides
-    min_k f(m, n, k) <= p on optimal_k's candidate walk with p as a fixed
-    threshold, and answers as optimal_k(m, n, variant).fpr <= p would.
+    The optimal rate falls with m and is 1 > p at m = 1, so the answer is
+    one past the largest m that misses p, found by the same monotone search
+    as capacity_n_max's from the closed-form seed.
     """
     _require_rate(p)
     if n < 1:
         raise ValueError("size_m_min requires n >= 1")
     target = Fraction(p)
 
-    def ok(m: int) -> bool:
-        return _rate_at_most(m, n, variant, target)
+    def misses(m: int) -> bool:
+        return not _rate_at_most(m, n, variant, target)
 
-    hi = max(n, 1, round(m_min_estimate(n, p)))
-    while not ok(hi):
-        hi *= 2
-    lo = hi // 2
-    while lo > 0 and ok(lo):
-        hi = lo
-        lo //= 2
+    return 1 + _last_true(misses, max(n, round(m_min_estimate(n, p))))
+
+
+def _last_true(holds: Callable[[int], bool], start: int) -> int:
+    """Largest x >= 1 with holds(x), for holds monotone (true up to the
+    answer, false past it) and known true at x = 1, which is not probed.
+
+    Doubles x from max(start, 2) while holds(x), then bisects between the
+    last x that held (or 1) and the first that failed; no x is probed twice.
+    """
+    lo, hi = 1, max(start, 2)
+    while holds(hi):
+        lo, hi = hi, hi * 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
 
 
 # --------------------------------------------------------------------------

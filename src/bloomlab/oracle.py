@@ -57,8 +57,7 @@ def committee_occupancy_counts(m: int, n: int, k: int) -> list[int]:
 
 
 def enumerate_classic_pmf(m: int, n: int) -> list[Fraction]:
-    total = m**n
-    return [Fraction(c, total) for c in classic_occupancy_counts(m, n)]
+    return enumerate_committee_pmf(m, n, 1)  # C(m, 1)^n = m^n placements
 
 
 def enumerate_committee_pmf(m: int, n: int, k: int) -> list[Fraction]:

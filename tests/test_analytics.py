@@ -425,8 +425,8 @@ class TestOptimalK:
 
 
 def capacity_n_max_probing_n1(m, p, variant):
-    """capacity_n_max that always settles n = 1 by the exact scan; the
-    reference for the bound-first feasibility check."""
+    """capacity_n_max with every probe an optimal_k solve, n = 1 first; the
+    reference for its feasibility probe and its search."""
     target = Fraction(p)
 
     def ok(n):
@@ -444,8 +444,8 @@ def capacity_n_max_probing_n1(m, p, variant):
 
 
 def size_m_min_probing_optimal_k(n, p, variant):
-    """size_m_min with every probe an optimal_k solve; the reference for
-    its feasibility probe."""
+    """size_m_min with every probe an optimal_k solve, galloping both ways
+    from the seed; the reference for its feasibility probe and its search."""
     target = Fraction(p)
 
     def ok(m):
@@ -461,6 +461,9 @@ def size_m_min_probing_optimal_k(n, p, variant):
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if ok(mid) else (mid, hi)
     return hi
+
+
+NEAR_ONE = (0.3, 0.5, 0.9, 0.99)
 
 
 class TestCapacity:
@@ -504,11 +507,13 @@ class TestCapacity:
                         assert got == (best <= target), (m, n, variant, target)
 
     def test_m_min_matches_optimal_k_probes(self):
-        for n in (1, 2, 3, 5, 9, 16):
-            for p in (1e-6, 3e-5, 1e-3, 1e-2, 0.3):
-                for variant in (STD, CLS):
-                    want = size_m_min_probing_optimal_k(n, p, variant)
-                    assert size_m_min(n, p, variant) == want, (n, p, variant)
+        # rates near 1 give seeds of 1 or less
+        cells = itertools.product((1, 2, 3, 5, 9, 16), (1e-6, 3e-5, 1e-3, 1e-2, 0.3))
+        cells = [*cells, *itertools.product((1, 2, 3), NEAR_ONE)]
+        for n, p in cells:
+            for variant in (STD, CLS):
+                want = size_m_min_probing_optimal_k(n, p, variant)
+                assert size_m_min(n, p, variant) == want, (n, p, variant)
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
@@ -517,30 +522,45 @@ class TestCapacity:
             with pytest.raises(InfeasibleError):
                 capacity_n_max(8, 1e-3, variant)
 
-    def test_bound_first_feasibility_matches_exact_probe(self, monkeypatch):
-        for m in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 128):
-            for p in (1e-6, 3e-5, 1e-3, 1e-2):
-                for variant in (STD, CLS):
-                    try:
-                        expected = capacity_n_max_probing_n1(m, p, variant)
-                    except InfeasibleError:
-                        with pytest.raises(InfeasibleError):
-                            capacity_n_max(m, p, variant)
-                    else:
-                        assert capacity_n_max(m, p, variant) == expected, (m, p)
-        # where (k1/m)^k1 <= p the exact probe at n = 1 never runs
-        scanned_n = []
+    def test_n_max_and_infeasibility_match_exact_probe(self):
+        # small m and rates near 1 give seeds of 1 or less, and seeds far
+        # past the answer: at (2, 0.99) the closed form gives n = 96
+        cells = itertools.product((1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 128),
+                                  (1e-6, 3e-5, 1e-3, 1e-2))
+        cells = [*cells, *itertools.product((1, 2, 3, 4), NEAR_ONE)]
+        for m, p in cells:
+            for variant in (STD, CLS):
+                try:
+                    expected = capacity_n_max_probing_n1(m, p, variant)
+                except InfeasibleError:
+                    with pytest.raises(InfeasibleError):
+                        capacity_n_max(m, p, variant)
+                else:
+                    assert capacity_n_max(m, p, variant) == expected, (m, p)
+        for variant in (STD, CLS):
+            assert capacity_n_max(2, 0.99, variant) == 6
+        with pytest.raises(ValueError):
+            capacity_n_max(64, 1.5, STD)
+
+    def test_no_pair_probed_twice(self, monkeypatch):
+        # seeds that undershoot (size_m_min(16, 1e-6)), overshoot
+        # (capacity_n_max(2, 0.99)) and sit at 1 (capacity_n_max(2, 0.5))
+        probed = []
         probe = analytics._rate_at_most
 
         def traced_probe(m, n, variant, target):
-            scanned_n.append(n)
+            probed.append((m, n))
             return probe(m, n, variant, target)
 
         monkeypatch.setattr(analytics, "_rate_at_most", traced_probe)
-        assert capacity_n_max(128, 1e-6, STD) == capacity_n_max_probing_n1(128, 1e-6, STD)
-        assert scanned_n and 1 not in scanned_n
-        with pytest.raises(ValueError):
-            capacity_n_max(64, 1.5, STD)
+        calls = [partial(size_m_min, n, p) for n in (1, 5, 16) for p in (1e-6, 1e-3, 0.3)]
+        cells = [(2, 0.99), (2, 0.5), (16, 1e-2), (64, 1e-3), (128, 1e-6)]
+        calls += [partial(capacity_n_max, m, p) for m, p in cells]
+        for call in calls:
+            for variant in (STD, CLS):
+                probed.clear()
+                call(variant)
+                assert probed and len(set(probed)) == len(probed), (call, variant)
 
 
 class TestEfficiency:
