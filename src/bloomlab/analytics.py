@@ -383,10 +383,19 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     is _bracket_walk, which _rate_at_most (the capacity searches' probe)
     walks too; the comparisons above are optimal_k's own.
     """
+    return _optimal_k_seeded(m, n, variant)[0]
+
+
+def _optimal_k_seeded(
+    m: int, n: int, variant: FilterVariant
+) -> tuple[OptimalK, Fraction | None]:
+    """optimal_k's result and the exact rate at its closed-form seed
+    _k_seed(m, n), which the scan computes first anyway (None at n = 0,
+    where there is no seed)."""
     if m < 1 or n < 0:
         raise ValueError("optimal_k requires m >= 1 and n >= 0")
     if n == 0:
-        return OptimalK(1, Fraction(0))
+        return OptimalK(1, Fraction(0)), None
     seed = _k_seed(m, n)
     exact = {seed: fpr_exact(m, n, seed, variant)}
     threshold = log2_fraction(exact[seed])
@@ -407,7 +416,7 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
         threshold = min(threshold, log2_fraction(hi))
     if best_k not in exact:
         exact[best_k] = fpr_exact(m, n, best_k, variant)
-    return OptimalK(best_k, exact[best_k])
+    return OptimalK(best_k, exact[best_k]), exact[seed]
 
 
 def _bracket_walk(

@@ -197,18 +197,15 @@ def _optimize_one(m, n, p, variant: str) -> dict:
     var = _variant(variant)
     payload: dict = {"variant": variant}
     if p is None:
-        exact = analytics.optimal_k(m, n, var)
+        exact, seed_fpr = analytics._optimal_k_seeded(m, n, var)
         est = analytics.optimal_k_estimate(m, n)
-        seed = analytics._k_seed(m, n)
         payload.update(
             m=m,
             n=n,
             k_exact=exact.k,
             fpr_exact=fraction_sci(exact.fpr),
             k_estimate=est.k,
-            fpr_at_estimate=fraction_sci(
-                exact.fpr if exact.k == seed else analytics.fpr_exact(m, n, seed, var)
-            ),
+            fpr_at_estimate=fraction_sci(seed_fpr),
             estimate_gap=round(est.k) - exact.k,
         )
     elif m is not None:
@@ -332,6 +329,15 @@ def sweep(variable, start, end, step, m, n, k, variant, outputs, out) -> None:
 # --------------------------------------------------------------------------
 
 
+# Existence is not checked here: a missing file is an I/O error (exit 2)
+# raised on opening, not a usage error.
+_FILTER_ARG = click.argument("filter_file", type=click.Path(dir_okay=False))
+_INPUT_OPT = click.option(
+    "--input", "source", type=click.Path(dir_okay=False, allow_dash=True),
+    default="-", help="Newline-delimited elements (default stdin).",
+)
+
+
 def _warn_if_overfull(filt: BloomFilter) -> None:
     if filt.fill_ratio() > 0.5:
         click.echo(
@@ -356,25 +362,24 @@ def build(m, k, variant, seed, out) -> None:
 
 
 @cli.command()
-@click.argument("filter_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--input", "source", type=click.File("rb"), default="-",
-              help="Newline-delimited elements (default stdin).")
+@_FILTER_ARG
+@_INPUT_OPT
 def insert(filter_file, source) -> None:
     """Insert newline-delimited elements and rewrite the filter file."""
     filt = deserialize(Path(filter_file).read_bytes())
     inserted = 0
-    for line in source:
-        filt.insert(line.rstrip(b"\r\n"))
-        inserted += 1
+    with click.open_file(source, "rb") as lines:
+        for line in lines:
+            filt.insert(line.rstrip(b"\r\n"))
+            inserted += 1
     Path(filter_file).write_bytes(serialize(filt))
     _warn_if_overfull(filt)
     click.echo(f"inserted {inserted} elements; bit sum {filt.bit_sum()}/{filt.params.m}")
 
 
 @cli.command()
-@click.argument("filter_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--input", "source", type=click.File("rb"), default="-",
-              help="Newline-delimited elements (default stdin).")
+@_FILTER_ARG
+@_INPUT_OPT
 @_format_opt("json")
 def query(filter_file, source, fmt) -> None:
     """Per-element membership verdicts plus a summary."""
@@ -382,12 +387,13 @@ def query(filter_file, source, fmt) -> None:
     positives = 0
     total = 0
     rows = []
-    for line in source:
-        element = line.rstrip(b"\r\n")
-        hit = filt.query(element)
-        positives += hit
-        total += 1
-        rows.append((element, hit))
+    with click.open_file(source, "rb") as lines:
+        for line in lines:
+            element = line.rstrip(b"\r\n")
+            hit = filt.query(element)
+            positives += hit
+            total += 1
+            rows.append((element, hit))
     if fmt == "json":
         click.echo(
             json.dumps(
@@ -409,7 +415,7 @@ def query(filter_file, source, fmt) -> None:
 
 
 @cli.command()
-@click.argument("filter_file", type=click.Path(exists=True, dir_okay=False))
+@_FILTER_ARG
 @_format_opt("json")
 def info(filter_file, fmt) -> None:
     """Parameters, bit sum, and estimated cardinality of a filter file."""

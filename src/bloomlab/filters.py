@@ -13,10 +13,15 @@ words, and each word is rejection-sampled to an exactly uniform position
 in [0, m).  Exact uniformity is what lets the Monte Carlo harness compare
 against the exact occupancy law.
 
-One lazy stream (`_positions`) produces an element's k positions, hashing
-one chunk at a time.  `index_stream`, `BloomFilter.insert` and
-`BloomFilter.query` all read it.  `query` stops at the first unset bit, so
-probing an absent element in a filter that is not nearly full usually
+Each filter forms its hashing state once, when it is built
+(`_hash_state`): the blake2b keyed with the seed, m, k and the rejection
+limit.  One lazy stream (`_positions`) produces an element's k positions
+from that state, copying the keyed hasher per element and the root-keyed
+chunk hasher per chunk, and hashing one chunk at a time.  Nothing in the
+state is updated in place, so concurrent queries on one filter only copy
+it.  `BloomFilter.insert` and `BloomFilter.query` read the filter's state;
+`index_stream` forms one per call.  `query` stops at the first unset bit,
+so probing an absent element in a filter that is not nearly full usually
 hashes one chunk, whatever k is.
 
 Wire format (little-endian), header 44 bytes then the bit array:
@@ -100,28 +105,40 @@ class FilterParams:
             raise ValueError("seed must fit in 128 bits")
 
 
-def _positions(params: FilterParams, element: bytes):
-    """Lazy stream of the k bit positions an element maps to (k distinct
-    for CLASSIC), computed one 64-byte chunk at a time.
-
-    Words >= floor(2^64 / m) * m are rejected before the modulo, so every
-    position is exactly uniform on [0, m).
-    """
+def _hash_state(params: FilterParams) -> tuple:
+    """What hashing needs of params, formed once: the blake2b keyed with the
+    seed, m, k, the rejection limit floor(2^64 / m) * m, and whether
+    positions must be distinct (CLASSIC)."""
     m = params.m
-    left = params.k
-    limit = ((1 << 64) // m) * m
-    seen: set[int] | None = (
-        set() if params.variant is FilterVariant.CLASSIC else None
+    return (
+        hashlib.blake2b(key=params.seed.to_bytes(16, "little"), digest_size=16),
+        m,
+        params.k,
+        ((1 << 64) // m) * m,
+        params.variant is FilterVariant.CLASSIC,
     )
-    root = hashlib.blake2b(
-        element, key=params.seed.to_bytes(16, "little"), digest_size=16
-    ).digest()
+
+
+def _positions(state: tuple, element: bytes):
+    """Lazy stream of the k bit positions an element maps to (k distinct
+    for CLASSIC), computed one 64-byte chunk at a time from a `_hash_state`.
+
+    The seed-keyed hasher is copied for each element and the root-keyed
+    chunk hasher for each chunk; neither is updated in place, so one state
+    serves any number of concurrent streams.  Words >= the limit are
+    rejected before the modulo, so every position is exactly uniform on
+    [0, m).
+    """
+    keyed, m, left, limit, classic = state
+    seen: set[int] | None = set() if classic else None
+    root = keyed.copy()
+    root.update(element)
+    chunks = hashlib.blake2b(key=root.digest(), digest_size=64)
     counter = 0
     while True:
-        chunk = hashlib.blake2b(
-            counter.to_bytes(8, "little"), key=root, digest_size=64
-        ).digest()
-        for word in _unpack_words(chunk):
+        chunk = chunks.copy()
+        chunk.update(counter.to_bytes(8, "little"))
+        for word in _unpack_words(chunk.digest()):
             if word >= limit:
                 continue
             pos = word % m
@@ -139,16 +156,20 @@ def _positions(params: FilterParams, element: bytes):
 def index_stream(params: FilterParams, element: bytes) -> list[int]:
     """The k bit positions an element maps to (k distinct for CLASSIC), in
     the order `insert` sets them and `query` tests them."""
-    return list(_positions(params, element))
+    return list(_positions(_hash_state(params), element))
 
 
 class BloomFilter:
     """An m-bit filter, its insertion count, and single-writer mutation ops.
 
-    Queries may run concurrently; insertion requires exclusive access.
+    The hashing state (`_hash_state`) is formed once, when the filter is
+    built, from params, which must not be reassigned after.  Queries may
+    run concurrently, since each only copies the shared keyed hasher;
+    insertion requires exclusive access.  Pickling and copying rebuild the
+    state from (params, bits, count).
     """
 
-    __slots__ = ("params", "bits", "count")
+    __slots__ = ("params", "bits", "count", "_hash")
 
     def __init__(
         self, params: FilterParams, bits: bytearray | None = None,
@@ -162,6 +183,11 @@ class BloomFilter:
         self.params = params
         self.bits = bits
         self.count = count  # None = unknown (result of an intersection)
+        self._hash = _hash_state(params)
+
+    def __reduce__(self):
+        # the hashlib object in _hash cannot be pickled; __init__ rebuilds it
+        return type(self), (self.params, self.bits, self.count)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BloomFilter):
@@ -174,7 +200,7 @@ class BloomFilter:
 
     def insert(self, element: bytes) -> None:
         bits = self.bits
-        for pos in _positions(self.params, element):
+        for pos in _positions(self._hash, element):
             bits[pos >> 3] |= 1 << (pos & 7)
         if self.count is not None:
             self.count += 1
@@ -183,7 +209,7 @@ class BloomFilter:
         """True when all k positions are set; hashing stops at the first
         unset one."""
         bits = self.bits
-        for pos in _positions(self.params, element):
+        for pos in _positions(self._hash, element):
             if not bits[pos >> 3] & (1 << (pos & 7)):
                 return False
         return True

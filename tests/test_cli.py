@@ -312,6 +312,29 @@ class TestOptimize:
         assert payload[0]["k_exact"] == 33
         assert payload[1]["k_exact"] == 34
 
+    @pytest.mark.parametrize("variant", ["classic", "standard"])
+    def test_m_n_rates_the_seed_once(self, runner, monkeypatch, variant):
+        # at (1024, 5) the closed-form seed 142 loses in both variants
+        seed = analytics._k_seed(1024, 5)
+        exact = analytics.fpr_exact
+        calls = []
+
+        def counting(m, n, k, var):
+            calls.append(k)
+            return exact(m, n, k, var)
+
+        monkeypatch.setattr(analytics, "fpr_exact", counting)
+        result = runner.invoke(
+            cli, ["optimize", "--m", "1024", "--n", "5", "--variant", variant,
+                  "--format", "json"],
+        )
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["k_exact"] != seed
+        assert calls.count(seed) == 1
+        rate = exact(1024, 5, seed, cli_module._variant(variant))
+        assert payload["fpr_at_estimate"] == fraction_sci(rate)
+
     def test_requires_exactly_two(self, runner):
         result = runner.invoke(cli, ["optimize", "--m", "64"])
         assert result.exit_code != 0
@@ -559,6 +582,28 @@ class TestMainExitCodes:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["info", "insert", "query"])
+    def test_missing_filter_file_exits_2(self, monkeypatch, capsys, tmp_path, command):
+        path = tmp_path / "absent.bf"
+        code, err = self._run(monkeypatch, capsys, [command, str(path)])
+        assert code == 2
+        assert err.startswith("error: ") and "absent.bf" in err
+        assert "Traceback" not in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("command", ["insert", "query"])
+    def test_missing_input_file_exits_2(self, monkeypatch, capsys, tmp_path, command):
+        path = tmp_path / "f.bf"
+        build = ["bloomlab", "build", "--m", "64", "--k", "2", "--out", str(path)]
+        monkeypatch.setattr(sys, "argv", build)
+        main()  # returns normally: exit 0
+        before = path.read_bytes()
+        missing = str(tmp_path / "absent.txt")
+        code, err = self._run(monkeypatch, capsys, [command, str(path), "--input", missing])
+        assert code == 2
+        assert err.startswith("error: ") and "absent.txt" in err
+        assert path.read_bytes() == before
 
     def test_unwritable_output_exits_2(self, monkeypatch, capsys, tmp_path):
         out = tmp_path / "missing" / "f.blm"

@@ -1,5 +1,9 @@
+import copy
 import hashlib
 import math
+import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from bloomlab.filters import (
     FilterVariant,
     FormatError,
     IncompatibleFilterError,
+    _positions,
     deserialize,
     estimate_cardinality,
     filter_intersect,
@@ -173,6 +178,132 @@ class TestStreamMatchesReference:
                 assert index_stream(params, b"rej%d" % i) == ref
                 rejected += r
         assert rejected > 0
+
+
+class _SparseBits(dict):
+    """A bytearray stand-in for filters too long to allocate: a byte never
+    written reads 0."""
+
+    def __init__(self, m):
+        super().__init__()
+        self.nbytes = (m + 7) // 8
+
+    def __len__(self):
+        return self.nbytes
+
+    def __missing__(self, index):
+        return 0
+
+
+def _set_bytes(bits):
+    """{byte index: value} of the nonzero bytes of a bit array."""
+    pairs = bits.items() if isinstance(bits, dict) else enumerate(bits)
+    return {i: b for i, b in pairs if b}
+
+
+def _reference_bytes(params, elements):
+    out = {}
+    for e in elements:
+        for pos in _reference_index_stream(params, e)[0]:
+            out[pos >> 3] = out.get(pos >> 3, 0) | 1 << (pos & 7)
+    return out
+
+
+class TestFilterHashState:
+    """A filter keys its hash scheme once and serves every later insert and
+    query from that state, so each must still give the scheme's positions."""
+
+    @pytest.mark.parametrize(
+        "m, k, variant",
+        [(m, 20, v) for m in (97, 2**16, 3 * 2**62) for v in (STD, CLS)]
+        + [(m, m, CLS) for m in (1, 2, 7, 24)],
+    )
+    def test_long_lived_filter_matches_reference(self, m, k, variant):
+        # k = 20 needs three or more chunks per element; at k = m every
+        # element sets every bit, so only the streams tell elements apart
+        params = FilterParams(m, k, variant, 2**127 + 9)
+        filt = BloomFilter(params, _SparseBits(m) if m > 2**16 else None)
+        elements = [b"long%d" % i for i in range(300)]
+        for e in elements:
+            filt.insert(e)
+        expect = _reference_bytes(params, elements)
+        assert _set_bytes(filt.bits) == expect
+        for i in range(300):
+            e = elements[i] if i % 2 else b"absent%d" % i
+            ref = _reference_index_stream(params, e)[0]
+            assert list(_positions(filt._hash, e)) == ref
+            assert filt.query(e) == all(
+                expect.get(pos >> 3, 0) >> (pos & 7) & 1 for pos in ref
+            )
+
+    @pytest.mark.parametrize("variant", [STD, CLS])
+    def test_derived_filters_query_as_source(self, variant):
+        params = FilterParams(2**16, 7, variant, 2**90 + 3)
+        source = BloomFilter(params)
+        for i in range(400):
+            source.insert(b"src%d" % i)
+        probes = [b"src%d" % i for i in range(0, 400, 3)] + [
+            b"out%d" % i for i in range(300)
+        ]
+        expect = [source.query(e) for e in probes]
+        assert True in expect and False in expect
+        derived = [
+            deserialize(serialize(source)),
+            filter_union(source, BloomFilter(params)),
+            filter_intersect(source, source),
+        ]
+        for filt in derived:
+            assert [filt.query(e) for e in probes] == expect
+
+    def test_concurrent_queries_match_serial(self):
+        params = FilterParams(2**12, 32, STD, 77)
+        filt = BloomFilter(params)
+        for i in range(60):
+            filt.insert(b"c%d" % i)
+        probes = [b"c%d" % i for i in range(60)] + [b"x%d" % i for i in range(600)]
+        serial = [filt.query(e) for e in probes]
+        assert True in serial and False in serial
+        results = [None] * 4
+
+        def worker(slot):
+            results[slot] = [filt.query(e) for e in probes]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [serial] * 4
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda f: pickle.loads(pickle.dumps(f)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    @pytest.mark.parametrize("variant", [STD, CLS])
+    def test_pickle_and_copy(self, clone, variant):
+        filt = BloomFilter(FilterParams(1000, 5, variant, 2**100 + 1))
+        for i in range(40):
+            filt.insert(b"p%d" % i)
+        reference = deserialize(serialize(filt))
+        twin = clone(filt)
+        assert twin == filt
+        for i in range(40, 80):
+            twin.insert(b"p%d" % i)
+            reference.insert(b"p%d" % i)
+        assert twin == reference
+        probes = [b"p%d" % i for i in range(80)] + [b"q%d" % i for i in range(80)]
+        assert [twin.query(e) for e in probes] == [
+            reference.query(e) for e in probes
+        ]
+        unknown = clone(filter_intersect(filt, filt))
+        assert unknown.count is None
 
 
 class TestInsertQuery:
