@@ -106,7 +106,7 @@ def fpr_standard_exact(m: int, n: int, k: int) -> Fraction:
     """
     if m < 1 or k < 1 or n < 0:
         raise ValueError("fpr_standard_exact requires m >= 1, k >= 1, n >= 0")
-    num = _empty_urn_sum(m, [(1, n * k)], nabla_power_row(m, k, min(k, m)))
+    num = _empty_urn_sum(m, ((n * k, 1),), nabla_power_row(m, k, min(k, m)))
     return Fraction(num, m ** (n * k + k))
 
 

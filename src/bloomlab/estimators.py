@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .kernel import Scalar, _difference_row
+from .kernel import Scalar, _exact_cover_counts
 
 __all__ = [
     "SaturationError",
@@ -69,10 +69,9 @@ def mvue_m_committee(mu: int, n: int, k: int) -> Fraction:
         raise ValueError("mvue_m_committee requires n >= 1 and k >= 1")
     if not k <= mu <= n * k:
         raise ValueError("occupancy must lie in [k, n*k]")
-    # _difference_row of f(0), f(1), ... gives (-1)^i Delta^i f(0)
-    row = _difference_row([math.comb(t, k) ** n for t in range(mu + 1)])
-    # row[mu] counts the n-tuples of k-subsets covering a mu-set: positive
-    return mu * (1 - Fraction(row[mu - 1], row[mu]))
+    # c[mu] counts the n-tuples of k-subsets covering a mu-set: positive
+    c = _exact_cover_counts(((n, k),), mu)
+    return mu * (1 + Fraction(c[mu - 1], c[mu]))
 
 
 def mvue_m_classic(mu: int, n: int) -> Fraction:

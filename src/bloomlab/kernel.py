@@ -1,6 +1,8 @@
 """Exact combinatorial primitives: Stirling numbers, falling factorials,
-finite-difference operators over arbitrary-precision rationals, and the
-two-term recursion behind the normalized differences, over any number type.
+finite-difference operators over arbitrary-precision rationals, the one
+binomial-power product prod C(t,k)^n over a batch law's (n, k) departments,
+and the two-term recursion behind the normalized differences, over any
+number type.
 
 Alternating sums are accumulated in integer (or exact rational) arithmetic
 and divided once at the end, so no cancellation error is possible. All
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 from math import comb
@@ -130,7 +131,7 @@ def _alternating_power_sum(
     The one alternating sum behind nabla_power, rho, the
     classic rate (coeffs C(k,j), bases C(m-j,k), e = n) and the empty-urn
     sum of every occupancy moment (coeffs C(m,j) nabla^j[g]_m, bases
-    prod C(m-j,k)^e, e = 1).
+    prod C(m-j,k)^n, e = 1).
     e = 1 skips the power, so a caller that already holds the raised
     powers passes them as bases with e = 1.
     """
@@ -169,28 +170,35 @@ def nabla_power_row(m: int, n: int, r: int) -> list[int]:
 # --------------------------------------------------------------------------
 
 
-def rho(r: int, s: int, ks: Sequence[int]) -> Fraction:
-    """nabla^r [ prod_d C(x,k_d) / C(s,k_d) ] at x = s, by direct sum.
+def _binom_product(t: int, departments: Iterable[tuple[int, int]]) -> int:
+    """prod C(t,k)^n over (n, k) in departments: the number of ways the
+    batches land inside t given urns (t >= 0)."""
+    out = 1
+    for n, k in departments:
+        out *= comb(t, k) ** n
+    return out
+
+
+def _exact_cover_counts(departments: Sequence[tuple[int, int]], top: int) -> list[int]:
+    """[c_0, ..., c_top], c_i = Delta^i[prod C(x,k)^n]_0 >= 0: the number of
+    ways the batches land inside a given i-set and cover all of it."""
+    row = _difference_row([_binom_product(t, departments) for t in range(top + 1)])
+    # _difference_row of f(0), f(1), ... gives (-1)^i Delta^i f(0)
+    return [-d if i & 1 else d for i, d in enumerate(row)]
+
+
+def rho(r: int, s: int, departments: Sequence[tuple[int, int]]) -> Fraction:
+    """nabla^r [ prod C(x,k)^n / C(s,k)^n ] at x = s over (n, k) in
+    departments, by direct sum, for 0 <= r <= s (0 beyond the degree).
 
     This is the normalized difference driving every batch-occupancy moment;
-    rho(0, s) == 1 and rho(r, s) in [0, 1] for 0 <= r <= s. A power
-    C(x,k)^n is passed as n repetitions of k. For r > s the points below 0
-    take the polynomial's values C(t, k) at t < 0.
+    rho(0, s) == 1 and rho(r, s) lies in [0, 1].
     """
-    if r < 0:
-        raise ValueError("rho requires r >= 0")
-    if not ks:
-        raise ValueError("rho requires at least one batch size")
-    if any(k < 1 for k in ks):
-        raise ValueError("batch sizes must be positive")
-    if s < max(ks):
-        raise ValueError("rho requires s >= max(ks)")
-    if r > sum(ks):  # beyond the degree of the product
-        return Fraction(0)
-    powers = Counter(ks).items()
-    values = [
-        math.prod(binom_poly(s - j, k) ** e for k, e in powers) for j in range(r + 1)
-    ]
+    if not 0 <= r <= s:
+        raise ValueError("rho requires 0 <= r <= s")
+    if not departments or any(n < 1 or not 1 <= k <= s for n, k in departments):
+        raise ValueError("rho requires departments of n >= 1 batches of 1 <= k <= s")
+    values = [_binom_product(s - j, departments) for j in range(r + 1)]
     coeffs = map(comb, repeat(r), range(r + 1))
     return Fraction(_alternating_power_sum(coeffs, values, 1), values[0])
 
@@ -201,9 +209,8 @@ def two_term_recursion(
     """g(r, s) for g(i, t) = g(i-1, t) - weight(i, t) * g(i-1, t-1), with
     g(0, t) = one for t >= low and g(i, t) = 0 for t < low.
 
-    weight(i, t) = prod_d (1 - k_d/t) with low = max(k_d) gives rho(r, s, ks)
-    for r <= s; (1 - 1/t)^(N+i-1) with low = 1 gives E[(X/s)^r] for N-ball
-    classic occupancy. Levels t <= low take no step, so weight is never
+    weight(i, t) = prod (1 - k/t)^n with low = max k gives rho(r, s, departments);
+    (1 - 1/t)^(N+i-1) with low = 1 gives E[(X/s)^r] for N-ball classic occupancy. Levels t <= low take no step, so weight is never
     evaluated at zero urns. Exact with Fraction, fixed precision with Decimal.
     """
     if r < 0 or low < 0:

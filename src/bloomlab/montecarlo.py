@@ -15,6 +15,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .analytics import fpr_exact, optimal_k, optimal_k_estimate, peak_efficiency
 from .filters import BloomFilter, FilterParams, FilterVariant
@@ -227,12 +228,8 @@ def validation_suite() -> list[TrialConfig]:
     return configs
 
 
-def run_validation(
-    configs: list[TrialConfig] | None = None, workers: int = 1
-) -> list[ValidationRow]:
+def run_validation(configs: list[TrialConfig], workers: int = 1) -> list[ValidationRow]:
     """Empirical FPR and bit-sum statistics against the exact values."""
-    if configs is None:
-        configs = validation_suite()
     rows = []
     for config in configs:
         if config.probes < 1:
@@ -390,11 +387,12 @@ def conjecture_scan(
             )
     monotonicity = []
     if k_values:
+        # row k's upper peak is row k + 1's lower one: compute each peak once
+        peak = cache(lambda m, k: peak_efficiency(m, k, FilterVariant.CLASSIC).epsilon)
         for m, k in k_values:
             if k < 1 or k > m // 2 - 1:
                 continue
-            eps_k = peak_efficiency(m, k, FilterVariant.CLASSIC).epsilon
-            eps_next = peak_efficiency(m, k + 1, FilterVariant.CLASSIC).epsilon
+            eps_k, eps_next = peak(m, k), peak(m, k + 1)
             monotonicity.append(
                 MonotonicityRow(m=m, k=k, eps_k=eps_k, eps_next=eps_next,
                                 ok=eps_k < eps_next)

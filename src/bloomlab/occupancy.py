@@ -9,17 +9,18 @@ Four families, all over m urns:
                any department hits it.
 * intersection -- same setup; an urn counts only if every department hits it.
 
-Everything returns exact rationals. Classic, committee and union are one
-law: each department's batches of size k hit e times, so a fixed set of j
-urns stays empty with probability prod (C(m-j,k)/C(m,k))^e. Every moment
-of that law comes from one empty-urn sum, Newton's expansion of g(m - Y)
-in C(Y, j) for Y the number of empty urns:
+Everything returns exact rationals. Every law takes its departments as
+CommitteeSpec's (n, k) pairs, n batches of k balls (classic is (n, 1)).
+Classic, committee and union are one law: a fixed set of j urns stays
+empty with probability prod (C(m-j,k)/C(m,k))^n. Every moment of that law
+comes from one empty-urn sum, Newton's expansion of g(m - Y) in C(Y, j)
+for Y the number of empty urns:
 
-    E[g(X)] = sum_j (-1)^j C(m,j) nabla^j[g]_m prod C(m-j,k)^e / prod C(m,k)^e
+    E[g(X)] = sum_j (-1)^j C(m,j) nabla^j[g]_m prod C(m-j,k)^n / prod C(m,k)^n
 
 over j <= min(deg g, m), with g = x^r, x_(r) or C(x,r) for the three
 moment kinds. The p.m.f.s come from one forward-difference table of the
-same product. The difference loops live in kernel.
+same product. The product and the difference loops live in kernel.
 """
 
 from __future__ import annotations
@@ -28,12 +29,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Sequence
 
 from .kernel import (
     _alternating_power_sum,
+    _binom_product,
     _difference_row,
+    _exact_cover_counts,
     binom_poly,
     falling_factorial,
     nabla_power,
@@ -117,7 +120,7 @@ def classic_raw_moment(m: int, n: int, r: int) -> Fraction:
     min(r, m) rather than m, which keeps high-precision moments cheap even
     for large m.
     """
-    return _moment(m, ((1, n),), r, MomentKind.RAW)
+    return _moment(m, ((n, 1),), r, MomentKind.RAW)
 
 
 def classic_mean_variance(m: int, n: int) -> tuple[Fraction, Fraction]:
@@ -125,7 +128,7 @@ def classic_mean_variance(m: int, n: int) -> tuple[Fraction, Fraction]:
     moments of order 1 and 2."""
     if m < 1 or n < 0:
         raise ValueError("classic_mean_variance requires m >= 1 and n >= 0")
-    return _mean_variance(m, ((1, n),))
+    return _mean_variance(m, ((n, 1),))
 
 
 # --------------------------------------------------------------------------
@@ -139,73 +142,60 @@ def committee_pmf(m: int, n: int, k: int, i: int) -> Fraction:
         raise ValueError("committee_pmf requires 1 <= k <= m")
     if n < 0:
         raise ValueError("batch count must be >= 0")
-    return _batch_pmf(m, [(k, n)], i)
+    return _batch_pmf(m, ((n, k),), i)
 
 
-def _batch_pmf(m: int, powers: list[tuple[int, int]], i: int) -> Fraction:
-    """P[X = i] for m urns hit by e batches of size k for each (k, e) in
-    powers, read from the law's cached p.m.f. row."""
+def _batch_pmf(m: int, departments: tuple[tuple[int, int], ...], i: int) -> Fraction:
+    """P[X = i] for m urns hit by n batches of size k for each (n, k) in
+    departments, read from the law's cached p.m.f. row."""
     if i < 0 or i > m:
         return Fraction(0)
-    row = _batch_pmf_row(m, tuple(powers))
+    row = _batch_pmf_row(m, departments)
     return row[i] if i < len(row) else Fraction(0)
 
 
 @lru_cache(maxsize=4)
 def _batch_pmf_row(
-    m: int, powers: tuple[tuple[int, int], ...]
+    m: int, departments: tuple[tuple[int, int], ...]
 ) -> tuple[Fraction, ...]:
-    """[P[X = 0], ..., P[X = top]], top = min(m, sum k*e) the largest
-    reachable count: C(m, i) Delta^i[prod C(x,k)^e]_0 / prod C(m,k)^e.
-
-    One forward-difference table over f(t) = prod C(t,k)^e, t = 0..top,
-    gives every Delta^i f(0), so a sweep over i (a chi-square fit, a
-    normalization check) costs one table instead of a fresh i-term sum per
-    i. Cached, as an immutable tuple, because callers ask for the law one i
-    at a time.
+    """[P[X = 0], ..., P[X = top]], top = min(m, sum n*k) the largest
+    reachable count: C(m, i) c_i / prod C(m,k)^n for the exact cover counts
+    c_i. One difference table gives every c_i, so a sweep over i (a
+    chi-square fit, a normalization check) costs one table instead of a
+    fresh i-term sum per i. Cached, as an immutable tuple, because callers
+    ask for the law one i at a time.
     """
-    top = min(m, sum(k * e for k, e in powers))
-    denom = _binom_product(m, powers)
-    values = [_binom_product(t, powers) for t in range(top + 1)]
-    # _difference_row of f(0), f(1), ... gives (-1)^i Delta^i f(0)
+    top = min(m, sum(n * k for n, k in departments))
+    denom = _binom_product(m, departments)
     return tuple(
-        Fraction(comb(m, i) * (-d if i & 1 else d), denom)
-        for i, d in enumerate(_difference_row(values))
+        Fraction(comb(m, i) * c, denom)
+        for i, c in enumerate(_exact_cover_counts(departments, top))
     )
 
 
-def _binom_product(t: int, powers: Sequence[tuple[int, int]]) -> int:
-    """prod C(t,k)^e over (k, e) in powers: the number of ways the batches
-    land inside t given urns (t >= 0)."""
-    out = 1
-    for k, e in powers:
-        out *= comb(t, k) ** e
-    return out
-
-
 def _empty_urn_sum(
-    m: int, powers: Sequence[tuple[int, int]], row: list[int]
+    m: int, departments: Sequence[tuple[int, int]], row: list[int]
 ) -> int:
-    """sum_j (-1)^j C(m,j) row[j] prod C(m-j,k)^e, the numerator of
-    E[g(X)] over prod C(m,k)^e for row[j] = nabla^j[g]_m.
+    """sum_j (-1)^j C(m,j) row[j] prod C(m-j,k)^n, the numerator of
+    E[g(X)] over prod C(m,k)^n for row[j] = nabla^j[g]_m.
 
     Newton's expansion g(m - Y) = sum_j (-1)^j nabla^j[g]_m C(Y,j) in the
-    empty-urn count Y, with E[C(Y,j)] = C(m,j) prod (C(m-j,k)/C(m,k))^e.
+    empty-urn count Y, with E[C(Y,j)] = C(m,j) prod (C(m-j,k)/C(m,k))^n.
     The row stops at j = min(deg g, m): higher differences of g vanish and
     C(Y,j) = 0 for j > m.
     """
     return _alternating_power_sum(
         (comb(m, j) * d for j, d in enumerate(row)),
-        (_binom_product(m - j, powers) for j in range(len(row))),
+        (_binom_product(m - j, departments) for j in range(len(row))),
         1,
     )
 
 
 def _moment(
-    m: int, powers: Sequence[tuple[int, int]], r: int, kind: MomentKind
+    m: int, departments: Sequence[tuple[int, int]], r: int, kind: MomentKind
 ) -> Fraction:
-    """r-th moment, in the given kind, of the occupancy of m urns hit by e
-    batches of size k for each (k, e) in powers."""
+    """r-th moment, in the given kind, of the occupancy of m urns hit by n
+    batches of size k for each (n, k) in departments."""
     if r < 0:
         raise ValueError("moment order must be >= 0")
     top = min(r, m)
@@ -214,14 +204,15 @@ def _moment(
     else:
         g = falling_factorial if kind is MomentKind.FACTORIAL else comb
         row = _difference_row([g(m - j, r) for j in range(top + 1)])
-    return Fraction(_empty_urn_sum(m, powers, row), _binom_product(m, powers))
+    denom = _binom_product(m, departments)
+    return Fraction(_empty_urn_sum(m, departments, row), denom)
 
 
 def _mean_variance(
-    m: int, powers: Sequence[tuple[int, int]]
+    m: int, departments: Sequence[tuple[int, int]]
 ) -> tuple[Fraction, Fraction]:
-    mean = _moment(m, powers, 1, MomentKind.RAW)
-    return mean, _moment(m, powers, 2, MomentKind.RAW) - mean * mean
+    mean = _moment(m, departments, 1, MomentKind.RAW)
+    return mean, _moment(m, departments, 2, MomentKind.RAW) - mean * mean
 
 
 def committee_moment(m: int, n: int, k: int, r: int, kind: MomentKind) -> Fraction:
@@ -230,7 +221,7 @@ def committee_moment(m: int, n: int, k: int, r: int, kind: MomentKind) -> Fracti
         raise ValueError("committee_moment requires 1 <= k <= m")
     if n < 0 or r < 0:
         raise ValueError("committee_moment requires n >= 0 and r >= 0")
-    return _moment(m, ((k, n),), r, kind)
+    return _moment(m, ((n, k),), r, kind)
 
 
 def committee_mean_variance(m: int, n: int, k: int) -> tuple[Fraction, Fraction]:
@@ -244,7 +235,7 @@ def committee_mean_variance(m: int, n: int, k: int) -> tuple[Fraction, Fraction]
         raise ValueError("committee_mean_variance requires 1 <= k <= m")
     if n < 0:
         raise ValueError("batch count must be >= 0")
-    return _mean_variance(m, ((k, n),))
+    return _mean_variance(m, ((n, k),))
 
 
 # --------------------------------------------------------------------------
@@ -254,12 +245,12 @@ def committee_mean_variance(m: int, n: int, k: int) -> tuple[Fraction, Fraction]
 
 def union_pmf(spec: CommitteeSpec, i: int) -> Fraction:
     """P[union occupancy = i]: urns hit by at least one department."""
-    return _batch_pmf(spec.m, [(k_d, n_d) for n_d, k_d in spec.departments], i)
+    return _batch_pmf(spec.m, spec.departments, i)
 
 
 def union_moment(spec: CommitteeSpec, r: int, kind: MomentKind) -> Fraction:
     """r-th moment of the union occupancy number, in the given kind."""
-    return _moment(spec.m, [(k_d, n_d) for n_d, k_d in spec.departments], r, kind)
+    return _moment(spec.m, spec.departments, r, kind)
 
 
 # --------------------------------------------------------------------------
@@ -277,16 +268,18 @@ def intersection_moment(spec: CommitteeSpec, r: int) -> Fraction:
         raise ValueError("moment order must be >= 0")
     if r > spec.m:
         return Fraction(0)
-    out = Fraction(comb(spec.m, r))
-    for n_d, k_d in spec.departments:
-        out *= rho(r, spec.m, [k_d] * n_d)
-    return out
+    return comb(spec.m, r) * prod(rho(r, spec.m, [d]) for d in spec.departments)
 
 
 def intersection_pmf_table(spec: CommitteeSpec) -> list[Fraction]:
-    """[P[X = 0], ..., P[X = m]] for the intersection occupancy.
+    """[P[X = 0], ..., P[X = m]] for the intersection occupancy."""
+    return list(_intersection_pmf_row(spec))
 
-    With q(w) the probability that w fixed urns are hit by every
+
+@lru_cache(maxsize=4)
+def _intersection_pmf_row(spec: CommitteeSpec) -> tuple[Fraction, ...]:
+    """The intersection p.m.f., cached as an immutable tuple as _batch_pmf_row
+    is. With q(w) the probability that w fixed urns are hit by every
     department (a product of per-department normalized differences),
 
         P[X = i] = C(m,i) (-1)^(m-i) nabla^(m-i)[q]_m,
@@ -297,27 +290,27 @@ def intersection_pmf_table(spec: CommitteeSpec) -> list[Fraction]:
     """
     m = spec.m
     rows = [
-        _difference_row([_binom_product(m - j, [(k_d, n_d)]) for j in range(m + 1)])
-        for n_d, k_d in spec.departments
+        _difference_row([_binom_product(m - j, [d]) for j in range(m + 1)])
+        for d in spec.departments
     ]
-    denom = _binom_product(m, [(k_d, n_d) for n_d, k_d in spec.departments])
+    denom = _binom_product(m, spec.departments)
     # joint[w] = q(w) * denom, listed from w = m down to 0
     joint = [1] * (m + 1)
     for w in range(m + 1):
         for row in rows:
             joint[m - w] *= row[w]
     # reversed, the row's entry i is nabla^(m-i)[q]_m * denom
-    return [
+    return tuple(
         Fraction(comb(m, i) * (-d if (m - i) & 1 else d), denom)
         for i, d in enumerate(reversed(_difference_row(joint)))
-    ]
+    )
 
 
 def intersection_pmf(spec: CommitteeSpec, i: int) -> Fraction:
     """P[intersection occupancy = i]: urns hit by every department."""
     if i < 0 or i > spec.m:
         return Fraction(0)
-    return intersection_pmf_table(spec)[i]
+    return _intersection_pmf_row(spec)[i]
 
 
 # --------------------------------------------------------------------------

@@ -403,7 +403,7 @@ def _random_spec(rng: random.Random, max_m: int, max_total: int):
 
 def suite_montecarlo() -> SuiteResult:
     t0 = time.perf_counter()
-    rows = montecarlo.run_validation()
+    rows = montecarlo.run_validation(montecarlo.validation_suite())
     elapsed = time.perf_counter() - t0
     fpr_out = [r for r in rows if abs(r.z_score) > 4]
     mean_out = [r for r in rows if abs(r.mean_z) > 4]

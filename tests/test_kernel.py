@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bloomlab import oracle
 from bloomlab.analytics import fpr_classic_exact
 from bloomlab.kernel import (
     _alternating_power_sum,
+    _exact_cover_counts,
     binom_poly,
     falling_factorial,
     log2_fraction,
@@ -20,6 +22,8 @@ from bloomlab.kernel import (
     stirling2,
     two_term_recursion,
 )
+from bloomlab.occupancy import CommitteeSpec
+from enumerators import enumerate_union_pmf
 
 
 class DifferenceKind(Enum):
@@ -51,25 +55,26 @@ def difference(f, kind, order, at):
     return total
 
 
-def binom_product_difference(m, ks, r):
-    """r-th backward difference of prod_d C(x, k_d) at x = m, read off rho
-    as rho(r, m, ks) * prod_d C(m, k_d); always an integer."""
-    value = rho(r, m, ks) * math.prod(comb(m, k) for k in ks)
-    assert value.denominator == 1, (m, ks, r)
+def binom_product_difference(m, departments, r):
+    """r-th backward difference of prod C(x, k)^n at x = m, read off rho
+    as rho(r, m, departments) * prod C(m, k)^n; always an integer."""
+    value = rho(r, m, departments) * math.prod(comb(m, k) ** n for n, k in departments)
+    assert value.denominator == 1, (m, departments, r)
     return value.numerator
 
 
-def rho_by_recursion(r, s, ks):
-    """rho(r, s, ks) from the two-term recursion with exact weights
-    prod_d (1 - k_d/t) and lowest nonzero level max(ks)."""
+def rho_by_recursion(r, s, departments):
+    """rho(r, s, departments) from the two-term recursion with exact
+    weights prod ((t - k)/t)^n and lowest nonzero level max k."""
 
     def weight(_, t):
         w = Fraction(1)
-        for k in ks:
-            w *= Fraction(t - k, t)
+        for n, k in departments:
+            w *= Fraction(t - k, t) ** n
         return w
 
-    return two_term_recursion(r, s, max(ks), weight, Fraction(1))
+    low = max(k for _, k in departments)
+    return two_term_recursion(r, s, low, weight, Fraction(1))
 
 
 class TestStirling:
@@ -195,30 +200,47 @@ class TestNablaBinomProduct:
     """The unnormalized difference inside rho."""
 
     def test_zeroth_difference(self):
-        assert binom_product_difference(6, [2, 3], 0) == comb(6, 2) * comb(6, 3)
+        assert binom_product_difference(6, [(1, 2), (1, 3)], 0) == comb(6, 2) * comb(6, 3)
 
     def test_examples(self):
-        assert binom_product_difference(5, [3, 3], 3) == 55
-        assert binom_product_difference(4, [2, 2], 1) == 27
+        assert binom_product_difference(5, [(2, 3)], 3) == 55
+        assert binom_product_difference(4, [(2, 2)], 1) == 27
 
     def test_above_degree_vanishes(self):
-        assert binom_product_difference(9, [2, 3], 6) == 0
-
-    def test_orders_beyond_m_are_the_polynomial_difference(self):
-        # for m < r <= sum(ks) the sum reaches points t < 0, where C(t, k)
-        # is the polynomial's value, not 0
-        assert binom_product_difference(3, [2, 2], 4) == 6
-        assert rho(4, 3, [2, 2]) == Fraction(2, 3)
-        for ks in ([2, 2], [2, 3], [3, 3], [1, 2, 4], [4, 4]):
-            f = lambda x: math.prod(binom_poly(x, k) for k in ks)  # noqa: E731
-            for m in range(max(ks), sum(ks)):
-                for r in range(m + 1, sum(ks) + 1):
-                    want = difference(f, DifferenceKind.BACKWARD, r, m)
-                    assert binom_product_difference(m, ks, r) == want, (m, ks, r)
+        assert binom_product_difference(9, [(1, 2), (1, 3)], 6) == 0
 
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
-            binom_product_difference(2, [3], 1)
+            binom_product_difference(2, [(1, 3)], 1)
+
+
+class TestExactCoverCounts:
+    """c_i = Delta^i[prod C(x,k)^n]_0 against brute-force enumeration:
+    C(m,i) c_i / prod C(m,k)^n is the occupancy p.m.f."""
+
+    @staticmethod
+    def pmf(m, departments):
+        counts = _exact_cover_counts(departments, m)
+        assert all(c >= 0 for c in counts), counts
+        total = math.prod(comb(m, k) ** n for n, k in departments)
+        return [Fraction(comb(m, i) * c, total) for i, c in enumerate(counts)]
+
+    def test_committee_matches_enumeration(self):
+        for m in range(1, 7):
+            for k in range(1, m + 1):
+                for n in range(1, 4):
+                    want = oracle.enumerate_committee_pmf(m, n, k)
+                    assert self.pmf(m, [(n, k)]) == want, (m, n, k)
+
+    def test_union_matches_enumeration(self):
+        for m, departments in [
+            (4, [(1, 1), (1, 2)]),
+            (5, [(2, 2), (1, 3)]),
+            (6, [(2, 3), (1, 4)]),
+            (6, [(1, 1), (2, 2), (1, 3)]),
+        ]:
+            want = enumerate_union_pmf(CommitteeSpec(m, departments))
+            assert self.pmf(m, departments) == want, (m, departments)
 
 
 class TestDifferenceDuality:
@@ -260,19 +282,25 @@ class TestDifferenceDuality:
 class TestRho:
     def test_initial_condition(self):
         for s in range(2, 12):
-            assert rho(0, s, [2]) == 1
+            assert rho(0, s, [(1, 2)]) == 1
 
     def test_examples(self):
-        assert rho(3, 5, [3, 3]) == Fraction(11, 20)
-        assert rho(1, 4, [2, 2]) == Fraction(3, 4)
+        assert rho(3, 5, [(2, 3)]) == Fraction(11, 20)
+        assert rho(1, 4, [(2, 2)]) == Fraction(3, 4)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_direct_equals_recursive(self, data):
         s = data.draw(st.integers(1, 30))
-        ks = data.draw(st.lists(st.integers(1, min(s, 6)), min_size=1, max_size=4))
+        department = st.tuples(st.integers(1, 3), st.integers(1, min(s, 6)))
+        departments = data.draw(st.lists(department, min_size=1, max_size=3))
         r = data.draw(st.integers(0, s))
-        assert rho(r, s, ks) == rho_by_recursion(r, s, ks)
+        assert rho(r, s, departments) == rho_by_recursion(r, s, departments)
+
+    def test_rejects_order_outside_zero_to_s(self):
+        for r in (-1, 6, 10):
+            with pytest.raises(ValueError):
+                rho(r, 5, [(1, 2)])
 
     def test_recursion_rejects_negative_order_or_level(self):
         def weight(_, t):
@@ -285,7 +313,7 @@ class TestRho:
             two_term_recursion(6, 5, -1, weight, Fraction(1))
 
     def test_results_are_reduced(self):
-        v = rho(2, 8, [3, 2])
+        v = rho(2, 8, [(1, 3), (1, 2)])
         assert v.denominator > 0
         from math import gcd
 

@@ -227,6 +227,22 @@ class TestConjectureScan:
         assert not row.ok
         assert sum(not r.ok for r in report.ordering + report.monotonicity) == 1
 
+    def test_each_peak_is_computed_once(self, monkeypatch):
+        real = montecarlo.peak_efficiency
+        calls = []
+        monkeypatch.setattr(
+            montecarlo, "peak_efficiency",
+            lambda m, k, variant: calls.append((m, k)) or real(m, k, variant),
+        )
+        # adjacent rows share a peak; a repeated row shares both
+        k_values = [(32, k) for k in range(1, 6)] + [(32, 3), (20, 2)]
+        report = conjecture_scan([], [], k_values=k_values)
+        assert sorted(calls) == sorted({(m, j) for m, k in k_values for j in (k, k + 1)})
+        for (m, k), row in zip(k_values, report.monotonicity, strict=True):
+            assert (row.m, row.k) == (m, k)
+            assert row.eps_k == real(m, k, CLS).epsilon
+            assert row.eps_next == real(m, k + 1, CLS).epsilon
+
     def test_csv_round(self):
         report = conjecture_scan([64], [4], k_values=[(64, 5)])
         lines = report.to_csv().splitlines()

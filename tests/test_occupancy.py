@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloomlab import oracle
+from bloomlab import occupancy, oracle
 from bloomlab.estimators import mvue_m_committee
 from bloomlab.occupancy import (
     CommitteeSpec,
@@ -31,15 +31,16 @@ from enumerators import (
 )
 
 
-def nabla_binom_powers(x, powers, r):
-    """r-th backward difference of prod C(t, k)^e at t = x, term by term,
-    summed over the points t = x - j >= 0 (C(t, k) is 0 below). At x = r
-    this is the forward difference Delta^r at 0."""
+def nabla_binom_powers(x, departments, r):
+    """r-th backward difference of prod C(t, k)^n over (n, k) in
+    departments at t = x, term by term, summed over the points t = x - j >= 0
+    (C(t, k) is 0 below). At x = r this is the forward difference Delta^r
+    at 0."""
     total = 0
     for j in range(min(r, x) + 1):
         term = comb(r, j)
-        for k, e in powers:
-            term *= comb(x - j, k) ** e
+        for n, k in departments:
+            term *= comb(x - j, k) ** n
         total += -term if j & 1 else term
     return total
 
@@ -162,7 +163,7 @@ class TestCommitteePmf:
             for i in range(-1, m + 2):
                 if 0 <= i <= m:
                     want = Fraction(
-                        comb(m, i) * nabla_binom_powers(i, [(k, n)], i),
+                        comb(m, i) * nabla_binom_powers(i, [(n, k)], i),
                         comb(m, k) ** n,
                     )
                 else:
@@ -171,7 +172,7 @@ class TestCommitteePmf:
         spec = CommitteeSpec(40, [(3, 2), (5, 4), (2, 1)])
         for i in range(41):
             want = Fraction(
-                comb(40, i) * nabla_binom_powers(i, [(2, 3), (4, 5), (1, 2)], i),
+                comb(40, i) * nabla_binom_powers(i, [(3, 2), (5, 4), (2, 1)], i),
                 comb(40, 2) ** 3 * comb(40, 4) ** 5 * comb(40, 1) ** 2,
             )
             assert union_pmf(spec, i) == want, i
@@ -204,9 +205,9 @@ class TestBelowBatchSize:
         for k in range(1, 6):
             for n in range(1, 6):
                 for mu in range(k, n * k + 1):
-                    d_hi = nabla_binom_powers(mu, [(k, n)], mu)
+                    d_hi = nabla_binom_powers(mu, [(n, k)], mu)
                     assert d_hi > 0, (mu, n, k)
-                    d_lo = nabla_binom_powers(mu - 1, [(k, n)], mu - 1)
+                    d_lo = nabla_binom_powers(mu - 1, [(n, k)], mu - 1)
                     want = mu * (1 + Fraction(d_lo, d_hi))
                     assert mvue_m_committee(mu, n, k) == want, (mu, n, k)
                 for mu in (k - 1, n * k + 1):
@@ -358,6 +359,23 @@ class TestIntersection:
             assert intersection_moment(spec, r) == (
                 enumerate_moment(expect, r, "binomial")
             )
+
+    def test_pmf_sweep_builds_one_table(self, monkeypatch):
+        spec = CommitteeSpec(9, [(3, 2), (2, 4)])
+        occupancy._intersection_pmf_row.cache_clear()
+        rows = []
+        real = occupancy._difference_row
+        monkeypatch.setattr(
+            occupancy, "_difference_row", lambda vals: rows.append(1) or real(vals)
+        )
+        pmf = [intersection_pmf(spec, i) for i in range(spec.m + 1)]
+        # one table: a difference row per department and one for the joint
+        assert len(rows) == len(spec.departments) + 1
+        assert pmf == enumerate_intersection_pmf(spec)
+        table = intersection_pmf_table(spec)
+        table[0] = None  # a fresh list each call: the cached row is untouched
+        assert intersection_pmf_table(spec) == pmf
+        assert len(rows) == len(spec.departments) + 1
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)

@@ -93,3 +93,49 @@ def test_every_function_in_src_has_a_caller_in_src():
         if name not in referenced and name not in bloomlab.__all__
     ]
     assert unused == [], f"module-level functions only tests use: {unused}"
+
+
+# Every parameter in src/bloomlab that has a default, as (module, function,
+# parameter), with the reason a caller may set it. A new option has to be
+# listed here on purpose.
+DEFAULTED = {
+    ("filters", "BloomFilter.__init__", "bits"):
+        "new filters start empty; deserialize and the set operations pass stored bits",
+    ("filters", "BloomFilter.__init__", "count"):
+        "new filters start at 0; filter_intersect passes None (unknown)",
+    ("montecarlo", "run_trials", "workers"):
+        "run_validation passes its own; the worker-pool test passes 2",
+    ("montecarlo", "run_validation", "workers"):
+        "perfbench's workloads pass workers=1; the CLI and the suite take the default",
+    ("montecarlo", "conjecture_scan", "k_values"):
+        "the peak-monotonicity rows are optional; perfbench's scan ops omit them",
+}
+
+
+def _defaulted_parameters() -> set[tuple[str, str, str]]:
+    found = set()
+
+    def visit(node: ast.AST, module: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                args = child.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):]
+                with_default += [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                found.update((module, name, a.arg) for a in with_default)
+                visit(child, module, f"{name}.")
+            else:
+                visit(child, module, prefix)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return found
+
+
+def test_defaulted_parameters_are_listed():
+    assert _defaulted_parameters() == set(DEFAULTED)
