@@ -4,9 +4,10 @@ Two evaluation backends. The exact backend works in integer/rational
 arithmetic and is authoritative: the alternating sums underneath these
 formulas are catastrophically cancellative in floating point once rates
 drop below ~1e-15, and interesting configurations reach 1e-43. The
-recursive backend runs the same cancellation in 40-digit decimal; it is
-neither accurate nor faster at the paper's configurations (see
-fpr_recursive).
+recursive backend runs the same cancellation in decimal, at a precision
+sized from a proven error bound, so its float is the exact rate to about
+2^-51; it is a cross-check, faster than the exact sums only where its
+weights are tiny (see fpr_recursive).
 
 Rates for an m-bit filter storing n items with k hash bits per item:
 
@@ -152,24 +153,60 @@ def fpr_exact(m: int, n: int, k: int, variant: FilterVariant) -> Fraction:
 
 
 def fpr_recursive(m: int, n: int, k: int, variant: FilterVariant) -> float:
-    """kernel.two_term_recursion for either variant, in 40-digit decimal.
+    """kernel.two_term_recursion for either variant, in Decimal at a
+    precision sized from a proven error bound. The result r satisfies
 
-    Approximate, and with no error estimate; the exact backend is the
-    authority. Cancellation amplifies the rounding error by at least 1/f
-    and, at large k, by much more, so 40 digits do not carry the small
-    rates: at (m, n, k) = (1024, 5, 133) this returns 1.6e-16 for standard
-    (exact 2.9e-42) and -6.2e-19 for classic (exact 1.1e-43), and at
-    (256, 2, 90) it is 9-16% off. Nor is it a fast path there: at
-    (1024, 5, 133) it takes about 28 ms for standard and 4 ms for classic,
-    against 4.3 and 0.6 ms for the exact backend (CPython 3.11 on a shared
-    2-CPU x86-64 VM); it wins only at large m*n, such as (4096, 100, 28).
-    Making it carry the precision it reports, or say that it cannot, is
-    open (ROADMAP item 3, the recursive backend).
+        |r - f| <= 2^-51 f + 2^-1074
 
-    The classic weight (1 - k/s)^n does not depend on the level, so it is
-    taken once per urn count s: k powers, not about k^2/2. Each standard
-    weight (1 - 1/s)^(nk+i-1) is its own 40-digit power, since forming it
-    from shared factors would change its last digits.
+    for the exact rate f: f to double precision wherever f is a normal
+    double, and within one subnormal step of f below that.
+
+    The recursion is g(i, t) = g(i-1, t) - w(i, t) g(i-1, t-1), f = g(k, m),
+    with q_t = 1 - low/t and either w(i, t) = q_t^(nk+i-1), low = 1
+    (standard: g(i, t) = E[(X/t)^i] over nk balls) or w(i, t) = q_t^n,
+    low = k (classic: g = rho). Write e for nk (standard) or n (classic).
+    Each urn count t takes one power q_t^e, and the standard weight steps
+    by one product with q_t per level (two_term_recursion's call order):
+    k + 1 Decimal powers, not about k^2/2.
+
+    Error bound, with u = 10^(1-p)/2 the unit roundoff at p digits:
+
+    (a) Every exact g(i, t) lies in [0, 1], and every weight in [0, W],
+        W = (1 - 1/m)^(nk) standard, (1 - k/m)^n classic.
+    (b) q_t is one rounded division. libmpdec forms q^e within 1 ulp;
+        allow the 2 bit_length(e) roundings of square-and-multiply at p
+        digits. With the e-fold error of the rounded base, q_t^e is within
+        3e u, and each of at most k - 1 steps adds two roundings: every
+        weight is w (1 + eta) with |eta| <= (3e + 2k) u.
+    (c) Let E_i bound the error at level i; E_0 = 0, as ones and zeros are
+        exact. One step a - w b, product and difference rounded, gives
+        E_i <= (1 + W (1 + eta)) E_(i-1) + W eta + (1 + 2W) u, so to first
+        order in u, E_k <= c k (1 + W)^k with c = (3e + 2k + 3) u.
+    (d) B = _fpr_lower_bound_log2 gives f >= 2^B. With B' = max(B, -1022),
+        p = 1 + ceil(log10(k (3e + 2k + 3)) + k log10(1 + W)
+        + (53 - B') log10 2) digits make E_k <= 2^(B'-54), with a bit to
+        spare for float error in B and W. So the Decimal result is within
+        2^-53 f, or within 2^-1075 where B < -1022, and float() adds at
+        most 2^-53 of the value in the normal range and 2^-1075 below it.
+
+    (1 + W)^k is what 40 fixed digits could not carry: about 2^80 at
+    (1024, 5, 133), where they gave 1.6e-16 for the standard rate 2.9e-42,
+    and 10^124 at (2048, 2, 700), where they gave -1.6e66.
+
+    Below the double range: X <= min(nk, m), so both rates are at most
+    (min(nk, m)/m)^k (standard E[(X/m)^k]; classic E[C(X, k)]/C(m, k), and
+    C(x, k)/C(m, k) <= (x/m)^k for x <= m). Where that is under 2^-1076,
+    f rounds to 0.0 and the recursion does not run.
+
+    Cost: about k^2/2 steps of p-digit products and differences, so p
+    sets it: 90 digits at (1024, 5, 133) (both variants), 24 at
+    (512, 16, 300) and about 360 at (2048, 2, 700). Median single calls
+    there (BENCH_recursive.json; CPython 3.11 on a shared 2-CPU x86-64 VM):
+    standard 13, 28 and 2060 ms, against 35, 178 and 960 ms at 40 fixed
+    digits; classic 8, 14 and 1110 ms, against 4, 25 and 160 ms. The
+    40-digit answers at the first and third cells were wrong. It is no
+    fast path except where the weights are tiny: the exact rates there
+    take about 7, 140 and 370 ms standard and 1, 4 and 16 ms classic.
     """
     if m < 1 or k < 1 or n < 0:
         raise ValueError("fpr_recursive requires m >= 1, k >= 1, n >= 0")
@@ -177,30 +214,43 @@ def fpr_recursive(m: int, n: int, k: int, variant: FilterVariant) -> float:
         raise ValueError("classic variant requires k <= m")
     if n == 0:
         return 0.0
+    if m == 1:  # one urn, always set: f = 1
+        return 1.0
+    if k * math.log2(min(n * k, m) / m) < _ZERO_LOG2:
+        return 0.0
     standard = variant is FilterVariant.STANDARD
-    # standard: psi(h, s) = E[(X/s)^h] over n*k balls, weight (1 - 1/s)^(nk+h-1);
-    # classic: rho(r, s) of C(x,k)^n, weight (1 - k/s)^n; both 0 below s = low
-    low = 1 if standard else k
+    low, e = (1, n * k) if standard else (k, n)
+    floor = max(_fpr_lower_bound_log2(m, n, k, variant), _NORMAL_LOG2)
+    digits = 1 + math.ceil(
+        math.log10(k * (3 * e + 2 * k + 3))
+        + k * math.log10(1 + (1 - low / m) ** e)
+        + (53 - floor) * math.log10(2)
+    )
     with localcontext() as ctx:
-        ctx.prec = 40
-
-        def power(s: int, e: int) -> Decimal:
-            return (Decimal(s - low) / Decimal(s)) ** e
-
+        ctx.prec = digits
+        # the recursion steps only at t = m-k+1..m, and above low
+        ratio = {t: Decimal(t - low) / t for t in range(max(m - k, low) + 1, m + 1)}
+        power = {t: q**e for t, q in ratio.items()}
         if standard:
 
-            def weight(i: int, s: int) -> Decimal:
-                return power(s, n * k + i - 1)
+            def weight(i: int, t: int) -> Decimal:
+                w = power[t]
+                power[t] = w * ratio[t]  # the weight at level i+1
+                return w
 
         else:
-            # (1 - k/s)^n does not depend on the level i: one power per urn
-            # count s, and the recursion steps only at s = m-k+1..m
-            per_s = {s: power(s, n) for s in range(max(m - k, low) + 1, m + 1)}
 
-            def weight(i: int, s: int) -> Decimal:
-                return per_s[s]
+            def weight(i: int, t: int) -> Decimal:
+                return power[t]
 
-        return float(two_term_recursion(k, m, low, weight, Decimal(1)))
+        # f > 0, so lifting a result just below zero to 0 only moves it toward f
+        return float(max(0, two_term_recursion(k, m, low, weight, Decimal(1))))
+
+
+# log2 of the least normal double, and a bound a bit under half the least
+# subnormal, 2^-1075, below which a rate rounds to 0.0
+_NORMAL_LOG2 = -1022
+_ZERO_LOG2 = -1076
 
 
 # --------------------------------------------------------------------------

@@ -210,8 +210,14 @@ def two_term_recursion(
     g(0, t) = one for t >= low and g(i, t) = 0 for t < low.
 
     weight(i, t) = prod (1 - k/t)^n with low = max k gives rho(r, s, departments);
-    (1 - 1/t)^(N+i-1) with low = 1 gives E[(X/s)^r] for N-ball classic occupancy. Levels t <= low take no step, so weight is never
-    evaluated at zero urns. Exact with Fraction, fixed precision with Decimal.
+    (1 - 1/t)^(N+i-1) with low = 1 gives E[(X/s)^r] for N-ball classic
+    occupancy. Levels t <= low take no step, so weight is never evaluated at
+    zero urns. Exact with Fraction; with Decimal, at the precision of the
+    caller's context (analytics.fpr_recursive sizes it from an error bound).
+
+    Call order: level i computes t = s down to max(s-r+i, low+1), so each t
+    sees weight(1, t), weight(2, t), ... once each, in that order, and a
+    weight may step its value at t from the previous call at t.
     """
     if r < 0 or low < 0:
         raise ValueError("two_term_recursion requires r >= 0 and low >= 0")

@@ -335,25 +335,29 @@ def suite_invariants() -> SuiteResult:
         CheckResult("bound ordering E<=M<=f_S<=U, L<=f<=U", bad == 0, f"{cnt} configs")
     )
 
-    # recursive backend agreement on the same sweep (subsampled)
+    # recursive backend agreement on the same sweep (subsampled) and at the
+    # paper's optima and misconfiguration, both variants
     bad = 0
-    cnt = 0
-    for m in range(2, 65, 3):
-        for n in range(1, 17, 3):
-            for k in range(1, (m - 1) // 2 + 1, 2):
-                exact = analytics.fpr_exact(m, n, k, STANDARD)
-                cnt += 1
-                if exact >= Fraction(1, 10**12):
-                    rec = analytics.fpr_recursive(m, n, k, STANDARD)
-                    if abs(rec - float(exact)) > 5e-7 * float(exact):
-                        bad += 1
-                exact_c = analytics.fpr_exact(m, n, k, CLASSIC)
-                if exact_c >= Fraction(1, 10**12):
-                    rec = analytics.fpr_recursive(m, n, k, CLASSIC)
-                    if abs(rec - float(exact_c)) > 5e-7 * float(exact_c):
-                        bad += 1
+    cells = [
+        (m, n, k)
+        for m in range(2, 65, 3)
+        for n in range(1, 17, 3)
+        for k in range(1, (m - 1) // 2 + 1, 2)
+    ]
+    cells += [(64, 4, 9), (64, 4, 10), (64, 4, 11), (1000, 20, 33), (1000, 20, 34)]
+    cells += [(1024, 5, 124), (1024, 5, 133), (1024, 5, 142)]
+    for m, n, k in cells:
+        for variant in (STANDARD, CLASSIC):
+            exact = analytics.fpr_exact(m, n, k, variant)
+            rec = analytics.fpr_recursive(m, n, k, variant)
+            if abs(Fraction(rec) - exact) > Fraction(5, 10**7) * exact:
+                bad += 1
     checks.append(
-        CheckResult("recursive backend to 6 significant digits", bad == 0, f"{cnt} configs")
+        CheckResult(
+            "recursive backend to 6 significant digits",
+            bad == 0,
+            f"{len(cells)} configs",
+        )
     )
 
     # power-mean monotonicity across hash counts (and efficiency ordering)

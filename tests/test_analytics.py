@@ -1,6 +1,5 @@
 import itertools
 import math
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
 
@@ -99,6 +98,11 @@ class TestExactRates:
                 assert fpr_standard_exact(m, n, 1) == fpr_classic_exact(m, n, 1)
 
 
+def _within_recursive_bound(approx, exact):
+    """fpr_recursive's documented bound: |r - f| <= 2^-51 f + 2^-1074."""
+    return abs(Fraction(approx) - exact) <= exact / 2**51 + Fraction(1, 2**1074)
+
+
 class TestRecursiveBackend:
     def test_examples(self):
         assert fpr_recursive(2, 1, 2, STD) == pytest.approx(0.625, abs=1e-9)
@@ -116,31 +120,33 @@ class TestRecursiveBackend:
         k = data.draw(st.integers(1, max(1, (m - 1) // 2)))
         for variant in (STD, CLS):
             exact = fpr_exact(m, n, k, variant)
-            if exact >= Fraction(1, 10**12):
-                approx = fpr_recursive(m, n, k, variant)
-                assert abs(approx - float(exact)) <= 5e-7 * float(exact)
+            assert _within_recursive_bound(fpr_recursive(m, n, k, variant), exact)
 
-    @staticmethod
-    def _classic_per_level(m, n, k):
-        """The classic recursion with its weight (1 - k/t)^n taken afresh at
-        every level i and urn count t, in the same 40-digit context."""
-        if n == 0:
-            return 0.0
-        with localcontext() as ctx:
-            ctx.prec = 40
-
-            def weight(i, t):
-                return (Decimal(t - k) / Decimal(t)) ** n
-
-            return float(kernel.two_term_recursion(k, m, k, weight, Decimal(1)))
-
-    def test_classic_bit_identical_to_per_level_weights(self):
+    def test_within_proven_bound(self):
         cells = [
             (m, n, k) for m in range(1, 41) for n in range(7) for k in range(1, m + 1)
         ]
         for m, n, k in cells + [(1024, 5, 133)]:
-            got = fpr_recursive(m, n, k, CLS)
-            assert got == self._classic_per_level(m, n, k), (m, n, k)
+            for variant in (STD, CLS):
+                got = fpr_recursive(m, n, k, variant)
+                assert _within_recursive_bound(got, fpr_exact(m, n, k, variant)), (
+                    m, n, k, variant
+                )
+
+    def test_ill_conditioned_cell(self):
+        # (1 + W)^k is about 10^124 here: fixed 40 digits cannot carry it
+        got = fpr_recursive(2048, 2, 700, STD)
+        assert _within_recursive_bound(got, fpr_standard_exact(2048, 2, 700))
+        assert got > 0
+
+    def test_rate_below_double_range_skips_the_recursion(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the recursion ran")
+
+        monkeypatch.setattr(analytics, "two_term_recursion", refuse)
+        # f <= (1000/4096)^1000 < 2^-2000: 0.0 is the correctly rounded double
+        assert fpr_recursive(4096, 1, 1000, STD) == 0.0
+        assert fpr_recursive(4096, 1, 1000, CLS) == 0.0
 
 
 class TestBounds:

@@ -91,13 +91,25 @@ class TestAnalyze:
         for key in ("efficiency", "bits_of_cutdown"):
             assert math.copysign(1.0, payload[key]) == 1.0, key
 
+    def test_recursive_row_below_double_range(self, runner, monkeypatch):
+        # the exact rate, 3.2e-740, takes about 13 s here and is not what
+        # this test reads, so it is stubbed
+        monkeypatch.setattr(analytics, "fpr_exact", lambda *args: Fraction(1, 2**2456))
+        args = ["analyze", "--m", "4096", "--n", "1", "--k", "3000"]
+        text = runner.invoke(cli, args)
+        assert text.exit_code == 0, text.output
+        assert "recursive      0.000000e+00\n" in text.output
+        payload = json.loads(runner.invoke(cli, args + ["--format", "json"]).output)
+        assert payload["recursive"] == 0.0
+
     def test_invalid_params_usage_error(self, runner):
         result = runner.invoke(cli, ["analyze", "--m", "0", "--n", "1", "--k", "1"])
         assert result.exit_code != 0
 
 
 # analyze's stdout as printed while M was formed as an exact Fraction: text
-# in full, JSON (which carries the exact rate's fraction) by sha256
+# in full, JSON (which carries the exact rate's fraction) by sha256. Each
+# recursive line prints the digits of its exact rate.
 _ANALYZE_PINNED = {
     (1024, 5, 133, "standard"): (
         (
@@ -109,10 +121,10 @@ _ANALYZE_PINNED = {
             "bound L        1.34919e-46\n"
             "bound U        1.27780e-40\n"
             "taylor approx  8.154329e-43\n"
-            "recursive      1.603632e-16\n"
+            "recursive      2.914005e-42\n"
             "efficiency     0.673721\n"
         ),
-        "046cf35e09c9aa5a3b7e7335d47245568882e1088a0bd9ab9402558ae17a9b41",
+        "b8bda7fee35c79bcf4944cc42d1466d41b8002d3fcc50426404218529b5f7663",
     ),
     (1024, 5, 133, "classic"): (
         (
@@ -124,10 +136,10 @@ _ANALYZE_PINNED = {
             "bound L        1.34919e-46\n"
             "bound U        1.27780e-40\n"
             "taylor approx  8.154329e-43\n"
-            "recursive      -6.182972e-19\n"
+            "recursive      1.109438e-43\n"
             "efficiency     0.696744\n"
         ),
-        "09c79e0607273b7175348d7a70e9655ac1ab59c24047b57eaa2e129e502da73a",
+        "6f50d581f0c5f3586b24776180d33718d4b98554d7046c85700499a40fe3e417",
     ),
     (64, 4, 11, "classic"): (
         (
