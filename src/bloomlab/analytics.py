@@ -41,7 +41,6 @@ from .kernel import (
     log2_fraction,
     nabla_power,
     nabla_power_row,
-    two_term_recursion,
 )
 from .occupancy import (
     CommitteeSpec,
@@ -153,8 +152,9 @@ def fpr_exact(m: int, n: int, k: int, variant: FilterVariant) -> Fraction:
 
 
 def fpr_recursive(m: int, n: int, k: int, variant: FilterVariant) -> float:
-    """kernel.two_term_recursion for either variant, in Decimal at a
-    precision sized from a proven error bound. The result r satisfies
+    """The paper's two-term recursion for either variant, as one Decimal
+    loop at a precision sized from a proven error bound. The result r
+    satisfies
 
         |r - f| <= 2^-51 f + 2^-1074
 
@@ -162,12 +162,13 @@ def fpr_recursive(m: int, n: int, k: int, variant: FilterVariant) -> float:
     double, and within one subnormal step of f below that.
 
     The recursion is g(i, t) = g(i-1, t) - w(i, t) g(i-1, t-1), f = g(k, m),
-    with q_t = 1 - low/t and either w(i, t) = q_t^(nk+i-1), low = 1
-    (standard: g(i, t) = E[(X/t)^i] over nk balls) or w(i, t) = q_t^n,
-    low = k (classic: g = rho). Write e for nk (standard) or n (classic).
-    Each urn count t takes one power q_t^e, and the standard weight steps
-    by one product with q_t per level (two_term_recursion's call order):
-    k + 1 Decimal powers, not about k^2/2.
+    with g(0, t) = 1 for t >= low and 0 below, q_t = 1 - low/t and either
+    w(i, t) = q_t^(nk+i-1), low = 1 (standard: g(i, t) = E[(X/t)^i] over
+    nk balls) or w(i, t) = q_t^n, low = k (classic: g = rho). Write e for
+    nk (standard) or n (classic). Only the urn counts t = m - j above low,
+    j < min(k, m - low), take a step; each takes one power q_t^e, and the
+    standard weight is multiplied by q_t after each level uses it: at most
+    k Decimal powers, not about k^2/2.
 
     Error bound, with u = 10^(1-p)/2 the unit roundoff at p digits:
 
@@ -200,13 +201,11 @@ def fpr_recursive(m: int, n: int, k: int, variant: FilterVariant) -> float:
 
     Cost: about k^2/2 steps of p-digit products and differences, so p
     sets it: 90 digits at (1024, 5, 133) (both variants), 24 at
-    (512, 16, 300) and about 360 at (2048, 2, 700). Median single calls
-    there (BENCH_recursive.json; CPython 3.11 on a shared 2-CPU x86-64 VM):
-    standard 13, 28 and 2060 ms, against 35, 178 and 960 ms at 40 fixed
-    digits; classic 8, 14 and 1110 ms, against 4, 25 and 160 ms. The
-    40-digit answers at the first and third cells were wrong. It is no
-    fast path except where the weights are tiny: the exact rates there
-    take about 7, 140 and 370 ms standard and 1, 4 and 16 ms classic.
+    (512, 16, 300) and about 360 at (2048, 2, 700). Best single calls of
+    25 there (CPython 3.11 on a shared 2-CPU x86-64 VM): standard 7, 18
+    and 1980 ms, classic 4, 11 and 960 ms. It is no fast path except
+    where the weights are tiny: the exact rates there take about 5, 100
+    and 230 ms standard and 0.6, 3 and 14 ms classic.
     """
     if m < 1 or k < 1 or n < 0:
         raise ValueError("fpr_recursive requires m >= 1, k >= 1, n >= 0")
@@ -228,23 +227,19 @@ def fpr_recursive(m: int, n: int, k: int, variant: FilterVariant) -> float:
     )
     with localcontext() as ctx:
         ctx.prec = digits
-        # the recursion steps only at t = m-k+1..m, and above low
-        ratio = {t: Decimal(t - low) / t for t in range(max(m - k, low) + 1, m + 1)}
-        power = {t: q**e for t, q in ratio.items()}
-        if standard:
-
-            def weight(i: int, t: int) -> Decimal:
-                w = power[t]
-                power[t] = w * ratio[t]  # the weight at level i+1
-                return w
-
-        else:
-
-            def weight(i: int, t: int) -> Decimal:
-                return power[t]
-
+        # level[j] holds g(i, m - j); only urn counts above low take a step
+        live = min(k, m - low)
+        ratio = [Decimal(m - j - low) / (m - j) for j in range(live)]
+        weight = [q**e for q in ratio]
+        level = [Decimal(1) if m - j >= low else Decimal(0) for j in range(k + 1)]
+        for i in range(1, k + 1):
+            # ascending j reads level[j + 1] before this level overwrites it
+            for j in range(min(k + 1 - i, live)):
+                level[j] -= weight[j] * level[j + 1]
+                if standard:
+                    weight[j] *= ratio[j]  # the weight at level i + 1
         # f > 0, so lifting a result just below zero to 0 only moves it toward f
-        return float(max(0, two_term_recursion(k, m, low, weight, Decimal(1))))
+        return float(max(0, level[0]))
 
 
 # log2 of the least normal double, and a bound a bit under half the least

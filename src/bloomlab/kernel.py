@@ -1,8 +1,7 @@
 """Exact combinatorial primitives: Stirling numbers, falling factorials,
-finite-difference operators over arbitrary-precision rationals, the one
-binomial-power product prod C(t,k)^n over a batch law's (n, k) departments,
-and the two-term recursion behind the normalized differences, over any
-number type.
+finite-difference operators over arbitrary-precision rationals, and the one
+binomial-power product prod C(t,k)^n over a batch law's (n, k) departments.
+Everything here is exact integer or rational arithmetic.
 
 Alternating sums are accumulated in integer (or exact rational) arithmetic
 and divided once at the end, so no cancellation error is possible. All
@@ -17,7 +16,7 @@ import threading
 from fractions import Fraction
 from itertools import repeat
 from math import comb
-from typing import Callable, Iterable, Sequence, TypeVar, Union
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "Scalar",
@@ -27,15 +26,12 @@ __all__ = [
     "nabla_power",
     "nabla_power_row",
     "rho",
-    "two_term_recursion",
     "log2_fraction",
 ]
 
 # Integer-valued operators return plain int; anything mixing rationals
 # returns Fraction. The two compare and combine exactly.
 Scalar = Union[int, Fraction]
-
-Num = TypeVar("Num")
 
 
 # --------------------------------------------------------------------------
@@ -201,33 +197,6 @@ def rho(r: int, s: int, departments: Sequence[tuple[int, int]]) -> Fraction:
     values = [_binom_product(s - j, departments) for j in range(r + 1)]
     coeffs = map(comb, repeat(r), range(r + 1))
     return Fraction(_alternating_power_sum(coeffs, values, 1), values[0])
-
-
-def two_term_recursion(
-    r: int, s: int, low: int, weight: Callable[[int, int], Num], one: Num
-) -> Num:
-    """g(r, s) for g(i, t) = g(i-1, t) - weight(i, t) * g(i-1, t-1), with
-    g(0, t) = one for t >= low and g(i, t) = 0 for t < low.
-
-    weight(i, t) = prod (1 - k/t)^n with low = max k gives rho(r, s, departments);
-    (1 - 1/t)^(N+i-1) with low = 1 gives E[(X/s)^r] for N-ball classic
-    occupancy. Levels t <= low take no step, so weight is never evaluated at
-    zero urns. Exact with Fraction; with Decimal, at the precision of the
-    caller's context (analytics.fpr_recursive sizes it from an error bound).
-
-    Call order: level i computes t = s down to max(s-r+i, low+1), so each t
-    sees weight(1, t), weight(2, t), ... once each, in that order, and a
-    weight may step its value at t from the previous call at t.
-    """
-    if r < 0 or low < 0:
-        raise ValueError("two_term_recursion requires r >= 0 and low >= 0")
-    level = [one if s - j >= low else one - one for j in range(r + 1)]
-    for i in range(1, r + 1):
-        level = [
-            level[j] - weight(i, s - j) * level[j + 1] if s - j > low else level[j]
-            for j in range(r + 1 - i)
-        ]
-    return level[0]
 
 
 # --------------------------------------------------------------------------

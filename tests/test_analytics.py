@@ -143,7 +143,7 @@ class TestRecursiveBackend:
         def refuse(*args):
             raise AssertionError("the recursion ran")
 
-        monkeypatch.setattr(analytics, "two_term_recursion", refuse)
+        monkeypatch.setattr(analytics, "localcontext", refuse)
         # f <= (1000/4096)^1000 < 2^-2000: 0.0 is the correctly rounded double
         assert fpr_recursive(4096, 1, 1000, STD) == 0.0
         assert fpr_recursive(4096, 1, 1000, CLS) == 0.0

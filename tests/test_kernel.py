@@ -20,7 +20,6 @@ from bloomlab.kernel import (
     nabla_power_row,
     rho,
     stirling2,
-    two_term_recursion,
 )
 from bloomlab.occupancy import CommitteeSpec
 from enumerators import enumerate_union_pmf
@@ -64,17 +63,17 @@ def binom_product_difference(m, departments, r):
 
 
 def rho_by_recursion(r, s, departments):
-    """rho(r, s, departments) from the two-term recursion with exact
-    weights prod ((t - k)/t)^n and lowest nonzero level max k."""
-
-    def weight(_, t):
-        w = Fraction(1)
-        for n, k in departments:
-            w *= Fraction(t - k, t) ** n
-        return w
-
+    """rho(r, s, departments) from the two-term recursion
+    g(i, t) = g(i-1, t) - w_t g(i-1, t-1), w_t = prod ((t - k)/t)^n, with
+    g(0, t) = 1 for t >= low = max k and g(i, t) = 0 for t < low; exact in
+    Fraction. level[j] holds g(i, s - j); urn counts t <= low take no step."""
     low = max(k for _, k in departments)
-    return two_term_recursion(r, s, low, weight, Fraction(1))
+    level = [Fraction(int(s - j >= low)) for j in range(r + 1)]
+    for i in range(1, r + 1):
+        for j in range(min(r + 1 - i, s - low)):
+            w = math.prod(Fraction(s - j - k, s - j) ** n for n, k in departments)
+            level[j] -= w * level[j + 1]
+    return level[0]
 
 
 class TestStirling:
@@ -301,16 +300,6 @@ class TestRho:
         for r in (-1, 6, 10):
             with pytest.raises(ValueError):
                 rho(r, 5, [(1, 2)])
-
-    def test_recursion_rejects_negative_order_or_level(self):
-        def weight(_, t):
-            return Fraction(t - 1, t)
-
-        with pytest.raises(ValueError):
-            two_term_recursion(-1, 5, 1, weight, Fraction(1))
-        # a negative lowest level would take a step at zero urns
-        with pytest.raises(ValueError):
-            two_term_recursion(6, 5, -1, weight, Fraction(1))
 
     def test_results_are_reduced(self):
         v = rho(2, 8, [(1, 3), (1, 2)])
