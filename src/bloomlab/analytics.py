@@ -16,12 +16,10 @@ Rates for an m-bit filter storing n items with k hash bits per item:
 
 Efficiency is -(n/m) * log2 f, bounded by 1 for uniform hashing.
 
-optimal_k compares candidates through certified brackets lo <= f <= hi:
-the same alternating sums with every factor cut to the bits the comparison
-needs, in integer arithmetic. Exact rates are computed only where two
-brackets cannot decide, and for the winner, so every result is the one an
-all-exact scan gives. The capacity searches walk the same brackets but ask
-only whether some k meets the target rate, which needs no minimum.
+optimal_k and the capacity searches read each candidate's rate as a
+certified value (kernel._Certified): a bracket from the same alternating
+sums with every factor cut to the bits needed, exact only where the bracket
+cannot decide, so every result is the one an all-exact scan gives.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .filters import FilterVariant
 from .kernel import (
     _alternating_power_sum,
+    _Certified,
     log2_fraction,
     nabla_power,
     nabla_power_row,
@@ -416,17 +415,9 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     the cut would be under 512 bits per term, which saves less than the
     bracket costs, the bracket is the exact rate.
 
-    The scan keeps the best k's bracket. A k with lo >= best hi cannot win
-    (ties go to the smaller k); a k with hi < best lo wins; otherwise both
-    exact rates decide, each computed at most once per call. T comes from
-    best hi, an upper bound on the best rate, so the pruning proof and the
-    early stop above hold as written. So the winner, and the exact rate
-    returned for it, are those of the exact scan; q only decides how often
-    a bracket is too wide to decide on its own.
-
-    The walk over k, with the bound test, the early stop and the brackets,
-    is _bracket_walk, which _rate_at_most (the capacity searches' probe)
-    walks too; the comparisons above are optimal_k's own.
+    The scan keeps the best k's certified rate (kernel._Certified) and
+    takes a k only where its rate is proven smaller, so ties go to the
+    smaller k; T comes from best hi, so the proofs above hold as written.
     """
     return _optimal_k_seeded(m, n, variant)[0]
 
@@ -442,47 +433,37 @@ def _optimal_k_seeded(
     if n == 0:
         return OptimalK(1, Fraction(0)), None
     seed = _k_seed(m, n)
-    exact = {seed: fpr_exact(m, n, seed, variant)}
-    threshold = log2_fraction(exact[seed])
-    best_k = best_lo = best_hi = None
-    for k, lo, hi in _bracket_walk(m, n, variant, exact, lambda: threshold):
-        if best_k is not None:
-            if lo >= best_hi:
-                continue
-            if hi >= best_lo:  # the brackets overlap: decide exactly
-                for j in (k, best_k):
-                    if j not in exact:
-                        exact[j] = fpr_exact(m, n, j, variant)
-                if exact[k] >= exact[best_k]:
-                    best_lo = best_hi = exact[best_k]
-                    continue
-                lo = hi = exact[k]
-        best_k, best_lo, best_hi = k, lo, hi
-        threshold = min(threshold, log2_fraction(hi))
-    if best_k not in exact:
-        exact[best_k] = fpr_exact(m, n, best_k, variant)
-    return OptimalK(best_k, exact[best_k]), exact[seed]
+    seed_rate = fpr_exact(m, n, seed, variant)
+    threshold = log2_fraction(seed_rate)
+    best_k = best = None
+    for k, rate in _bracket_walk(m, n, variant, (seed, seed_rate), lambda: threshold):
+        if best is None or rate.hi < best.lo or (
+            rate.lo < best.hi and rate.exact() < best.exact()
+        ):
+            best_k, best = k, rate
+            threshold = min(threshold, log2_fraction(rate.hi))
+    return OptimalK(best_k, best.exact()), seed_rate
 
 
 def _bracket_walk(
     m: int,
     n: int,
     variant: FilterVariant,
-    exact: dict[int, Fraction],
+    seed: tuple[int, Fraction] | None,
     limit: Callable[[], float],
-) -> Iterator[tuple[int, Fraction, Fraction]]:
-    """(k, lo, hi) with lo <= f(m, n, k) <= hi for k = 1..m in increasing
-    order, less every k whose bound proves f(k) > 2^limit(): the candidate
-    walk of optimal_k and _rate_at_most (n >= 1, and m >= 2 unless exact
-    holds k = 1).
+) -> Iterator[tuple[int, _Certified]]:
+    """(k, f(m, n, k) as a kernel._Certified with thunk fpr_exact) for
+    k = 1..m in increasing order, less every k whose bound proves
+    f(k) > 2^limit(): the candidate walk of optimal_k and _rate_at_most
+    (n >= 1, and m >= 2 unless the seed is k = 1).
 
-    A k in exact is yielded at its exact rate, unbounded. Any other k with
-    B(k) = _fpr_lower_bound_log2 > limit() + 0.5 is skipped, and for the
-    standard variant the walk ends at the first skipped k past k0 (both
+    The seed (k, f), if given, is yielded exact, unbounded. Any other k
+    with B(k) = _fpr_lower_bound_log2 > limit() + 0.5 is skipped, and for
+    the standard variant the walk ends at the first skipped k past k0 (both
     argued in optimal_k's docstring). limit() is read at the start and
     after each yield, so the caller may lower it between candidates; it
-    must never rise. The rest get q = k + ceil(-B(k)) + _GUARD_BITS bits,
-    and a bracket that cut nothing is the exact rate, recorded in exact.
+    must never rise. The rest get _rate_bracket's q = k + ceil(-B(k)) +
+    _GUARD_BITS bits, exact (lo == hi) where nothing was cut.
     """
     # past k_rise = k0 the standard bound only rises; classic scans to m
     k_rise = math.inf
@@ -494,8 +475,8 @@ def _bracket_walk(
         bracket = partial(_classic_rate_bracket, m, n)
     cut = limit() + 0.5
     for k in range(1, m + 1):
-        if k in exact:
-            lo = hi = exact[k]
+        if seed and k == seed[0]:
+            lo = hi = seed[1]
         else:
             bound = _fpr_lower_bound_log2(m, n, k, variant)
             if bound > cut:
@@ -503,9 +484,7 @@ def _bracket_walk(
                     return
                 continue
             lo, hi = bracket(k, k + math.ceil(-bound) + _GUARD_BITS)
-            if lo is hi:  # nothing was cut
-                exact[k] = lo
-        yield k, lo, hi
+        yield k, _Certified(lo, hi, partial(fpr_exact, m, n, k, variant))
         cut = limit() + 0.5
 
 
@@ -516,20 +495,15 @@ def _rate_at_most(m: int, n: int, variant: FilterVariant, target: Fraction) -> b
     optimal_k's candidates (_bracket_walk) against the fixed threshold
     log2(target): a skipped k has f(k) > target by the same 0.5-bit
     margin, and the standard walk's early stop holds for a fixed threshold
-    as for a falling one. It answers True at the first bracket with
-    hi <= target, passes over a bracket with lo > target, and computes an
-    exact rate only for a bracket that straddles target. m = 1 is settled
-    by its one exact rate, as optimal_k settles it through its seed.
+    as for a falling one. Each candidate's certified rate reads f <= target
+    (kernel._Certified.read), exactly only where its bracket straddles
+    target. m = 1, where there is no bound, walks its one exact rate as a
+    seed, as optimal_k's does.
     """
-    if m == 1:
-        return fpr_exact(1, n, 1, variant) <= target
+    seed = (1, fpr_exact(1, n, 1, variant)) if m == 1 else None
     limit = log2_fraction(target)
-    for k, lo, hi in _bracket_walk(m, n, variant, {}, lambda: limit):
-        if hi <= target:
-            return True
-        if lo <= target and fpr_exact(m, n, k, variant) <= target:
-            return True
-    return False
+    walk = _bracket_walk(m, n, variant, seed, lambda: limit)
+    return any(rate.read(lambda f: f <= target) for _, rate in walk)
 
 
 # optimal_k's brackets: q = k + ceil(-B(k)) + _GUARD_BITS significant bits

@@ -26,7 +26,7 @@ from .filters import (
     estimate_cardinality,
     serialize,
 )
-from .kernel import log2_fraction
+from .kernel import _Certified, log2_fraction
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -65,19 +65,17 @@ def power_sci(base: Fraction, k: int) -> str:
     r = floor(base 2^s) keeps about 64 + bit_length(k) + 8 significant bits,
     so r^k / 2^(sk) <= base^k <= (r+1)^k / 2^(sk), a bracket some 2^-70 wide
     relative to base^k that costs k times r's bits, not k times base's.
-    Rounding to significant digits is monotone, so where both ends print the
-    same string, base ** k prints it too. Otherwise base ** k lies at or next
-    to a rounding boundary (the tie 2^-10 = 9.765625e-04 is one), and the
-    exact power decides.
+    Rounding to significant digits is monotone, so the certified power
+    (kernel._Certified.read) prints from the bracket where both ends print
+    alike, and from the exact power base ** k otherwise: at or next to a
+    rounding boundary (the tie 2^-10 = 9.765625e-04 is one).
     """
     num, den = base.numerator, base.denominator
     s = max(64 + k.bit_length() + 8 + den.bit_length() - num.bit_length(), 0)
     r = (num << s) // den
     one = 1 << (s * k)
-    low = fraction_sci(Fraction(r**k, one))
-    if low == fraction_sci(Fraction((r + 1) ** k, one)):
-        return low
-    return fraction_sci(base**k)
+    ends = Fraction(r**k, one), Fraction((r + 1) ** k, one)
+    return _Certified(*ends, lambda: base**k).read(fraction_sci)
 
 
 def _variant(name: str) -> FilterVariant:

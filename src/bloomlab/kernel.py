@@ -1,6 +1,7 @@
 """Exact combinatorial primitives: Stirling numbers, falling factorials,
-finite-difference operators over arbitrary-precision rationals, and the one
-binomial-power product prod C(t,k)^n over a batch law's (n, k) departments.
+finite-difference operators over arbitrary-precision rationals, the one
+binomial-power product prod C(t,k)^n over a batch law's (n, k) departments,
+and the certified value _Certified: lo <= x <= hi, x formed only if needed.
 Everything here is exact integer or rational arithmetic.
 
 Alternating sums are accumulated in integer (or exact rational) arithmetic
@@ -16,7 +17,7 @@ import threading
 from fractions import Fraction
 from itertools import repeat
 from math import comb
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 __all__ = [
     "Scalar",
@@ -32,6 +33,7 @@ __all__ = [
 # Integer-valued operators return plain int; anything mixing rationals
 # returns Fraction. The two compare and combine exactly.
 Scalar = Union[int, Fraction]
+_T = TypeVar("_T")
 
 
 # --------------------------------------------------------------------------
@@ -197,6 +199,32 @@ def rho(r: int, s: int, departments: Sequence[tuple[int, int]]) -> Fraction:
     values = [_binom_product(s - j, departments) for j in range(r + 1)]
     coeffs = map(comb, repeat(r), range(r + 1))
     return Fraction(_alternating_power_sum(coeffs, values, 1), values[0])
+
+
+# --------------------------------------------------------------------------
+# Certified values
+# --------------------------------------------------------------------------
+
+
+class _Certified:
+    """A rational x known to lie in [lo, hi], with a thunk for x itself.
+
+    exact() calls the thunk at most once, never when lo == hi, and narrows
+    the bracket to x. read(g), for g monotone, is g(lo) where g(lo) == g(hi)
+    (g is constant on the bracket) and g(exact()) otherwise: Ziv's rounding
+    test."""
+
+    def __init__(self, lo: Scalar, hi: Scalar, value: Callable[[], Scalar]):
+        self.lo, self.hi, self._value = lo, hi, value
+
+    def exact(self) -> Scalar:
+        if self.lo != self.hi:
+            self.lo = self.hi = self._value()
+        return self.lo
+
+    def read(self, g: Callable[[Scalar], _T]) -> _T:
+        low = g(self.lo)
+        return low if low == g(self.hi) else g(self.exact())
 
 
 # --------------------------------------------------------------------------

@@ -335,8 +335,7 @@ def suite_invariants() -> SuiteResult:
         CheckResult("bound ordering E<=M<=f_S<=U, L<=f<=U", bad == 0, f"{cnt} configs")
     )
 
-    # recursive backend within its documented bound |r - f| <= 2^-51 f + 2^-1074
-    # (far inside the 6 digits the check is named for) on the same sweep
+    # recursive backend within its documented bound on the same sweep
     # (subsampled) and at the paper's optima and misconfiguration, both variants
     bad = 0
     cells = [
@@ -355,7 +354,7 @@ def suite_invariants() -> SuiteResult:
                 bad += 1
     checks.append(
         CheckResult(
-            "recursive backend to 6 significant digits",
+            "recursive backend |r-f| <= 2^-51 f + 2^-1074",
             bad == 0,
             f"{len(cells)} configs",
         )

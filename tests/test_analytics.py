@@ -419,6 +419,26 @@ class TestOptimalK:
         assert best.k == 127
         assert fpr_classic_exact(255, 1, 128) == best.fpr
 
+    @pytest.mark.parametrize(
+        "m, n, variant, evals",
+        [(64, 4, STD, 1), (64, 4, CLS, 1), (1000, 20, STD, 2),
+         (1000, 20, CLS, 2), (1024, 5, STD, 2), (1024, 5, CLS, 2)],
+    )
+    def test_exact_rates_computed(self, monkeypatch, m, n, variant, evals):
+        # the seed, and the winner where its bracket cut something (at
+        # m = 64 none does): no pair of brackets here needs exact rates
+        calls = []
+
+        def counting(m, n, k, variant):
+            calls.append(k)
+            return fpr_exact(m, n, k, variant)
+
+        monkeypatch.setattr(analytics, "fpr_exact", counting)
+        best = optimal_k(m, n, variant)
+        assert len(calls) == evals, calls
+        assert calls[0] == analytics._k_seed(m, n)
+        assert best.fpr == fpr_exact(m, n, best.k, variant)
+
     def test_estimate_mode(self):
         est = optimal_k_estimate(64, 4)
         assert est.k == pytest.approx(16 * math.log(2), rel=1e-12)

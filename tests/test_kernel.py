@@ -12,6 +12,7 @@ from bloomlab import oracle
 from bloomlab.analytics import fpr_classic_exact
 from bloomlab.kernel import (
     _alternating_power_sum,
+    _Certified,
     _exact_cover_counts,
     binom_poly,
     falling_factorial,
@@ -330,6 +331,61 @@ class TestStirlingDifferenceIdentity:
             for j in range(r + 1)
         )
         assert lhs == rhs
+
+
+def refuse():
+    raise AssertionError("the exact value was formed")
+
+
+class TestCertified:
+    """A bracket lo <= x <= hi with a thunk for x, formed only if needed."""
+
+    def test_exact_bracket_never_forms_x(self):
+        x = Fraction(1, 3)
+        value = _Certified(x, x, refuse)
+        assert value.exact() == x
+        assert value.read(lambda f: f <= x) is True
+        assert value.read(lambda f: f < x) is False
+
+    def test_thunk_runs_at_most_once_and_narrows(self):
+        calls = []
+
+        def thunk():
+            calls.append(1)
+            return Fraction(2, 5)
+
+        value = _Certified(Fraction(1, 3), Fraction(1, 2), thunk)
+        assert value.exact() == value.exact() == Fraction(2, 5)
+        assert (value.lo, value.hi) == (Fraction(2, 5), Fraction(2, 5))
+        assert value.read(lambda f: f >= Fraction(2, 5)) is True
+        assert calls == [1]
+
+    def test_deciding_bracket_never_forms_x(self):
+        value = _Certified(Fraction(1, 3), Fraction(1, 2), refuse)
+        assert value.read(lambda f: f <= Fraction(1, 2)) is True
+        assert value.read(lambda f: f < Fraction(1, 3)) is False
+        assert value.read(lambda f: math.floor(3 * f)) == 1
+        assert (value.lo, value.hi) == (Fraction(1, 3), Fraction(1, 2))
+
+    def test_read_is_g_of_x_at_the_decision_point(self):
+        # brackets with an end at the decision point t, and x at t or on
+        # either side inside them: read answers g(x) for increasing and
+        # decreasing g, strict or not, whichever end g(x) agrees with
+        t, d = Fraction(1, 7), Fraction(1, 1000)
+        tests = [
+            lambda f: f >= t, lambda f: f > t, lambda f: f <= t, lambda f: f < t,
+            lambda f: math.floor(7 * f), lambda f: -math.ceil(7 * f),
+        ]
+        brackets = [(t - d, t), (t, t + d), (t - d, t + d), (t, t)]
+        seen = set()
+        for lo, hi in brackets:
+            for x in (lo, t, hi, (lo + t) / 2, (t + hi) / 2):
+                for g in tests:
+                    value = _Certified(lo, hi, lambda: x)
+                    assert value.read(g) == g(x), (lo, hi, x)
+                    seen.add((g(lo) == g(x), g(hi) == g(x)))
+        # g(x) matched only the low end, only the high end, and both
+        assert {(True, False), (False, True), (True, True)} <= seen
 
 
 class TestLog2Fraction:
