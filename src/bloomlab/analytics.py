@@ -371,27 +371,50 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
 
     Scans k = 1..m with exact comparisons, ties toward smaller k, and
     returns the winner's exact rate. The closed-form seed is evaluated
-    exactly first, to set the threshold T, the log2 of an upper bound on
-    the best rate found so far; T never rises during the scan. A candidate
-    whose proven lower bound B(k) = _fpr_lower_bound_log2 exceeds T + 0.5 is
-    skipped; the 0.5-bit safety margin absorbs the float error of B and of
-    T, so skipping cannot change the winner.
+    exactly first, to set the threshold T, the float log2 of an upper bound
+    on the best rate found so far; T never rises during the scan. A
+    candidate whose proven lower bound B(k) = _fpr_lower_bound_log2 exceeds
+    T + delta is skipped, delta = (|T| + c_m) 2^-40 bits with
+    c_m = m log2(m+1) + m + 1 (_prune_cut).
+
+    Margin: skipping cannot change the winner. Write u = 2^-53 and B*, T*
+    for the exact values that the floats B, T approximate; libm's log1p,
+    expm1 and log2 are taken within 1 ulp, lgamma within 4.
+    - T* is log2 of a rational (a best rate's hi, or the probe's target),
+      and log2_fraction is within u|T*| + 4u of it (64-bit quotients, one
+      log2 and one sum).
+    - Standard: the float t = nk log1p(-1/m) is within 6u relative (log1p's
+      condition number at -1/m is under 1.45); y = -expm1(t) is then within
+      8u relative, as (1 - y)|t| = -(1 - y) ln(1 - y) <= y; so ln y is
+      within 8u absolute and B = k log2 y within 12uk + 4u|B|.
+    - Classic: mu is within 6um of its formula, and mu moves
+      lgamma(mu+1) - lgamma(mu-k+1) by at most ln(m+1) + 1 per unit, as
+      mu - k + 1 >= 1; each lgamma is within 4 ulps of a value at most
+      lgamma(m+1) <= (m+1) ln(m+1). So B is within 48u c_m + 2u|B|.
+    B <= 0 (up to its rounding), so B > T + delta gives |B| <= |T|, and
+    with the rounding of T + delta itself, B* - T* is within
+    64u (|T| + c_m) = delta / 2^7 of B - T. So B* > T*:
+    f(k) >= 2^B* > 2^T*, at least the best rate so far, and k cannot win
+    or tie. _rate_at_most walks the same candidates against the fixed
+    T = log2 p, and the same argument gives f(k) > p for every skipped k.
+    (tests/test_analytics.py finds B within 2^-11 delta of a 60-digit
+    evaluation of its formula up to m = 10^6.)
 
     Standard variant: the scan stops at the first skipped k past
-    k0 = ln 2 / |ln q|. Proof that every later k is skipped too: with
-    q = (1 - 1/m)^n and y = q^k,
+    k_rise = k0 (1 + 2^-40), k0 = ln 2 / |ln q| in floats. Proof that no
+    later k can win: with q = (1 - 1/m)^n and y = q^k,
 
-        B(k) = k log2(1 - y) = -ln(y) ln(1 - y) / (|ln q| ln 2).
+        B*(k) = k log2(1 - y) = -ln(y) ln(1 - y) / (|ln q| ln 2).
 
     ln(y) ln(1 - y) is positive on (0, 1) and its derivative is
     r(1 - y) - r(y) with r(t) = ln(t)/(1 - t); r increases on (0, 1)
     (r' has the sign of 1/t - 1 + ln t > 0), so the derivative is positive
-    on (0, 1/2) and negative on (1/2, 1). y falls as k grows, so B falls
-    while y > 1/2, has its one minimum at y = 1/2 (k = k0), and rises
-    after. So for j > k > k0, B(j) > B(k) > T + 0.5 >= T' + 0.5 for any
-    later threshold T'. Float rounding can misplace k0 by about 1e-16 k0,
-    where B is flat to second order; that moves B by far less than the
-    margin.
+    on (0, 1/2) and negative on (1/2, 1). y falls as k grows, so B* falls
+    while y > 1/2, has its one minimum at y = 1/2 (k = k0*), and rises
+    after. The float k0 is within 8u of k0* relative, so k > k_rise gives
+    k > k0*, and for every j > k, B*(j) > B*(k) > T*: f(j) exceeds the best
+    rate so far, and every later best rate is smaller still (or p, in
+    _rate_at_most).
 
     Classic variant: no such proof is at hand for its bound, so it scans
     the full range (each skipped k costs one O(1) bound evaluation).
@@ -458,22 +481,24 @@ def _bracket_walk(
     (n >= 1, and m >= 2 unless the seed is k = 1).
 
     The seed (k, f), if given, is yielded exact, unbounded. Any other k
-    with B(k) = _fpr_lower_bound_log2 > limit() + 0.5 is skipped, and for
-    the standard variant the walk ends at the first skipped k past k0 (both
-    argued in optimal_k's docstring). limit() is read at the start and
-    after each yield, so the caller may lower it between candidates; it
-    must never rise. The rest get _rate_bracket's q = k + ceil(-B(k)) +
-    _GUARD_BITS bits, exact (lo == hi) where nothing was cut.
+    with B(k) = _fpr_lower_bound_log2 > _prune_cut(m, limit()), limit()
+    plus a margin of 2^7 times the float error of B and of limit(), is
+    skipped, and for the standard variant the walk ends at the first
+    skipped k past k_rise (both argued in optimal_k's docstring). limit()
+    is read at the start and after each yield, so the caller may lower it
+    between candidates; it must never rise. The rest get _rate_bracket's
+    q = k + ceil(-B(k)) + _GUARD_BITS bits, exact (lo == hi) where nothing
+    was cut.
     """
-    # past k_rise = k0 the standard bound only rises; classic scans to m
+    # past k_rise >= k0 the standard bound only rises; classic scans to m
     k_rise = math.inf
     if variant is FilterVariant.STANDARD:
         bracket = _standard_rate_steps(m, n)
         if m > 1:
-            k_rise = LN2 / (n * -math.log1p(-1 / m))
+            k_rise = LN2 / (n * -math.log1p(-1 / m)) * (1 + 2**-40)
     else:
         bracket = partial(_classic_rate_bracket, m, n)
-    cut = limit() + 0.5
+    cut = _prune_cut(m, limit())
     for k in range(1, m + 1):
         if seed and k == seed[0]:
             lo = hi = seed[1]
@@ -485,7 +510,15 @@ def _bracket_walk(
                 continue
             lo, hi = bracket(k, k + math.ceil(-bound) + _GUARD_BITS)
         yield k, _Certified(lo, hi, partial(fpr_exact, m, n, k, variant))
-        cut = limit() + 0.5
+        cut = _prune_cut(m, limit())
+
+
+def _prune_cut(m: int, threshold: float) -> float:
+    """T + delta, the bound above which _bracket_walk skips a k: delta =
+    (|T| + m log2(m+1) + m + 1) 2^-40 bits is 2^7 times the float error of
+    B(k) and T that it absorbs (optimal_k's docstring). The cut rises with
+    T, and it needs no k, so one cut serves every k until T moves."""
+    return threshold + (abs(threshold) + m * math.log2(m + 1) + m + 1) / 2**40
 
 
 def _rate_at_most(m: int, n: int, variant: FilterVariant, target: Fraction) -> bool:
@@ -493,11 +526,11 @@ def _rate_at_most(m: int, n: int, variant: FilterVariant, target: Fraction) -> b
 
     The minimum meets target exactly when some k does, so this walks
     optimal_k's candidates (_bracket_walk) against the fixed threshold
-    log2(target): a skipped k has f(k) > target by the same 0.5-bit
-    margin, and the standard walk's early stop holds for a fixed threshold
-    as for a falling one. Each candidate's certified rate reads f <= target
-    (kernel._Certified.read), exactly only where its bracket straddles
-    target. m = 1, where there is no bound, walks its one exact rate as a
+    log2(target): optimal_k's margin proof covers a fixed threshold, so a
+    skipped k has f(k) > target, and the standard walk's early stop holds
+    for a fixed threshold as for a falling one. Each candidate's certified
+    rate reads f <= target (kernel._Certified.read), exactly only where its
+    bracket straddles target. m = 1, where there is no bound, walks its one exact rate as a
     seed, as optimal_k's does.
     """
     seed = (1, fpr_exact(1, n, 1, variant)) if m == 1 else None
@@ -627,7 +660,8 @@ def _fpr_lower_bound_log2(m: int, n: int, k: int, variant: FilterVariant) -> flo
     ln C(mu, k) = lgamma(mu + 1) - lgamma(mu - k + 1) for real mu > k - 1,
     so four lgamma calls replace the k-term product. lgamma's rounding is a
     few ulps of lgamma(m + 1) (about 1e-10 nats at m = 10^4, 1e-8 at
-    m = 10^6), far inside optimal_k's 0.5-bit margin.
+    m = 10^6), which the float-error proof of optimal_k's pruning margin
+    counts (the margin is at least 1.9e-5 bits at m = 10^6).
     """
     if variant is FilterVariant.STANDARD:
         t = n * k * math.log1p(-1.0 / m)

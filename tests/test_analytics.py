@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
 
@@ -205,6 +206,58 @@ def classic_lower_bound_log2_k_term(m, n, k):
     return sum(math.log2(mu - i) - math.log2(m - i) for i in range(k))
 
 
+# pi to 80 digits, for ln Gamma's constant term ln(2 pi) / 2
+PI = Decimal("3.1415926535897932384626433832795028841971693993751058209749445923078164062862090")
+
+
+def bernoulli_even(count):
+    """B_2, B_4, ..., B_2count as Fractions, from
+    sum_j C(n+1, j) B_j = 0 for n >= 1 with B_0 = 1."""
+    b = [Fraction(1)]
+    for n in range(1, 2 * count + 1):
+        b.append(-sum(math.comb(n + 1, j) * b[j] for j in range(n)) / (n + 1))
+    return b[2::2]
+
+
+STIRLING_SERIES = [
+    b / (2 * j * (2 * j - 1)) for j, b in enumerate(bernoulli_even(20), 1)
+]
+
+
+def decimal_lgamma(x):
+    """ln Gamma(x) for a Decimal x >= 1 in the current context: the argument
+    is shifted above 30, where 20 terms of Stirling's series leave an error
+    under 1e-40."""
+    shift = Decimal(1)
+    while x < 30:
+        shift *= x
+        x += 1
+    total = (x - Decimal("0.5")) * x.ln() - x + (2 * PI).ln() / 2 - shift.ln()
+    for j, c in enumerate(STIRLING_SERIES, 1):
+        total += Decimal(c.numerator) / c.denominator / x ** (2 * j - 1)
+    return total
+
+
+def lower_bound_log2_decimal(m, n, k, variant):
+    """analytics._fpr_lower_bound_log2's formula (1 <= k < m) at 60 digits:
+    Decimal ln and exp for the standard bound. The classic bound is
+    -log2 C(m, k) exactly at n = 1, where mu = k, while C(m, k) is small
+    enough to form; elsewhere it takes mu in Decimal and ln Gamma from
+    decimal_lgamma."""
+    if variant is CLS and n == 1 and min(k, m - k) <= 4096:
+        return -log2_fraction(math.comb(m, k))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dm, dn, dk = Decimal(m), Decimal(n), Decimal(k)
+        if variant is STD:
+            y = 1 - (dn * dk * (1 - 1 / dm).ln()).exp()
+            return float(dk * y.ln() / Decimal(2).ln())
+        mu = dm * (1 - (dn * (1 - dk / dm).ln()).exp())
+        lg = decimal_lgamma
+        nats = lg(mu + 1) - lg(mu - dk + 1) - lg(dm + 1) + lg(dm - dk + 1)
+        return float(nats / Decimal(2).ln())
+
+
 def fpr_standard_stirling(m, n, k):
     """The standard rate in its Stirling form,
 
@@ -331,8 +384,9 @@ class TestRateBrackets:
 class TestOptimalK:
     def test_exact_mode_matches_unpruned_scan(self, monkeypatch):
         # the standard scan stops early at n >= 2 on m = 96, 128 (before m/2
-        # from n = 3; at k = 53 and 70 for n = 2); at m/n < 0.7 ((16, 40),
-        # (32, 60)) it evaluates every k back to back
+        # from n = 3; at k = 53 and 70 for n = 2). At the high loads
+        # (16, 40) ... (64, 100) the optimum is k = 1 at a rate above 2^-0.5:
+        # the seed is k = 1, and the standard scan bounds k = 2 and stops
         bound, bound_ks = analytics._fpr_lower_bound_log2, []
 
         def traced_bound(m, n, k, variant):
@@ -342,7 +396,8 @@ class TestOptimalK:
         monkeypatch.setattr(analytics, "_fpr_lower_bound_log2", traced_bound)
         grid = [(m, n) for m in (8, 17, 33, 64) for n in (1, 2, 5, 9)]
         grid += [(m, n) for m in (96, 128) for n in (1, 2, 3, 24)]
-        grid += [(16, 40), (32, 60)]
+        high_load = [(16, 40), (24, 48), (32, 60), (40, 64), (64, 100)]
+        grid += high_load
         # low loads, where the brackets cut most of every term
         grid += [(256, 1), (256, 2)]
         oracle_rate = {STD: fpr_standard_stirling, CLS: fpr_classic_direct}
@@ -355,7 +410,11 @@ class TestOptimalK:
                     key=lambda t: (t[0], t[1]),
                 )
                 assert (best.fpr, best.k) == brute, (m, n, variant)
-                if m >= 96 and n > 1 and variant is STD:
+                if (m, n) in high_load:
+                    assert best.fpr > Fraction(7071, 10**4), (m, n, variant)
+                    if variant is STD:
+                        assert bound_ks == [2], (m, n)
+                elif m >= 96 and n > 1 and variant is STD:
                     assert max(bound_ks) < (m // 2 if n > 2 else m)
 
     def test_stepped_rates_match_stirling_form(self):
@@ -401,6 +460,20 @@ class TestOptimalK:
                         bound = analytics._fpr_lower_bound_log2(m, n, k, variant)
                         exact = log2_fraction(fpr_exact(m, n, k, variant))
                         assert bound <= exact + 1e-9, (m, n, k, variant)
+
+    def test_bound_float_error_is_inside_the_margin(self):
+        # B(k) against its own formula at 60 digits, up to m = 10^6: off by
+        # at most an eighth of the pruning margin delta at T = 0, its least
+        for m in (2, 3, 10, 97, 1024, 4099, 65536, 10**6):
+            delta = analytics._prune_cut(m, 0.0)
+            for n in (1, 2, 7, 300, 10**5):
+                seed = analytics._k_seed(m, n)
+                ks = {1, 2, seed, m // 3, m - 2, m - 1} & set(range(1, m))
+                for variant in (STD, CLS):
+                    for k in sorted(ks):
+                        fast = analytics._fpr_lower_bound_log2(m, n, k, variant)
+                        ref = lower_bound_log2_decimal(m, n, k, variant)
+                        assert abs(fast - ref) <= delta / 8, (m, n, k, variant)
 
     def test_standard_bound_falls_then_rises(self):
         # one minimum, at k0 = ln 2 / |ln q|: the point optimal_k stops after
@@ -492,6 +565,17 @@ def size_m_min_probing_optimal_k(n, p, variant):
 NEAR_ONE = (0.3, 0.5, 0.9, 0.99)
 
 
+@pytest.fixture(scope="module")
+def probe_grid_minima():
+    """(m, n, variant, min_k f(m, n, k)) for every m <= 24 and n <= 2m."""
+    return [
+        (m, n, variant, min(fpr_exact(m, n, k, variant) for k in range(1, m + 1)))
+        for variant in (STD, CLS)
+        for m in range(1, 25)
+        for n in range(1, 2 * m + 1)
+    ]
+
+
 class TestCapacity:
     def test_estimates(self):
         assert n_max_estimate(1024, 2**-10) == pytest.approx(
@@ -518,19 +602,30 @@ class TestCapacity:
             if m_min > 1:
                 assert float(optimal_k(m_min - 1, n, variant).fpr) > p
 
-    def test_probe_matches_unpruned_minimum(self):
-        # every m <= 24 and n <= 2m, m = 1 and the high loads where nothing
-        # prunes included; targets at the minimum (a tie meets it), a
-        # hair either side, and spread over the rates the grid reaches
+    def test_probe_matches_unpruned_minimum(self, probe_grid_minima):
+        # every m <= 24 and n <= 2m, m = 1 and the high loads above 2^-0.5
+        # included; targets at the minimum (a tie meets it), a hair either
+        # side, and spread over the rates the grid reaches
         spread = [Fraction(10 ** (-i / 4)) for i in range(1, 25)]
-        for variant in (STD, CLS):
-            for m in range(1, 25):
-                for n in range(1, 2 * m + 1):
-                    best = min(fpr_exact(m, n, k, variant) for k in range(1, m + 1))
-                    hair = best / 2**200
-                    for target in [best, best - hair, best + hair, *spread]:
-                        got = analytics._rate_at_most(m, n, variant, target)
-                        assert got == (best <= target), (m, n, variant, target)
+        for m, n, variant, best in probe_grid_minima:
+            hair = best / 2**200
+            for target in [best, best - hair, best + hair, *spread]:
+                got = analytics._rate_at_most(m, n, variant, target)
+                assert got == (best <= target), (m, n, variant, target)
+
+    def test_probe_oracle_sees_an_unsafe_margin(
+        self, monkeypatch, probe_grid_minima
+    ):
+        # a margin of -1e-6 bits skips k whose bound sits within 1e-6 bits
+        # under the threshold: exact bounds (k = 1 standard, n = 1 classic)
+        # at a tie target, so the probe above must fail
+        monkeypatch.setattr(analytics, "_prune_cut", lambda m, t: t - 1e-6)
+        wrong = {
+            variant
+            for m, n, variant, best in probe_grid_minima
+            if not analytics._rate_at_most(m, n, variant, best)
+        }
+        assert wrong == {STD, CLS}
 
     def test_m_min_matches_optimal_k_probes(self):
         # rates near 1 give seeds of 1 or less

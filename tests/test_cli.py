@@ -366,6 +366,31 @@ class TestOptimize:
         assert payload["n_max_exact"] >= 1
         assert "n_max_estimate" in payload
 
+    # optima at k = 1 above 2^-0.5, where pruning once did not start: each
+    # answer checked against the exact k = 1 rate 1 - (1 - 1/m)^n, the same
+    # in both variants
+
+    @staticmethod
+    def both_variants(runner, *args):
+        result = runner.invoke(cli, ["optimize", *args, "--format", "json"])
+        assert result.exit_code == 0, result.output
+        payloads = json.loads(result.output)
+        assert [p["variant"] for p in payloads] == ["classic", "standard"]
+        return payloads
+
+    @pytest.mark.parametrize("m, p, n_max", [(64, 0.999, 438), (128, 0.9, 293)])
+    def test_high_load_capacity(self, runner, m, p, n_max):
+        for payload in self.both_variants(runner, "--m", str(m), "--p", str(p)):
+            assert (payload["n_max_exact"], payload["k_exact"]) == (n_max, 1)
+        stay = Fraction(m - 1, m)
+        assert 1 - stay**n_max <= Fraction(p) < 1 - stay ** (n_max + 1)
+
+    def test_high_load_optimal_k(self, runner):
+        for payload in self.both_variants(runner, "--m", "256", "--n", "1000"):
+            assert payload["k_exact"] == 1
+            assert payload["fpr_exact"] == "9.80037e-01"
+        assert fraction_sci(1 - Fraction(255, 256) ** 1000) == "9.80037e-01"
+
 
 class TestSweep:
     def test_header_and_rows(self, runner):
