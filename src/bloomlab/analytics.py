@@ -349,30 +349,32 @@ def fpr_report(m: int, n: int, k: int, variant: FilterVariant) -> FprReport:
 
 
 class OptimalK(NamedTuple):
-    k: float
-    fpr: Fraction | float
+    """Optimal hash count k, its exact rate fpr, and the last k <= m at fpr."""
+
+    k: int
+    fpr: Fraction
+    k_max: int
 
 
-def optimal_k_estimate(m: int, n: int) -> OptimalK:
-    """The closed-form seed k ~ (m/n) ln 2 and its idealized rate 2^-k."""
+def optimal_k_estimate(m: int, n: int) -> float:
+    """The closed-form k ~ (m/n) ln 2."""
     if n < 1:
         raise ValueError("optimal_k_estimate requires n >= 1")
-    k_est = m / n * LN2
-    return OptimalK(k_est, 0.5**k_est)
+    return m / n * LN2
 
 
 def _k_seed(m: int, n: int) -> int:
-    """The closed-form k ~ (m/n) ln 2 rounded and clamped to 1..m."""
-    return min(max(round(m / n * LN2), 1), m)
+    """optimal_k_estimate rounded and clamped to 1..m."""
+    return min(max(round(optimal_k_estimate(m, n)), 1), m)
 
 
 def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     """Hash count minimizing the false-positive rate at fixed (m, n).
 
     Scans k = 1..m with exact comparisons, ties toward smaller k, and
-    returns the winner's exact rate. The closed-form seed is evaluated
-    exactly first, to set the threshold T, the float log2 of an upper bound
-    on the best rate found so far; T never rises during the scan. A
+    returns the winner's exact rate and the last k that ties it. The
+    closed-form seed is evaluated exactly first, to set the threshold T, the
+    float log2 of an upper bound on the best rate so far; T never rises. A
     candidate whose proven lower bound B(k) = _fpr_lower_bound_log2 exceeds
     T + delta is skipped, delta = (|T| + c_m) 2^-40 bits with
     c_m = m log2(m+1) + m + 1 (_prune_cut).
@@ -441,6 +443,14 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     The scan keeps the best k's certified rate (kernel._Certified) and
     takes a k only where its rate is proven smaller, so ties go to the
     smaller k; T comes from best hi, so the proofs above hold as written.
+
+    Ties: k_max is the last walked k whose exact rate equals the best so far
+    (reset by each new best). Every k with f(k) = f*, the optimum, is walked:
+    a skipped k has f(k) > 2^T* >= f*, and the standard walk ends only where
+    every later f(j) exceeds the best so far, >= f*. Such a k comes after the
+    winner, and f(k) lies in both brackets, so rate.lo <= best.hi: exact
+    rates are formed only where the improvement test formed them or the
+    brackets touch. At n = 0 every k ties at rate 0, so k_max = m.
     """
     return _optimal_k_seeded(m, n, variant)[0]
 
@@ -454,18 +464,20 @@ def _optimal_k_seeded(
     if m < 1 or n < 0:
         raise ValueError("optimal_k requires m >= 1 and n >= 0")
     if n == 0:
-        return OptimalK(1, Fraction(0)), None
+        return OptimalK(1, Fraction(0), m), None
     seed = _k_seed(m, n)
     seed_rate = fpr_exact(m, n, seed, variant)
     threshold = log2_fraction(seed_rate)
-    best_k = best = None
+    best_k = last = best = None
     for k, rate in _bracket_walk(m, n, variant, (seed, seed_rate), lambda: threshold):
         if best is None or rate.hi < best.lo or (
             rate.lo < best.hi and rate.exact() < best.exact()
         ):
-            best_k, best = k, rate
+            best_k, last, best = k, k, rate
             threshold = min(threshold, log2_fraction(rate.hi))
-    return OptimalK(best_k, best.exact()), seed_rate
+        elif rate.lo <= best.hi and rate.exact() == best.exact():
+            last = k
+    return OptimalK(best_k, best.exact(), last), seed_rate
 
 
 def _bracket_walk(

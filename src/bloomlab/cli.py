@@ -202,9 +202,9 @@ def _optimize_one(m, n, p, variant: str) -> dict:
             n=n,
             k_exact=exact.k,
             fpr_exact=fraction_sci(exact.fpr),
-            k_estimate=est.k,
+            k_estimate=est,
             fpr_at_estimate=fraction_sci(seed_fpr),
-            estimate_gap=round(est.k) - exact.k,
+            estimate_gap=round(est) - exact.k,
         )
     elif m is not None:
         n_exact = analytics.capacity_n_max(m, p, var)
@@ -297,7 +297,7 @@ def sweep(variable, start, end, step, m, n, k, variant, outputs, out) -> None:
         bounds = None
         for w in wanted:
             if w == "kstar_est":
-                cells.append(f"{analytics.optimal_k_estimate(pm, pn).k:.4f}")
+                cells.append(f"{analytics.optimal_k_estimate(pm, pn):.4f}")
             elif w.startswith("kstar_"):
                 cells.append(str(analytics.optimal_k(pm, pn, _variant(w[6:])).k))
             elif w == "exact":

@@ -318,15 +318,9 @@ class ConjectureReport:
     def to_csv(self) -> str:
         lines = ["check,m,n_or_k,k_classic,k_standard,lower,upper,ok"]
         for r in self.ordering:
-            kc = (
-                str(r.k_classic)
-                if r.k_classic == r.k_classic_max
-                else f"{r.k_classic}-{r.k_classic_max}"
-            )
-            ks = (
-                str(r.k_standard)
-                if r.k_standard == r.k_standard_max
-                else f"{r.k_standard}-{r.k_standard_max}"
+            kc, ks = (
+                str(lo) if lo == hi else f"{lo}-{hi}"
+                for lo, hi in ((r.k_classic, r.k_classic_max), (r.k_standard, r.k_standard_max))
             )
             lines.append(
                 f"ordering,{r.m},{r.n},{kc},{ks},"
@@ -340,15 +334,6 @@ class ConjectureReport:
         return "\n".join(lines) + "\n"
 
 
-def _optimal_k_tie_range(m: int, n: int, variant: FilterVariant) -> tuple[int, int]:
-    """Smallest and largest k attaining the optimal exact rate."""
-    best = optimal_k(m, n, variant)
-    hi = best.k
-    while hi + 1 <= m and fpr_exact(m, n, hi + 1, variant) == best.fpr:
-        hi += 1
-    return best.k, hi
-
-
 def conjecture_scan(
     m_values,
     n_values,
@@ -359,16 +344,17 @@ def conjecture_scan(
     Ordering: m/(2n) <= k*_C <= k*_S <= (m/n) ln2 whenever m/n >= 1/ln2,
     and k*_C = k*_S = 1 otherwise. Peak monotonicity: classic peak
     efficiency increases in k for k <= m/2 - 1 (checked on k_values when
-    given). Violations are reported, never raised.
+    given). Violations are reported, never raised. Tie ranges are
+    optimal_k's k..k_max.
     """
     ordering = []
     for m in m_values:
         for n in n_values:
-            kc_lo, kc_hi = _optimal_k_tie_range(m, n, FilterVariant.CLASSIC)
-            ks_lo, ks_hi = _optimal_k_tie_range(m, n, FilterVariant.STANDARD)
+            kc_lo, _, kc_hi = optimal_k(m, n, FilterVariant.CLASSIC)
+            ks_lo, _, ks_hi = optimal_k(m, n, FilterVariant.STANDARD)
             if m / n >= 1 / math.log(2):
                 lower = m / (2 * n)
-                upper = optimal_k_estimate(m, n).k
+                upper = optimal_k_estimate(m, n)
                 # k* is an integer, so the real-valued bracket is read as
                 # floor(lower) <= k*_C and k*_S <= ceil(upper); ties get
                 # their most favorable representatives

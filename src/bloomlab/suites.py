@@ -72,7 +72,7 @@ def suite_paper_numbers() -> SuiteResult:
         and _sig3(float(kc.fpr)) == "4.55e-04"
         and _sig3(f_s11) == "6.25e-04"
         and _sig3(f_c11) == "4.85e-04"
-        and f"{est.k:.2f}" == "11.09"
+        and f"{est:.2f}" == "11.09"
         and elapsed < 5.0
     )
     checks.append(
@@ -81,7 +81,7 @@ def suite_paper_numbers() -> SuiteResult:
             ok,
             f"k*_S={ks.k} f*_S={_sig3(float(ks.fpr))} k*_C={kc.k} "
             f"f*_C={_sig3(float(kc.fpr))} f_S(11)={_sig3(f_s11)} "
-            f"f_C(11)={_sig3(f_c11)} est={est.k:.2f} ({elapsed:.2f}s)",
+            f"f_C(11)={_sig3(f_c11)} est={est:.2f} ({elapsed:.2f}s)",
         )
     )
 
@@ -90,12 +90,12 @@ def suite_paper_numbers() -> SuiteResult:
     kc = analytics.optimal_k(1000, 20, CLASSIC)
     est = analytics.optimal_k_estimate(1000, 20)
     elapsed = time.perf_counter() - t0
-    ok = kc.k == 33 and ks.k == 34 and f"{est.k:.1f}" == "34.7" and elapsed < 60
+    ok = kc.k == 33 and ks.k == 34 and f"{est:.1f}" == "34.7" and elapsed < 60
     checks.append(
         CheckResult(
             "optima at m=1000, n=20",
             ok,
-            f"k*_C={kc.k} k*_S={ks.k} est={est.k:.1f} ({elapsed:.2f}s)",
+            f"k*_C={kc.k} k*_S={ks.k} est={est:.1f} ({elapsed:.2f}s)",
         )
     )
 
@@ -115,7 +115,7 @@ def suite_paper_numbers() -> SuiteResult:
     ok = (
         ks.k == 133
         and kc.k == 124
-        and round(est.k) == 142
+        and round(est) == 142
         and abs(pen_s - 15.7) <= 0.1
         and abs(pen_c - 106.9) <= 0.1
         and abs(eff_s * 100 - 0.2) <= 0.1
@@ -126,7 +126,7 @@ def suite_paper_numbers() -> SuiteResult:
         CheckResult(
             "misconfiguration cost at m=1024, n=5",
             ok,
-            f"k*_S={ks.k} k*_C={kc.k} est={est.k:.2f} "
+            f"k*_S={ks.k} k*_C={kc.k} est={est:.2f} "
             f"penalty S=+{pen_s:.1f}% C=+{pen_c:.1f}% "
             f"eff drop S={eff_s*100:.2f}% C={eff_c*100:.2f}% ({elapsed:.2f}s)",
         )

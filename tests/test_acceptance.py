@@ -4,13 +4,16 @@ Criterion 10 (conjecture scan) asserts the scan's established result over
 the full grid m <= 256, n <= 32: the conjectured ordering
 m/2n <= k*_C <= k*_S <= (m/n) ln 2 fails at exactly one cell, (m=26, n=12),
 where k*_C = 2 > k*_S = 1 while both flanking bounds hold, and it holds at
-every other cell. The rates behind that cell are confirmed by an independent
-bit-count Markov chain in test_conjecture_counterexample.py. The suite's own
-check still reports the violation, since the conjecture is false.
+every other cell. Its CSV, tie ranges and peak rows included, equals the
+committed reports/conjecture_scan.csv byte for byte. The rates behind that
+cell are confirmed by an independent bit-count Markov chain in
+test_conjecture_counterexample.py. The suite's own check still reports the
+violation, since the conjecture is false.
 """
 
 import math
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -73,6 +76,9 @@ def test_criterion_09_valley_solver():
 
 # the only cell of the default grid where the conjectured ordering fails
 COUNTEREXAMPLE = (26, 12)
+# the committed scan artifact: every ordering row with its tie ranges and
+# every peak row, as `bloomlab verify all --out reports` writes it
+SCAN_CSV = Path(__file__).resolve().parents[1] / "reports" / "conjecture_scan.csv"
 
 
 class _OrderingRow(NamedTuple):
@@ -118,6 +124,8 @@ def test_criterion_10_conjecture_scan(tmp_path):
         "floor(m/2n) = 1 <= k*_C": floor_lower == 1 <= row.k_classic[0],
         "k*_S <= ceil((m/n) ln 2) = 2": row.k_standard[1] <= ceil_upper == 2,
         "suite reports the violation": not scan.passed,
+        "CSV equals reports/conjecture_scan.csv": csv_text.encode()
+        == SCAN_CSV.read_bytes(),
     }
     unmet = [name for name, held in findings.items() if not held]
     detail = (

@@ -378,7 +378,8 @@ class TestRateBrackets:
             return (f, f + t) if k % 2 else (f - t, f)
 
         monkeypatch.setattr(analytics, "_classic_rate_bracket", touching)
-        assert optimal_k(255, 1, CLS) == (127, fpr_classic_exact(255, 1, 127))
+        f = fpr_classic_exact(255, 1, 127)
+        assert optimal_k(255, 1, CLS) == (127, f, 128)
 
 
 class TestOptimalK:
@@ -386,7 +387,9 @@ class TestOptimalK:
         # the standard scan stops early at n >= 2 on m = 96, 128 (before m/2
         # from n = 3; at k = 53 and 70 for n = 2). At the high loads
         # (16, 40) ... (64, 100) the optimum is k = 1 at a rate above 2^-0.5:
-        # the seed is k = 1, and the standard scan bounds k = 2 and stops
+        # the seed is k = 1, and the standard scan bounds k = 2 and stops.
+        # The classic n = 1 cells at m = 17, 33 tie at (m - 1)/2 and
+        # (m + 1)/2: k_max is the larger
         bound, bound_ks = analytics._fpr_lower_bound_log2, []
 
         def traced_bound(m, n, k, variant):
@@ -405,11 +408,11 @@ class TestOptimalK:
             for variant in (STD, CLS):
                 bound_ks.clear()
                 best = optimal_k(m, n, variant)
-                brute = min(
-                    ((oracle_rate[variant](m, n, k), k) for k in range(1, m + 1)),
-                    key=lambda t: (t[0], t[1]),
-                )
-                assert (best.fpr, best.k) == brute, (m, n, variant)
+                rates = [oracle_rate[variant](m, n, k) for k in range(1, m + 1)]
+                f_star = min(rates)
+                ties = [k for k, f in enumerate(rates, 1) if f == f_star]
+                want = (f_star, ties[0], ties[-1])
+                assert (best.fpr, best.k, best.k_max) == want, (m, n, variant)
                 if (m, n) in high_load:
                     assert best.fpr > Fraction(7071, 10**4), (m, n, variant)
                     if variant is STD:
@@ -513,14 +516,12 @@ class TestOptimalK:
         assert best.fpr == fpr_exact(m, n, best.k, variant)
 
     def test_estimate_mode(self):
-        est = optimal_k_estimate(64, 4)
-        assert est.k == pytest.approx(16 * math.log(2), rel=1e-12)
-        assert est.fpr == pytest.approx(0.5**est.k, rel=1e-12)
+        assert optimal_k_estimate(64, 4) == pytest.approx(16 * math.log(2), rel=1e-12)
         with pytest.raises(ValueError):
             optimal_k_estimate(64, 0)
 
     def test_zero_items(self):
-        assert optimal_k(32, 0, STD) == (1, 0)
+        assert optimal_k(32, 0, STD) == (1, 0, 32)
 
 
 def capacity_n_max_probing_n1(m, p, variant):

@@ -1,10 +1,15 @@
 import hashlib
+import io
 import json
 import math
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest.mock import patch
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bloomlab import analytics
 from bloomlab import cli as cli_module
@@ -649,3 +654,86 @@ class TestMainExitCodes:
         assert code == 2
         assert err.startswith("error: ")
         assert not out.exists()
+
+
+
+# small and invalid values for the generated contract test; m reaches 40,
+# where capacity targets down to 1e-3 become reachable
+_INTS = st.integers(-1, 6)
+_BITS = st.integers(-1, 40)
+_RATES = st.sampled_from(["-1", "0", "1e-3", "0.1", "0.5", "1", "2", "nan", "inf"])
+_VARIANTS = st.sampled_from([[], ["--variant", "classic"], ["--variant", "standard"]])
+_FORMATS = st.sampled_from(["text", "json"])
+
+
+def _opts(**values):
+    """["--name", "value", ...] for every value that is not None."""
+    return [a for name, v in values.items() if v is not None for a in (f"--{name}", str(v))]
+
+
+@st.composite
+def _analyze_args(draw):
+    mnk = _opts(m=draw(_BITS), n=draw(_INTS), k=draw(_INTS))
+    return ["analyze", *mnk, *draw(_VARIANTS), "--format", draw(_FORMATS)]
+
+
+@st.composite
+def _optimize_args(draw):
+    # the three modes: given (m, n), (m, p) or (n, p)
+    given = draw(st.sampled_from([("m", "n"), ("m", "p"), ("n", "p")]))
+    strategy = {"m": _BITS, "n": _INTS, "p": _RATES}
+    values = {name: draw(strategy[name]) for name in given}
+    return ["optimize", *_opts(**values), *draw(_VARIANTS), "--format", draw(_FORMATS)]
+
+
+@st.composite
+def _sweep_args(draw):
+    # the swept parameter is left unfixed, so the sweep itself runs; at
+    # times one other is missing, or k* and rate outputs are mixed
+    variable = draw(st.sampled_from(["k", "n", "m"]))
+    fixed = {name: draw(_INTS) for name in ("m", "n", "k") if name != variable}
+    fixed[draw(st.sampled_from([variable, variable, *fixed]))] = None
+    kstar = sorted(cli_module._KSTAR_OUTPUTS)
+    rates = [w for w in cli_module._SWEEP_OUTPUTS if w not in kstar]
+    outputs = draw(st.sampled_from([kstar, rates, cli_module._SWEEP_OUTPUTS]).flatmap(
+        lambda names: st.lists(st.sampled_from(names), min_size=1, max_size=3)))
+    start = draw(_INTS)
+    span = _opts(start=start, end=start + draw(st.integers(-1, 4)), step=draw(st.integers(0, 3)))
+    return ["sweep", "--variable", variable, *span, *_opts(**fixed), *draw(_VARIANTS),
+            "--outputs", ",".join(outputs)]
+
+
+@st.composite
+def _simulate_args(draw):
+    mnk = _opts(m=draw(_BITS), n=draw(_INTS), k=draw(_INTS))
+    counts = st.integers(0, 3)
+    runs = _opts(trials=draw(counts), probes=draw(counts), seed=draw(_INTS))
+    fmt = draw(st.sampled_from(["text", "json", "csv"]))
+    return ["simulate", *mnk, *runs, *draw(_VARIANTS), "--format", fmt]
+
+
+class TestGeneratedContract:
+    """Every analysis command, on small and invalid arguments, exits with a
+    documented code (0, 1, 2 or 3) through the `bloomlab` entry point, never
+    with a traceback, and its JSON parses wherever it succeeds."""
+
+    @pytest.mark.parametrize(
+        "command", [_analyze_args(), _optimize_args(), _sweep_args(), _simulate_args()],
+        ids=["analyze", "optimize", "sweep", "simulate"],
+    )
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_output(self, command, data):
+        argv = data.draw(command)
+        out, err = io.StringIO(), io.StringIO()
+        with patch.object(sys, "argv", ["bloomlab", *argv]):
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    main()
+                code = 0
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 0 and argv[-2:] == ["--format", "json"]:
+            json.loads(out.getvalue())
