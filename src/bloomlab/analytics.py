@@ -17,8 +17,8 @@ Rates for an m-bit filter storing n items with k hash bits per item:
 Efficiency is -(n/m) * log2 f, bounded by 1 for uniform hashing.
 
 optimal_k and the capacity searches read each candidate's rate as a
-certified value (kernel._Certified): a bracket from the same alternating
-sums with every factor cut to the bits needed, exact only where the bracket
+certified value (kernel._Certified): a bracket cut from the rate's terms
+and a thunk that sums those terms uncut, called only where the bracket
 cannot decide, so every result is the one an all-exact scan gives.
 """
 
@@ -120,14 +120,12 @@ def fpr_classic_exact(m: int, n: int, k: int) -> Fraction:
         raise ValueError("fpr_classic_exact requires 1 <= k <= m")
     if n < 0:
         raise ValueError("fpr_classic_exact requires n >= 0")
-    coeffs, bases, e, den = _classic_terms(m, n, k)
-    return Fraction(_alternating_power_sum(coeffs, bases, e), den)
+    return _rate_value(*_classic_terms(m, n, k))
 
 
-def _classic_terms(m: int, n: int, k: int) -> tuple[list[int], list[int], int, int]:
-    """(coeffs, bases, e, den) with the classic rate
-    sum_j (-1)^j coeffs[j] bases[j]^e / den: C(k, i) and C(m-i, k)^n over
-    C(m, k)^n, the bases stepped by the exact ratio
+def _classic_terms(m: int, n: int, k: int) -> _Terms:
+    """The classic rate's terms C(k, i), C(m-i, k), n, C(m, k)^n, which
+    fpr_classic_exact sums and optimal_k brackets; the bases stepped by
     C(m-i-1, k) = C(m-i, k) (m-i-k) / (m-i) instead of k+1 comb calls.
     At n = 1, nabla^k C(x,k) at m collapses to C(m-k, 0) = 1: the one
     term 1 / C(m, k)."""
@@ -421,15 +419,13 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     Classic variant: no such proof is at hand for its bound, so it scans
     the full range (each skipped k costs one O(1) bound evaluation).
 
-    Brackets: a k that is not skipped gets lo <= f(k) <= hi, not its exact
-    value. Both rates are alternating sums sum_j (-1)^j a_j b_j^e / D of
-    nonnegative integers with b_0 the largest base (standard: A(k, j) and
-    (m-j)^(nk) over m^(nk+k), stepped through k by _standard_rate_steps;
-    classic: C(k, i) and C(m-i, k)^n over C(m, k)^n). _rate_bracket cuts
-    each factor to about q significant bits and bounds each term between
-    the product of the floors and a bound on the product of the ceils;
-    even terms give the lower end to lo and the upper end to hi, odd terms
-    the reverse: integer arithmetic only. The bracket is at most
+    Brackets: a k that is not skipped gets lo <= f(k) <= hi and a thunk for
+    f(k) that sums the same terms uncut. Both rates are alternating sums
+    sum_j (-1)^j a_j b_j^e / D of nonnegative integers with b_0 the largest
+    base (standard: A(k, j) and (m-j)^(nk) over m^(nk+k), stepped through k
+    by _standard_rate_steps; classic: C(k, i) and C(m-i, k)^n over
+    C(m, k)^n, _classic_terms). _rate_bracket cuts each factor to about q
+    significant bits, in integer arithmetic only. The bracket is at most
     2^(2-q) S / D wide, S = (sum_j a_j) b_0^e, and S / D <= 2^k in both
     variants: classic, since sum_i C(k, i) = 2^k and D = C(m, k)^n;
     standard, since the row recurrence of _dual_coefficient_rows gives
@@ -487,10 +483,10 @@ def _bracket_walk(
     seed: tuple[int, Fraction] | None,
     limit: Callable[[], float],
 ) -> Iterator[tuple[int, _Certified]]:
-    """(k, f(m, n, k) as a kernel._Certified with thunk fpr_exact) for
-    k = 1..m in increasing order, less every k whose bound proves
-    f(k) > 2^limit(): the candidate walk of optimal_k and _rate_at_most
-    (n >= 1, and m >= 2 unless the seed is k = 1).
+    """(k, f(m, n, k) as a kernel._Certified) for k = 1..m in increasing
+    order, less every k whose bound proves f(k) > 2^limit(): the candidate
+    walk of optimal_k and _rate_at_most (n >= 1, and m >= 2 unless the
+    seed is k = 1).
 
     The seed (k, f), if given, is yielded exact, unbounded. Any other k
     with B(k) = _fpr_lower_bound_log2 > _prune_cut(m, limit()), limit()
@@ -498,30 +494,30 @@ def _bracket_walk(
     skipped, and for the standard variant the walk ends at the first
     skipped k past k_rise (both argued in optimal_k's docstring). limit()
     is read at the start and after each yield, so the caller may lower it
-    between candidates; it must never rise. The rest get _rate_bracket's
-    q = k + ceil(-B(k)) + _GUARD_BITS bits, exact (lo == hi) where nothing
-    was cut.
+    between candidates; it must never rise. The rest get _rate_bracket of
+    the variant's terms at q = k + ceil(-B(k)) + _GUARD_BITS bits, exact
+    (lo == hi) where nothing was cut.
     """
     # past k_rise >= k0 the standard bound only rises; classic scans to m
     k_rise = math.inf
     if variant is FilterVariant.STANDARD:
-        bracket = _standard_rate_steps(m, n)
+        terms = _standard_rate_steps(m, n)
         if m > 1:
             k_rise = LN2 / (n * -math.log1p(-1 / m)) * (1 + 2**-40)
     else:
-        bracket = partial(_classic_rate_bracket, m, n)
+        terms = partial(_classic_terms, m, n)
     cut = _prune_cut(m, limit())
     for k in range(1, m + 1):
         if seed and k == seed[0]:
-            lo = hi = seed[1]
+            rate = _Certified(seed[1], seed[1], lambda: seed[1])
         else:
             bound = _fpr_lower_bound_log2(m, n, k, variant)
             if bound > cut:
                 if k > k_rise:
                     return
                 continue
-            lo, hi = bracket(k, k + math.ceil(-bound) + _GUARD_BITS)
-        yield k, _Certified(lo, hi, partial(fpr_exact, m, n, k, variant))
+            rate = _rate_bracket(*terms(k), k + math.ceil(-bound) + _GUARD_BITS)
+        yield k, rate
         cut = _prune_cut(m, limit())
 
 
@@ -541,9 +537,9 @@ def _rate_at_most(m: int, n: int, variant: FilterVariant, target: Fraction) -> b
     log2(target): optimal_k's margin proof covers a fixed threshold, so a
     skipped k has f(k) > target, and the standard walk's early stop holds
     for a fixed threshold as for a falling one. Each candidate's certified
-    rate reads f <= target (kernel._Certified.read), exactly only where its
-    bracket straddles target. m = 1, where there is no bound, walks its one exact rate as a
-    seed, as optimal_k's does.
+    rate reads f <= target (kernel._Certified.read), summing its terms
+    exactly only where its bracket straddles target. m = 1, where there is
+    no bound, walks its one exact rate as a seed, as optimal_k's does.
     """
     seed = (1, fpr_exact(1, n, 1, variant)) if m == 1 else None
     limit = log2_fraction(target)
@@ -557,15 +553,20 @@ def _rate_at_most(m: int, n: int, variant: FilterVariant, target: Fraction) -> b
 _GUARD_BITS = 43
 _WORD = 64
 _MIN_CUT = 512
-_Bracket = tuple[Fraction, Fraction]
+_Terms = tuple[list[int], list[int], int, int]
+
+
+def _rate_value(coeffs: list[int], bases: list[int], e: int, den: int) -> Fraction:
+    """sum_j (-1)^j coeffs[j] bases[j]^e / den, the rate of these _Terms."""
+    return Fraction(_alternating_power_sum(coeffs, bases, e), den)
 
 
 def _rate_bracket(
     coeffs: list[int], bases: list[int], e: int, den: int, q: int
-) -> _Bracket:
-    """(lo, hi) with lo <= F / den <= hi, F = sum_j (-1)^j a_j b_j^e over
-    coeffs a_j >= 0 and bases b_0 >= b_j >= 0, and hi - lo at most
-    2^(2-q) S / den for S = (sum_j a_j) b_0^e (q >= 1).
+) -> _Certified:
+    """F / den as a kernel._Certified whose thunk sums these terms uncut,
+    F = sum_j (-1)^j a_j b_j^e over coeffs a_j >= 0, bases b_0 >= b_j >= 0:
+    lo <= F / den <= hi, hi - lo <= 2^(2-q) S / den, S = (sum_j a_j) b_0^e.
 
     Each a_j is cut to a'_j = a_j >> sa, each b_j to b'_j = b_j >> sb, and
     the cut sum mid = sum_j (-1)^j a'_j b'_j^e is taken exactly. Then
@@ -585,12 +586,13 @@ def _rate_bracket(
     rate at the seed k: 1.3-1.8 times the exact sum's time at m <= 100,
     n <= 3, with cuts of 115-393 bits; 0.84 times at (128, 2), 691 bits).
     """
+    exact = partial(_rate_value, coeffs, bases, e, den)
     sa = max(sum(coeffs).bit_length() - 1 - q - len(coeffs).bit_length(), 0)
     sb = max(bases[0].bit_length() - 1 - q - e.bit_length(), 0)
     scale = sa + e * sb
     if scale < _MIN_CUT:
-        f = Fraction(_alternating_power_sum(coeffs, bases, e), den)
-        return f, f
+        f = exact()
+        return _Certified(f, f, exact)
     cut = [a >> sa for a in coeffs]
     mid = _alternating_power_sum(cut, [b >> sb for b in bases], e)
     lead = (bases[0] >> sb) ** e
@@ -602,30 +604,24 @@ def _rate_bracket(
     shift = max(den.bit_length() - high.bit_length() + _WORD, scale)
     one = 1 << (shift - scale)
     lo, hi = (low << shift) // den, -((-high << shift) // den)
-    return Fraction(lo, one), Fraction(hi, one)
+    return _Certified(Fraction(lo, one), Fraction(hi, one), exact)
 
 
-def _classic_rate_bracket(m: int, n: int, k: int, q: int) -> _Bracket:
-    """optimal_k's bracket of fpr_classic_exact(m, n, k) for q bits."""
-    return _rate_bracket(*_classic_terms(m, n, k), q)
-
-
-def _standard_rate_steps(m: int, n: int) -> Callable[[int, int], _Bracket]:
-    """bracket(k, q), optimal_k's bracket of fpr_standard_exact(m, n, k)
-    with q significant bits per factor, for k increasing from call to call,
-    carrying the dual form's state from one k to the next.
+def _standard_rate_steps(m: int, n: int) -> Callable[[int], _Terms]:
+    """terms(k) = (A(k, .), (m-j)^(nk), 1, m^(nk+k)), the empty-urn sum of
+    fpr_standard_exact(m, n, k) as terms, for k rising from call to call.
 
     The coefficients A(k, .) come from _dual_coefficient_rows, stepped for
     every k. The powers (m-j)^(nk) step by one multiply by (m-j)^n when the
-    previous call was at k-1, and are taken afresh otherwise. Both stay
-    exact; only their products are truncated.
+    previous call was at k-1, and are taken afresh otherwise, into new
+    lists: earlier terms stay valid.
     """
     rows = _dual_coefficient_rows(m)
     coeffs, at = next(rows), 0
     powers, powers_at = [], 0
     steps: list[int] = []
 
-    def bracket(k: int, q: int) -> _Bracket:
+    def terms(k: int) -> _Terms:
         nonlocal coeffs, at, powers, powers_at
         while at < k:
             coeffs, at = next(rows), at + 1
@@ -637,9 +633,9 @@ def _standard_rate_steps(m: int, n: int) -> Callable[[int, int], _Bracket]:
         else:
             powers = [(m - j) ** (n * k) for j in range(size)]
         powers_at = k
-        return _rate_bracket(coeffs, powers, 1, m ** (n * k + k), q)
+        return coeffs, powers, 1, m ** (n * k + k)
 
-    return bracket
+    return terms
 
 
 def _dual_coefficient_rows(m: int) -> Iterator[list[int]]:

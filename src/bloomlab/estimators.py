@@ -2,10 +2,9 @@
 
 estimate_n inverts the mean-occupancy formula to recover the batch count
 from an observed occupancy (a filter's bit sum); the mvue_* functions are
-minimum-variance unbiased estimators for the urn count from a tagged
-sample. The committee estimator is the published difference quotient; the
-classic one is the committee estimator at k = 1, which equals both
-published Stirling-number forms by S(n+1, mu) = mu S(n, mu) + S(n, mu-1).
+the published "MVUE"s of the urn count m from a tagged sample. After n
+batches of size k their bias is -m_(nk+1) / (m_(k))^n, zero only where
+m <= nk (mvue_m_committee; mvue_m_classic is its k = 1 case).
 """
 
 from __future__ import annotations
@@ -61,9 +60,11 @@ def estimate_n(m: int, k: int, mu: Scalar) -> float:
 
 
 def mvue_m_committee(mu: int, n: int, k: int) -> Fraction:
-    """MVUE for the urn count given occupancy mu after n batches of size k.
-
-        m_hat = mu * (1 + Delta^(mu-1)[C(x,k)^n]_0 / Delta^mu[C(x,k)^n]_0)
+    """The published MVUE for the urn count given occupancy mu after n
+    batches of size k, m_hat = mu (1 + c_(mu-1) / c_mu) with the cover counts
+    c_i = Delta^i[C(x,k)^n]_0. E[m_hat] = m - m_(nk+1) / (m_(k))^n, x_(r)
+    falling: mu c_(mu-1) / c_mu has mean m / C(m,k)^n times Newton's series
+    for C(m-1,k)^n less its y = nk term, so m_hat is unbiased iff m <= nk.
     """
     if n < 1 or k < 1:
         raise ValueError("mvue_m_committee requires n >= 1 and k >= 1")

@@ -295,30 +295,59 @@ def scan_q(m, n, k, variant):
 
 
 def rate_brackets(m, n, variant, ks, q=None):
-    """(k, lo, hi) from optimal_k's bracket for each k of ks, in order, at
-    the scan's q or at a fixed q."""
+    """(k, certified rate) from optimal_k's bracket of its terms for each k
+    of ks, in order, at the scan's q or at a fixed q."""
     if variant is STD:
-        bracket = analytics._standard_rate_steps(m, n)
+        terms = analytics._standard_rate_steps(m, n)
     else:
-        bracket = partial(analytics._classic_rate_bracket, m, n)
+        terms = partial(analytics._classic_terms, m, n)
     for k in ks:
-        yield (k, *bracket(k, scan_q(m, n, k, variant) if q is None else q))
+        yield k, analytics._rate_bracket(
+            *terms(k), scan_q(m, n, k, variant) if q is None else q
+        )
+
+
+def exact_rates_formed(monkeypatch):
+    """A list recording each exact rate formed from here on: ("fpr_exact", k)
+    for an fpr_exact call (optimal_k's seed), "thunk" for a certified rate's
+    thunk."""
+    formed = []
+    exact = analytics.fpr_exact
+
+    def counted(m, n, k, variant):
+        formed.append(("fpr_exact", k))
+        return exact(m, n, k, variant)
+
+    class Counted(kernel._Certified):
+        def __init__(self, lo, hi, value):
+            def thunk():
+                formed.append("thunk")
+                return value()
+
+            super().__init__(lo, hi, thunk)
+
+    monkeypatch.setattr(analytics, "fpr_exact", counted)
+    monkeypatch.setattr(analytics, "_Certified", Counted)
+    return formed
 
 
 class TestRateBrackets:
     def test_brackets_hold_the_exact_rate(self):
         # every k at m <= 40, n <= 6, and deep cuts at the paper's optimum
-        # and at a low load; the width stays under 2^-40 of the rate
+        # and at a low load; the width stays under 2^-40 of the rate, and
+        # the thunk of a cut bracket sums the uncut terms to the exact rate
         cells = [(m, n, range(1, m + 1)) for m in range(1, 41) for n in range(1, 7)]
         cells += [(1024, 5, range(120, 146)), (256, 1, [138])]
         cut = 0
         for m, n, ks in cells:
             for variant in (STD, CLS):
-                for k, lo, hi in rate_brackets(m, n, variant, ks):
+                for k, rate in rate_brackets(m, n, variant, ks):
+                    lo, hi = rate.lo, rate.hi
                     exact = fpr_exact(m, n, k, variant)
                     assert lo <= exact <= hi, (m, n, k, variant)
                     assert hi - lo <= exact / 2**40, (m, n, k, variant)
                     cut += lo < hi
+                    assert rate.exact() == exact, (m, n, k, variant)
         assert cut > 500
 
     def test_bracket_survives_worst_case_rounding(self):
@@ -336,19 +365,25 @@ class TestRateBrackets:
                 coeffs = [(9 + slope * j) * top + r for j, r in enumerate(ends_a)]
                 bases = [5 * top + rb0] + [5 * top + rb] * (size - 1)
                 den = sum(coeffs) * bases[0] ** e
-                lo, hi = analytics._rate_bracket(coeffs, bases, e, den, q)
+                rate = analytics._rate_bracket(coeffs, bases, e, den, q)
+                lo, hi = rate.lo, rate.hi
                 f = Fraction(kernel._alternating_power_sum(coeffs, bases, e), den)
                 assert lo <= f <= hi, (e, q, size, slope, ends)
                 # den is S = (sum a) b_0^e: at most 2^(2-q) wide, plus rounding
                 assert 0 < hi - lo <= Fraction(5, 2**q), (e, q, size, slope, ends)
+                assert rate.exact() == f, (e, q, size, slope, ends)
 
     def test_untruncated_bracket_is_the_exact_rate(self):
-        # more bits asked than any factor has: nothing is cut
+        # more bits asked than any factor has: nothing is cut, and the
+        # thunk (never called by exact() here) is the same exact rate
         for m, n in [(1, 1), (9, 2), (40, 6), (256, 1)]:
             for variant in (STD, CLS):
                 ks = range(1, m + 1, max(1, m // 17))
-                for k, lo, hi in rate_brackets(m, n, variant, ks, q=10**6):
-                    assert lo == hi == fpr_exact(m, n, k, variant), (m, n, k, variant)
+                for k, rate in rate_brackets(m, n, variant, ks, q=10**6):
+                    exact = fpr_exact(m, n, k, variant)
+                    assert rate.lo == rate.hi == rate._value() == exact, (
+                        m, n, k, variant
+                    )
 
     def test_scan_is_unchanged_by_wide_brackets(self, monkeypatch):
         # 63 guard bits fewer make the brackets wider than the rates, so
@@ -356,30 +391,34 @@ class TestRateBrackets:
         grid = [(96, 3, STD), (128, 2, STD), (256, 2, STD), (512, 8, STD)]
         grid += [(512, 8, CLS), (700, 10, CLS), (1000, 20, CLS)]
         want = {(m, n, v): optimal_k(m, n, v) for m, n, v in grid}
-        calls = []
-
-        def counted(m, n, k, variant):
-            calls.append(k)
-            return fpr_exact(m, n, k, variant)
-
         monkeypatch.setattr(analytics, "_GUARD_BITS", analytics._GUARD_BITS - 63)
-        monkeypatch.setattr(analytics, "fpr_exact", counted)
+        formed = exact_rates_formed(monkeypatch)
         for (m, n, v), best in want.items():
-            calls.clear()
+            formed.clear()
             assert optimal_k(m, n, v) == best, (m, n, v)
-            assert len(calls) > 2, (m, n, v)
+            assert len(formed) > 2, (m, n, v)
 
     def test_touching_brackets_tie_toward_smaller_k(self, monkeypatch):
         # f(255, 1, 127) == f(255, 1, 128); brackets [f, f + t] at odd k and
-        # [f - t, f] at even k touch at f, so only the exact rates decide
-        def touching(m, n, k, q):
-            f = fpr_classic_exact(m, n, k)
-            t = f / 2**50
-            return (f, f + t) if k % 2 else (f - t, f)
+        # [f - t, f] at even k touch at f, so only the exact rates decide.
+        # The scan brackets the terms of k right after taking them
+        terms, taken = analytics._classic_terms, []
 
-        monkeypatch.setattr(analytics, "_classic_rate_bracket", touching)
+        def traced_terms(m, n, k):
+            taken.append(k)
+            return terms(m, n, k)
+
+        def touching(coeffs, bases, e, den, q):
+            f = analytics._rate_value(coeffs, bases, e, den)
+            t = f / 2**50
+            lo, hi = (f, f + t) if taken[-1] % 2 else (f - t, f)
+            return kernel._Certified(lo, hi, lambda: f)
+
+        monkeypatch.setattr(analytics, "_classic_terms", traced_terms)
+        monkeypatch.setattr(analytics, "_rate_bracket", touching)
         f = fpr_classic_exact(255, 1, 127)
         assert optimal_k(255, 1, CLS) == (127, f, 128)
+        assert {127, 128} <= set(taken)
 
 
 class TestOptimalK:
@@ -422,18 +461,26 @@ class TestOptimalK:
 
     def test_stepped_rates_match_stirling_form(self):
         # consecutive k step the powers; gaps and the first call take them
-        # afresh; m = 1 and k = m cover the capped coefficient row. Asked
-        # for more bits than any factor has, the stepped bracket is the
-        # exact rate; at the scan's q it holds it
+        # afresh; m = 1 and k = m cover the capped coefficient row. The
+        # stepped terms sum to the exact rate, and still do after later
+        # steps; asked for more bits than any factor has, their bracket is
+        # that rate; at the scan's q it holds it, and its thunk gives it
         for m, n in [(1, 1), (2, 3), (7, 1), (7, 4), (20, 2), (33, 5), (64, 2)]:
             for ks in (range(1, m + 1), range(1, m + 1, 3), [m]):
-                exact = analytics._standard_rate_steps(m, n)
-                scan = analytics._standard_rate_steps(m, n)
+                steps = analytics._standard_rate_steps(m, n)
+                held = []
                 for k in ks:
                     want = fpr_standard_stirling(m, n, k)
-                    assert exact(k, 10**6) == (want, want), (m, n, k)
-                    lo, hi = scan(k, scan_q(m, n, k, STD))
-                    assert lo <= want <= hi, (m, n, k)
+                    terms = steps(k)
+                    held.append((k, want, terms))
+                    assert analytics._rate_value(*terms) == want, (m, n, k)
+                    whole = analytics._rate_bracket(*terms, 10**6)
+                    assert whole.lo == whole.hi == want, (m, n, k)
+                    rate = analytics._rate_bracket(*terms, scan_q(m, n, k, STD))
+                    assert rate.lo <= want <= rate.hi, (m, n, k)
+                    assert rate.exact() == want, (m, n, k)
+                for k, want, terms in held:
+                    assert analytics._rate_value(*terms) == want, (m, n, k)
 
     def test_dual_coefficient_rows_match_nabla_power(self):
         # A(k, j) = C(m,j) nabla^j[x^k]_m, including m < k
@@ -501,18 +548,14 @@ class TestOptimalK:
          (1000, 20, CLS, 2), (1024, 5, STD, 2), (1024, 5, CLS, 2)],
     )
     def test_exact_rates_computed(self, monkeypatch, m, n, variant, evals):
-        # the seed, and the winner where its bracket cut something (at
-        # m = 64 none does): no pair of brackets here needs exact rates
-        calls = []
-
-        def counting(m, n, k, variant):
-            calls.append(k)
-            return fpr_exact(m, n, k, variant)
-
-        monkeypatch.setattr(analytics, "fpr_exact", counting)
+        # the seed (the one fpr_exact call), and the winner's thunk where its
+        # bracket cut something (at m = 64 none does): no pair of brackets
+        # here needs exact rates
+        formed = exact_rates_formed(monkeypatch)
         best = optimal_k(m, n, variant)
-        assert len(calls) == evals, calls
-        assert calls[0] == analytics._k_seed(m, n)
+        assert len(formed) == evals, formed
+        assert formed[0] == ("fpr_exact", analytics._k_seed(m, n))
+        assert formed.count("thunk") == evals - 1, formed
         assert best.fpr == fpr_exact(m, n, best.k, variant)
 
     def test_estimate_mode(self):

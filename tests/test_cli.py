@@ -589,6 +589,23 @@ class TestMainExitCodes:
         assert code == 1
         assert err == "error: capacity_n_max requires m >= 1\n"
 
+    @pytest.mark.parametrize("mode", [["--m", "64"], ["--p", "0.01"]])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_optimize_without_items_exits_1_before_any_scan(
+        self, monkeypatch, capsys, mode, n
+    ):
+        # the message names the option, and no scan or probe runs first
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+
+        monkeypatch.setattr(analytics, "_optimal_k_seeded", spy)
+        monkeypatch.setattr(analytics, "_rate_at_most", spy)
+        code, err = self._run(monkeypatch, capsys, ["optimize", *mode, "--n", n])
+        assert (code, err) == (1, "error: --n must be >= 1\n")
+        assert calls == []
+
     def test_optimize_at_high_load_exits_0(self, monkeypatch, capsys):
         # m/n < 1/(2 ln 2): the closed-form k rounds to 0; the estimate's
         # rate is taken at the scan's seed, clamped to 1

@@ -10,8 +10,8 @@ from bloomlab.estimators import (
     mvue_m_classic,
     mvue_m_committee,
 )
-from bloomlab.kernel import stirling2
-from bloomlab.occupancy import classic_pmf, committee_mean_variance
+from bloomlab.kernel import falling_factorial, stirling2
+from bloomlab.occupancy import classic_pmf, committee_mean_variance, committee_pmf
 
 
 class TestEstimateN:
@@ -76,6 +76,30 @@ class TestCommitteeMvue:
         v2 = mvue_m_committee(5, 2, 3)
         assert isinstance(v1, Fraction) and v1 == v2
 
+    def test_bias_closed_form(self):
+        # E[m_hat] = m - m_(nk+1) / (m_(k))^n over every cell of k <= 4,
+        # n <= 5, nk <= 14, k <= m <= 15; unbiased exactly where m <= nk
+        cells = 0
+        for k in range(1, 5):
+            for n in range(1, 6):
+                if n * k > 14:
+                    continue
+                for m in range(k, 16):
+                    mean = sum(
+                        committee_pmf(m, n, k, mu) * mvue_m_committee(mu, n, k)
+                        for mu in range(k, min(n * k, m) + 1)
+                    )
+                    bias = Fraction(
+                        falling_factorial(m, n * k + 1), falling_factorial(m, k) ** n
+                    )
+                    assert mean == m - bias, (m, n, k)
+                    assert (mean == m) == (m <= n * k), (m, n, k)
+                    cells += 1
+        assert cells == 233
+        # the classic form at (m, n) = (3, 2): E = 7/3
+        mean = sum(classic_pmf(3, 2, mu) * mvue_m_classic(mu, 2) for mu in (1, 2))
+        assert mean == Fraction(7, 3)
+
 
 class TestClassicMvue:
     def test_examples(self):
@@ -99,16 +123,6 @@ class TestClassicMvue:
                 assert got == mu + Fraction(stirling2(n, mu - 1), denom), (mu, n)
                 assert got == Fraction(stirling2(n + 1, mu), denom), (mu, n)
                 assert got == mvue_m_committee(mu, n, 1), (mu, n)
-
-    def test_unbiasedness_remains_open(self, capsys):
-        # Tiny-scale expectation check of the m > n form: at m=3, n=2 the
-        # estimator's expectation is not m. Reported, not asserted.
-        m, n = 3, 2
-        expectation = sum(
-            classic_pmf(m, n, mu) * mvue_m_classic(mu, n) for mu in range(1, n + 1)
-        )
-        print(f"E[m_hat | m={m}, n={n}] = {expectation} (true m = {m})")
-        assert expectation != m  # documents the open question
 
 
 class TestCrossChecks:
