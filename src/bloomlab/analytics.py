@@ -400,8 +400,9 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     (tests/test_analytics.py finds B within 2^-11 delta of a 60-digit
     evaluation of its formula up to m = 10^6.)
 
-    Standard variant: the scan stops at the first skipped k past
-    k_rise = k0 (1 + 2^-40), k0 = ln 2 / |ln q| in floats. Proof that no
+    Standard variant: the scan stops at the first skipped k >= k_rise, the
+    least integer above k0 (1 + 2^-40), k0 = ln 2 / |ln q| in floats
+    (_rising_bound). Proof that no
     later k can win: with q = (1 - 1/m)^n and y = q^k,
 
         B*(k) = k log2(1 - y) = -ln(y) ln(1 - y) / (|ln q| ln 2).
@@ -411,13 +412,48 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     (r' has the sign of 1/t - 1 + ln t > 0), so the derivative is positive
     on (0, 1/2) and negative on (1/2, 1). y falls as k grows, so B* falls
     while y > 1/2, has its one minimum at y = 1/2 (k = k0*), and rises
-    after. The float k0 is within 8u of k0* relative, so k > k_rise gives
+    after. The float k0 is within 8u of k0* relative, so k >= k_rise gives
     k > k0*, and for every j > k, B*(j) > B*(k) > T*: f(j) exceeds the best
     rate so far, and every later best rate is smaller still (or p, in
     _rate_at_most).
 
-    Classic variant: no such proof is at hand for its bound, so it scans
-    the full range (each skipped k costs one O(1) bound evaluation).
+    Classic variant: the walk stops at the first k >= k_rise (_rising_bound)
+    with L(k) > T + delta, for a second, cheaper bound L that is proven to
+    rise there. The bit sum X is at least k, and for k <= x <= m,
+    C(x, k) / C(m, k) = prod_(i<k) (x - i)/(m - i) >= g(x),
+    g(x) = ((x - k + 1)/(m - k + 1))^k, as each factor is at least the last.
+    g is convex, so by Jensen f_C >= g(mu), mu = E[X]:
+
+        L*(k) = k log2(1 - a),  a = m (1 - k/m)^n / (m - k + 1),
+
+    since 1 - a = (mu - k + 1)/(m - k + 1). L* <= B* (the last factor
+    against all k of them), so L passes the cut only where B does. For
+    k < m, a is in (0, 1) and d ln(a)/dk = -s, s(k) = n/(m - k) -
+    1/(m - k + 1), so
+
+        (ln 2) dL*/dk = ln(1 - a) + k s a/(1 - a),
+
+    positive exactly when k s > phi(a) = -(1 - a) ln(1 - a)/a, and phi < 1
+    on (0, 1) (ln x < x - 1 at x = 1/(1 - a)). d(k s)/dk =
+    n m/(m - k)^2 - (m + 1)/(m - k + 1)^2 >= 0 for n >= 1 (it grows with n,
+    and at n = 1, with j = m - k, m (j + 1)^2 - (m + 1) j^2 =
+    2mj + m - j^2 > 0), so once
+    k s(k) >= 1, the integer test of k_rise, it holds for every later k:
+    L* strictly increases on [k_rise, m], up to L*(m) = 0. The float L
+    takes mu - k + 1 = 1 + (m - k) y, y = 1 - (1 - k/m)^(n-1) =
+    -expm1((n - 1) log1p(-k/m)). The rounded k/m moves log1p's value by at
+    most u k/(m - k), and |ln(1 - k/m)| <= k/(m - k), so t = (n - 1) log1p(...)
+    is within 3u (n - 1) k/(m - k), and y within 3u (n - 1) k p/(m - k)
+    + u y, p = 1 - y. By the mean value theorem y >= (n - 1) k p/(m - k),
+    so y is within 4u y relative, 1 + (m - k) y within 6u, the quotient
+    within 7u, and L within 7uk/ln 2 + 2u|L| <= 48u c_m + 2u|L|: inside
+    B's error, and L <= 0 as y <= 1, so the margin argument above holds for
+    L as for B: L > T + delta gives L*(k) > T*. Every later j then has
+    f(j) >= 2^L*(j) > 2^L*(k) > 2^T*, more than the best rate so far (or p,
+    in _rate_at_most). A skipped k costs one O(1) bound evaluation (two
+    from k_rise on: L, then B), and the k the walk stops at one (L).
+    (tests/test_analytics.py finds L within 2^-13 delta of a 60-digit
+    evaluation of its formula up to m = 10^6.)
 
     Brackets: a k that is not skipped gets lo <= f(k) <= hi and a thunk for
     f(k) that sums the same terms uncut. Both rates are alternating sums
@@ -442,8 +478,8 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
 
     Ties: k_max is the last walked k whose exact rate equals the best so far
     (reset by each new best). Every k with f(k) = f*, the optimum, is walked:
-    a skipped k has f(k) > 2^T* >= f*, and the standard walk ends only where
-    every later f(j) exceeds the best so far, >= f*. Such a k comes after the
+    a skipped k has f(k) > 2^T* >= f*, and either walk ends only where every
+    later f(j) exceeds the best so far, >= f*. Such a k comes after the
     winner, and f(k) lies in both brackets, so rate.lo <= best.hi: exact
     rates are formed only where the improvement test formed them or the
     brackets touch. At n = 0 every k ties at rate 0, so k_max = m.
@@ -491,34 +527,73 @@ def _bracket_walk(
     The seed (k, f), if given, is yielded exact, unbounded. Any other k
     with B(k) = _fpr_lower_bound_log2 > _prune_cut(m, limit()), limit()
     plus a margin of 2^7 times the float error of B and of limit(), is
-    skipped, and for the standard variant the walk ends at the first
-    skipped k past k_rise (both argued in optimal_k's docstring). limit()
+    skipped, and the walk ends at the first k >= k_rise whose rising bound
+    (_rising_bound: B itself for the standard variant, L for the classic)
+    exceeds that same cut (both argued in optimal_k's docstring). limit()
     is read at the start and after each yield, so the caller may lower it
     between candidates; it must never rise. The rest get _rate_bracket of
     the variant's terms at q = k + ceil(-B(k)) + _GUARD_BITS bits, exact
     (lo == hi) where nothing was cut.
     """
-    # past k_rise >= k0 the standard bound only rises; classic scans to m
-    k_rise = math.inf
     if variant is FilterVariant.STANDARD:
         terms = _standard_rate_steps(m, n)
-        if m > 1:
-            k_rise = LN2 / (n * -math.log1p(-1 / m)) * (1 + 2**-40)
     else:
         terms = partial(_classic_terms, m, n)
+    # from k_rise on, L (classic) or B itself (standard) only rises: once
+    # above the cut, above it for every later k
+    k_rise, rising = _rising_bound(m, n, variant)
     cut = _prune_cut(m, limit())
     for k in range(1, m + 1):
         if seed and k == seed[0]:
             rate = _Certified(seed[1], seed[1], lambda: seed[1])
         else:
+            past = k >= k_rise
+            if past and rising and rising(k) > cut:
+                return
             bound = _fpr_lower_bound_log2(m, n, k, variant)
             if bound > cut:
-                if k > k_rise:
+                if past and not rising:
                     return
                 continue
             rate = _rate_bracket(*terms(k), k + math.ceil(-bound) + _GUARD_BITS)
         yield k, rate
         cut = _prune_cut(m, limit())
+
+
+def _rising_bound(
+    m: int, n: int, variant: FilterVariant
+) -> tuple[int, Callable[[int], float] | None]:
+    """(k_rise, L) for _bracket_walk's stop (n >= 1): a proven lower bound on
+    log2 f(m, n, k) that strictly increases on k_rise <= k <= m, and whose
+    float is within B(k)'s float error (optimal_k's docstring).
+
+    standard: L is None, for B itself, and k_rise is the least integer
+    above k0 (1 + 2^-40), k0 = ln 2 / |ln q| in floats, q = (1 - 1/m)^n.
+    classic: L(k) = k log2((mu - k + 1) / (m - k + 1)) with
+    mu - k + 1 = 1 + (m - k)(1 - (1 - k/m)^(n-1)) summed without
+    cancellation (1 at n = 1), and k_rise is the least k <= m - 1 with
+    k (n (m-k+1) - (m-k)) >= (m-k)(m-k+1), bisected in integers, or m if
+    there is none. m = 1 has no k to bound: its one k is the walk's seed.
+    """
+    if variant is FilterVariant.STANDARD:
+        k0 = LN2 / (n * -math.log1p(-1 / m)) if m > 1 else 0.0
+        return math.floor(k0 * (1 + 2**-40)) + 1, None
+
+    def rising(k: int) -> float:
+        if k == m:
+            return 0.0
+        y = -math.expm1((n - 1) * math.log1p(-k / m))
+        return k * math.log2((1 + (m - k) * y) / (m - k + 1))
+
+    lo, hi = 1, m
+    while lo < hi:
+        mid = (lo + hi) // 2
+        j = m - mid
+        if mid * (n * (j + 1) - j) >= j * (j + 1):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, rising
 
 
 def _prune_cut(m: int, threshold: float) -> float:
@@ -535,8 +610,8 @@ def _rate_at_most(m: int, n: int, variant: FilterVariant, target: Fraction) -> b
     The minimum meets target exactly when some k does, so this walks
     optimal_k's candidates (_bracket_walk) against the fixed threshold
     log2(target): optimal_k's margin proof covers a fixed threshold, so a
-    skipped k has f(k) > target, and the standard walk's early stop holds
-    for a fixed threshold as for a falling one. Each candidate's certified
+    skipped k has f(k) > target, and both variants' early stops hold for a
+    fixed threshold as for a falling one. Each candidate's certified
     rate reads f <= target (kernel._Certified.read), summing its terms
     exactly only where its bracket straddles target. m = 1, where there is
     no bound, walks its one exact rate as a seed, as optimal_k's does.

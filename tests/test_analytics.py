@@ -258,6 +258,50 @@ def lower_bound_log2_decimal(m, n, k, variant):
         return float(nats / Decimal(2).ln())
 
 
+def rise_bound_log2_decimal(m, n, k):
+    """The classic rising bound L(k) = k log2((mu - k + 1)/(m - k + 1)) of
+    analytics._rising_bound (1 <= k < m) at 60 digits, with mu formed
+    directly, mu = m (1 - (1 - k/m)^n), not as the float's 1 + (m - k) y."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dm, dn, dk = Decimal(m), Decimal(n), Decimal(k)
+        mu = dm * (1 - (dn * (1 - dk / dm).ln()).exp())
+        return float(dk * ((mu - dk + 1) / (dm - dk + 1)).ln() / Decimal(2).ln())
+
+
+def classic_rises(m, n, k):
+    """k s(k) >= 1 in Fractions, s(k) = n/(m - k) - 1/(m - k + 1): the
+    condition under which the classic rising bound increases (k < m)."""
+    s = Fraction(n, m - k) - Fraction(1, m - k + 1)
+    return k * s >= 1
+
+
+def traced_bounds(monkeypatch):
+    """Two lists that record, from here on, each k at which the walk
+    evaluates B (_fpr_lower_bound_log2) and the classic rising bound L."""
+    bound, rising_bound = analytics._fpr_lower_bound_log2, analytics._rising_bound
+    bound_ks, rise_ks = [], []
+
+    def traced_bound(m, n, k, variant):
+        bound_ks.append(k)
+        return bound(m, n, k, variant)
+
+    def traced_rising(m, n, variant):
+        k_rise, rising = rising_bound(m, n, variant)
+        if rising is None:
+            return k_rise, None
+
+        def traced(k):
+            rise_ks.append(k)
+            return rising(k)
+
+        return k_rise, traced
+
+    monkeypatch.setattr(analytics, "_fpr_lower_bound_log2", traced_bound)
+    monkeypatch.setattr(analytics, "_rising_bound", traced_rising)
+    return bound_ks, rise_ks
+
+
 def fpr_standard_stirling(m, n, k):
     """The standard rate in its Stirling form,
 
@@ -424,18 +468,13 @@ class TestRateBrackets:
 class TestOptimalK:
     def test_exact_mode_matches_unpruned_scan(self, monkeypatch):
         # the standard scan stops early at n >= 2 on m = 96, 128 (before m/2
-        # from n = 3; at k = 53 and 70 for n = 2). At the high loads
-        # (16, 40) ... (64, 100) the optimum is k = 1 at a rate above 2^-0.5:
-        # the seed is k = 1, and the standard scan bounds k = 2 and stops.
-        # The classic n = 1 cells at m = 17, 33 tie at (m - 1)/2 and
-        # (m + 1)/2: k_max is the larger
-        bound, bound_ks = analytics._fpr_lower_bound_log2, []
-
-        def traced_bound(m, n, k, variant):
-            bound_ks.append(k)
-            return bound(m, n, k, variant)
-
-        monkeypatch.setattr(analytics, "_fpr_lower_bound_log2", traced_bound)
+        # from n = 3; at k = 53 and 70 for n = 2), and the classic scan
+        # there stops before k = m, bounding neither B nor L at m. At the
+        # high loads (16, 40) ... (64, 100) the optimum is k = 1 at a rate
+        # above 2^-0.5: the seed is k = 1, and the standard scan bounds
+        # k = 2 and stops. The classic n = 1 cells at m = 17, 33 tie at
+        # (m - 1)/2 and (m + 1)/2: k_max is the larger
+        bound_ks, rise_ks = traced_bounds(monkeypatch)
         grid = [(m, n) for m in (8, 17, 33, 64) for n in (1, 2, 5, 9)]
         grid += [(m, n) for m in (96, 128) for n in (1, 2, 3, 24)]
         high_load = [(16, 40), (24, 48), (32, 60), (40, 64), (64, 100)]
@@ -446,6 +485,7 @@ class TestOptimalK:
         for m, n in grid:
             for variant in (STD, CLS):
                 bound_ks.clear()
+                rise_ks.clear()
                 best = optimal_k(m, n, variant)
                 rates = [oracle_rate[variant](m, n, k) for k in range(1, m + 1)]
                 f_star = min(rates)
@@ -458,6 +498,8 @@ class TestOptimalK:
                         assert bound_ks == [2], (m, n)
                 elif m >= 96 and n > 1 and variant is STD:
                     assert max(bound_ks) < (m // 2 if n > 2 else m)
+                elif m >= 96 and n > 1:
+                    assert max(bound_ks + rise_ks) < m, (m, n)
 
     def test_stepped_rates_match_stirling_form(self):
         # consecutive k step the powers; gaps and the first call take them
@@ -536,6 +578,83 @@ class TestOptimalK:
                         assert b[k] <= b[k - 1] + 1e-12, (m, n, k)
                     elif k >= k0:
                         assert b[k] >= b[k - 1] - 1e-12, (m, n, k)
+
+    def test_classic_rise_bound_is_below_exact_rate(self):
+        # L <= log2 f_C, and L <= B: L stops no walk at a k that B keeps
+        for m in range(1, 41):
+            for n in (1, 2, 3, 5, 8):
+                _, rising = analytics._rising_bound(m, n, CLS)
+                for k in range(1, m + 1):
+                    exact = log2_fraction(fpr_classic_exact(m, n, k))
+                    assert rising(k) <= exact + 1e-9, (m, n, k)
+                    if m > 1:
+                        bound = analytics._fpr_lower_bound_log2(m, n, k, CLS)
+                        assert rising(k) <= bound + 1e-9, (m, n, k)
+
+    def test_classic_rise_bound_rises_from_k_rise(self):
+        # on the grid of test_standard_bound_falls_then_rises; n = 1 rises
+        # only near k = m, where L(m) = 0
+        for m in (2, 5, 16, 61, 128, 256):
+            for n in (1, 2, 3, 9, 30, 200):
+                k_rise, rising = analytics._rising_bound(m, n, CLS)
+                b = [rising(k) for k in range(k_rise, m + 1)]
+                assert b[-1] == 0.0, (m, n)
+                for k, (lo, hi) in enumerate(zip(b, b[1:]), k_rise):
+                    assert hi >= lo - 1e-12 * (1 + abs(lo)), (m, n, k)
+
+    def test_classic_k_rise_matches_fraction_scan(self):
+        # k_rise is the least k <= m - 1 with k s(k) >= 1, or m, and every
+        # k from k_rise to m - 1 meets the test
+        for m in range(1, 301):
+            for n in (1, 2, 3, 7, 40):
+                rises = [k for k in range(1, m) if classic_rises(m, n, k)]
+                want = rises[0] if rises else m
+                assert rises == list(range(want, m)), (m, n)
+                assert analytics._rising_bound(m, n, CLS)[0] == want, (m, n)
+
+    def test_classic_rise_bound_float_error_is_inside_the_margin(self):
+        # L(k) against its formula at 60 digits, up to m = 10^6, n = 1 and
+        # k = m - 1 included: off by at most an eighth of the margin at T = 0
+        for m in (2, 3, 10, 97, 1024, 4099, 65536, 10**6):
+            delta = analytics._prune_cut(m, 0.0)
+            for n in (1, 2, 7, 300, 10**5):
+                _, rising = analytics._rising_bound(m, n, CLS)
+                seed = analytics._k_seed(m, n)
+                ks = {1, 2, seed, m // 3, m - 2, m - 1} & set(range(1, m))
+                for k in sorted(ks):
+                    ref = rise_bound_log2_decimal(m, n, k)
+                    assert abs(rising(k) - ref) <= delta / 8, (m, n, k)
+
+    def test_classic_walk_stops_only_where_the_rising_bound_does(
+        self, monkeypatch
+    ):
+        # at limit 0 neither bound passes the cut; B forced above it at
+        # k_rise skips that k alone, and the walk goes on to k = m
+        m, n = 20, 2
+        k_rise, _ = analytics._rising_bound(m, n, CLS)
+        bound = analytics._fpr_lower_bound_log2
+
+        def bound_above_at_k_rise(m, n, k, variant):
+            return math.inf if k == k_rise else bound(m, n, k, variant)
+
+        monkeypatch.setattr(analytics, "_fpr_lower_bound_log2", bound_above_at_k_rise)
+        walked = [k for k, _ in analytics._bracket_walk(m, n, CLS, None, lambda: 0.0)]
+        assert 1 < k_rise < m
+        assert walked == [k for k in range(1, m + 1) if k != k_rise]
+
+    @pytest.mark.parametrize(
+        "m, n, bounds, rises",
+        [(64, 4, 18, 5), (1000, 20, 48, 1), (1024, 5, 246, 44)],
+    )
+    def test_classic_bound_evaluations(self, monkeypatch, m, n, bounds, rises):
+        # each walked k but the seed evaluates B until L passes the cut:
+        # 63, 999 and 1,023 B evaluations when the classic walk went to m
+        bound_ks, rise_ks = traced_bounds(monkeypatch)
+        optimal_k(m, n, CLS)
+        k_rise, _ = analytics._rising_bound(m, n, CLS)
+        assert (len(bound_ks), len(rise_ks)) == (bounds, rises)
+        assert rise_ks == list(range(k_rise, k_rise + rises))
+        assert max(bound_ks) == rise_ks[-1] - 1
 
     def test_ties_break_toward_smaller_k(self):
         best = optimal_k(255, 1, CLS)
