@@ -41,12 +41,7 @@ from .kernel import (
     nabla_power,
     nabla_power_row,
 )
-from .occupancy import (
-    CommitteeSpec,
-    _empty_urn_sum,
-    classic_mean_variance,
-    intersection_moment,
-)
+from .occupancy import CommitteeSpec, classic_mean_variance, intersection_moment
 
 __all__ = [
     "FprBounds",
@@ -99,14 +94,14 @@ def fpr_standard_exact(m: int, n: int, k: int) -> Fraction:
         f = E[X^k] / m^k
           = sum_j (-1)^j C(m,j) nabla^j[x^k]_m (m-j)^(nk) / m^(nk+k)
 
-    the k-th raw moment of the n*k-ball classic occupancy number over m^k,
-    from occupancy's empty-urn sum as in classic_raw_moment: j bits left
-    clear by the n*k insert positions and covered by the k probe positions.
+    the k-th raw moment of the n*k-ball classic occupancy number over m^k:
+    j bits left clear by the n*k insert positions and covered by the k
+    probe positions. It sums the terms of _standard_rate_steps, which
+    optimal_k brackets.
     """
     if m < 1 or k < 1 or n < 0:
         raise ValueError("fpr_standard_exact requires m >= 1, k >= 1, n >= 0")
-    num = _empty_urn_sum(m, ((n * k, 1),), nabla_power_row(m, k, min(k, m)))
-    return Fraction(num, m ** (n * k + k))
+    return _rate_value(*_standard_rate_steps(m, n)(k))
 
 
 def fpr_classic_exact(m: int, n: int, k: int) -> Fraction:
@@ -210,8 +205,6 @@ def fpr_recursive(m: int, n: int, k: int, variant: FilterVariant) -> float:
         raise ValueError("classic variant requires k <= m")
     if n == 0:
         return 0.0
-    if m == 1:  # one urn, always set: f = 1
-        return 1.0
     if k * math.log2(min(n * k, m) / m) < _ZERO_LOG2:
         return 0.0
     standard = variant is FilterVariant.STANDARD
@@ -284,7 +277,7 @@ def fpr_bounds(m: int, n: int, k: int) -> FprBounds:
         return FprBounds(E=0.0, M_base=zero, M_exp=k, L=zero, U=zero)
     e_val = (-math.expm1(-k * n / m)) ** k
     l_val = Fraction(nabla_power(m, n * k, k), m ** (n * k))
-    u_val = (1 - Fraction(max(m - k, 0), m) ** n) ** k if k <= m else Fraction(1)
+    u_val = (1 - Fraction(max(m - k, 0), m) ** n) ** k
     return FprBounds(
         E=e_val, M_base=1 - Fraction(m - 1, m) ** (k * n), M_exp=k, L=l_val, U=u_val
     )
@@ -300,8 +293,6 @@ def fpr_taylor(m: int, n: int, k: int) -> float:
     mu, var = classic_mean_variance(m, n * k)
     muf, varf = float(mu), float(var)
     phi = (muf / m) ** k
-    if k == 1:
-        return phi
     # scaled by m before the power: muf ** (k - 2) overflows at k ~ 133
     phi2 = k * (k - 1) / m**2 * (muf / m) ** (k - 2)
     return phi + varf / 2 * phi2
@@ -400,10 +391,19 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     (tests/test_analytics.py finds B within 2^-11 delta of a 60-digit
     evaluation of its formula up to m = 10^6.)
 
-    Standard variant: the scan stops at the first skipped k >= k_rise, the
-    least integer above k0 (1 + 2^-40), k0 = ln 2 / |ln q| in floats
-    (_rising_bound). Proof that no
-    later k can win: with q = (1 - 1/m)^n and y = q^k,
+    Stop: the walk ends at the first k >= k_rise whose rising bound R(k)
+    exceeds T + delta (_rising_bound), R = B for the standard variant and
+    a second, cheaper bound L for the classic one. R* is a lower bound on
+    log2 f that strictly increases on [k_rise, m], and R's float error is
+    within B's, so the margin argument above gives R*(k) > T*, and every
+    later j has f(j) >= 2^R*(j) > 2^R*(k) > 2^T*: more than the best rate
+    so far, and every later best rate is smaller still (or p, in
+    _rate_at_most). A bounded k costs one O(1) evaluation of B, and from
+    k_rise on one of R before it; the k the walk stops at costs R alone.
+
+    Standard variant: k_rise is the least integer above k0 (1 + 2^-40),
+    k0 = ln 2 / |ln q| in floats. B rises from there: with q = (1 - 1/m)^n
+    and y = q^k,
 
         B*(k) = k log2(1 - y) = -ln(y) ln(1 - y) / (|ln q| ln 2).
 
@@ -413,13 +413,11 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     on (0, 1/2) and negative on (1/2, 1). y falls as k grows, so B* falls
     while y > 1/2, has its one minimum at y = 1/2 (k = k0*), and rises
     after. The float k0 is within 8u of k0* relative, so k >= k_rise gives
-    k > k0*, and for every j > k, B*(j) > B*(k) > T*: f(j) exceeds the best
-    rate so far, and every later best rate is smaller still (or p, in
-    _rate_at_most).
+    k > k0*, and B*(j) > B*(k) for every j > k. (At m = 1, B is the exact
+    log2 f = 0 and k_rise = 1.)
 
-    Classic variant: the walk stops at the first k >= k_rise (_rising_bound)
-    with L(k) > T + delta, for a second, cheaper bound L that is proven to
-    rise there. The bit sum X is at least k, and for k <= x <= m,
+    Classic variant: L is proven to rise from k_rise on. The bit sum X is
+    at least k, and for k <= x <= m,
     C(x, k) / C(m, k) = prod_(i<k) (x - i)/(m - i) >= g(x),
     g(x) = ((x - k + 1)/(m - k + 1))^k, as each factor is at least the last.
     g is convex, so by Jensen f_C >= g(mu), mu = E[X]:
@@ -447,13 +445,9 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     + u y, p = 1 - y. By the mean value theorem y >= (n - 1) k p/(m - k),
     so y is within 4u y relative, 1 + (m - k) y within 6u, the quotient
     within 7u, and L within 7uk/ln 2 + 2u|L| <= 48u c_m + 2u|L|: inside
-    B's error, and L <= 0 as y <= 1, so the margin argument above holds for
-    L as for B: L > T + delta gives L*(k) > T*. Every later j then has
-    f(j) >= 2^L*(j) > 2^L*(k) > 2^T*, more than the best rate so far (or p,
-    in _rate_at_most). A skipped k costs one O(1) bound evaluation (two
-    from k_rise on: L, then B), and the k the walk stops at one (L).
-    (tests/test_analytics.py finds L within 2^-13 delta of a 60-digit
-    evaluation of its formula up to m = 10^6.)
+    B's error, and L <= 0 as y <= 1, so the margin argument holds for L
+    as for B. (tests/test_analytics.py finds L within 2^-13 delta of a
+    60-digit evaluation of its formula up to m = 10^6.)
 
     Brackets: a k that is not skipped gets lo <= f(k) <= hi and a thunk for
     f(k) that sums the same terms uncut. Both rates are alternating sums
@@ -464,7 +458,7 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     significant bits, in integer arithmetic only. The bracket is at most
     2^(2-q) S / D wide, S = (sum_j a_j) b_0^e, and S / D <= 2^k in both
     variants: classic, since sum_i C(k, i) = 2^k and D = C(m, k)^n;
-    standard, since the row recurrence of _dual_coefficient_rows gives
+    standard, since the row recurrence of _coefficient_step gives
     sum_j A(k+1, j) = 2 sum_j (m-j) A(k, j) <= 2m sum_j A(k, j), so
     sum_j A(k, j) <= (2m)^k, while b_0 = m^(nk). q = k + ceil(-B(k)) + 43
     and B(k) <= log2 f(k) then make the bracket at most 2^-41 f(k) wide,
@@ -521,15 +515,15 @@ def _bracket_walk(
 ) -> Iterator[tuple[int, _Certified]]:
     """(k, f(m, n, k) as a kernel._Certified) for k = 1..m in increasing
     order, less every k whose bound proves f(k) > 2^limit(): the candidate
-    walk of optimal_k and _rate_at_most (n >= 1, and m >= 2 unless the
-    seed is k = 1).
+    walk of optimal_k and _rate_at_most (n >= 1).
 
-    The seed (k, f), if given, is yielded exact, unbounded. Any other k
-    with B(k) = _fpr_lower_bound_log2 > _prune_cut(m, limit()), limit()
-    plus a margin of 2^7 times the float error of B and of limit(), is
-    skipped, and the walk ends at the first k >= k_rise whose rising bound
-    (_rising_bound: B itself for the standard variant, L for the classic)
-    exceeds that same cut (both argued in optimal_k's docstring). limit()
+    The seed (k, f), if given, is yielded exact, unbounded. For any other
+    k the walk ends if k >= k_rise and the rising bound (_rising_bound: B
+    itself for the standard variant, L for the classic) exceeds
+    _prune_cut(m, limit()), limit() plus a margin of 2^7 times the float
+    error of the bound and of limit(); else k is skipped where
+    B(k) = _fpr_lower_bound_log2 exceeds that same cut (both argued in
+    optimal_k's docstring). limit()
     is read at the start and after each yield, so the caller may lower it
     between candidates; it must never rise. The rest get _rate_bracket of
     the variant's terms at q = k + ceil(-B(k)) + _GUARD_BITS bits, exact
@@ -539,21 +533,18 @@ def _bracket_walk(
         terms = _standard_rate_steps(m, n)
     else:
         terms = partial(_classic_terms, m, n)
-    # from k_rise on, L (classic) or B itself (standard) only rises: once
-    # above the cut, above it for every later k
+    # from k_rise on, the rising bound only rises: once above the cut,
+    # above it for every later k
     k_rise, rising = _rising_bound(m, n, variant)
     cut = _prune_cut(m, limit())
     for k in range(1, m + 1):
         if seed and k == seed[0]:
             rate = _Certified(seed[1], seed[1], lambda: seed[1])
+        elif k >= k_rise and rising(k) > cut:
+            return
         else:
-            past = k >= k_rise
-            if past and rising and rising(k) > cut:
-                return
             bound = _fpr_lower_bound_log2(m, n, k, variant)
             if bound > cut:
-                if past and not rising:
-                    return
                 continue
             rate = _rate_bracket(*terms(k), k + math.ceil(-bound) + _GUARD_BITS)
         yield k, rate
@@ -562,22 +553,24 @@ def _bracket_walk(
 
 def _rising_bound(
     m: int, n: int, variant: FilterVariant
-) -> tuple[int, Callable[[int], float] | None]:
-    """(k_rise, L) for _bracket_walk's stop (n >= 1): a proven lower bound on
-    log2 f(m, n, k) that strictly increases on k_rise <= k <= m, and whose
-    float is within B(k)'s float error (optimal_k's docstring).
+) -> tuple[int, Callable[[int], float]]:
+    """(k_rise, R) for _bracket_walk's stop (n >= 1): R(k) is a proven lower
+    bound on log2 f(m, n, k) that strictly increases on k_rise <= k <= m,
+    and whose float is within B(k)'s float error (optimal_k's docstring).
 
-    standard: L is None, for B itself, and k_rise is the least integer
-    above k0 (1 + 2^-40), k0 = ln 2 / |ln q| in floats, q = (1 - 1/m)^n.
-    classic: L(k) = k log2((mu - k + 1) / (m - k + 1)) with
+    standard: R is B itself, and k_rise is the least integer above
+    k0 (1 + 2^-40), k0 = ln 2 / |ln q| in floats, q = (1 - 1/m)^n (1 at
+    m = 1, where B is the exact 0).
+    classic: R is L, L(k) = k log2((mu - k + 1) / (m - k + 1)) with
     mu - k + 1 = 1 + (m - k)(1 - (1 - k/m)^(n-1)) summed without
     cancellation (1 at n = 1), and k_rise is the least k <= m - 1 with
     k (n (m-k+1) - (m-k)) >= (m-k)(m-k+1), bisected in integers, or m if
-    there is none. m = 1 has no k to bound: its one k is the walk's seed.
+    there is none.
     """
     if variant is FilterVariant.STANDARD:
         k0 = LN2 / (n * -math.log1p(-1 / m)) if m > 1 else 0.0
-        return math.floor(k0 * (1 + 2**-40)) + 1, None
+        rising = partial(_fpr_lower_bound_log2, m, n, variant=variant)
+        return math.floor(k0 * (1 + 2**-40)) + 1, rising
 
     def rising(k: int) -> float:
         if k == m:
@@ -613,12 +606,10 @@ def _rate_at_most(m: int, n: int, variant: FilterVariant, target: Fraction) -> b
     skipped k has f(k) > target, and both variants' early stops hold for a
     fixed threshold as for a falling one. Each candidate's certified
     rate reads f <= target (kernel._Certified.read), summing its terms
-    exactly only where its bracket straddles target. m = 1, where there is
-    no bound, walks its one exact rate as a seed, as optimal_k's does.
+    exactly only where its bracket straddles target.
     """
-    seed = (1, fpr_exact(1, n, 1, variant)) if m == 1 else None
     limit = log2_fraction(target)
-    walk = _bracket_walk(m, n, variant, seed, lambda: limit)
+    walk = _bracket_walk(m, n, variant, None, lambda: limit)
     return any(rate.read(lambda f: f <= target) for _, rate in walk)
 
 
@@ -683,39 +674,39 @@ def _rate_bracket(
 
 
 def _standard_rate_steps(m: int, n: int) -> Callable[[int], _Terms]:
-    """terms(k) = (A(k, .), (m-j)^(nk), 1, m^(nk+k)), the empty-urn sum of
-    fpr_standard_exact(m, n, k) as terms, for k rising from call to call.
+    """terms(k) = (A(k, .), (m-j)^(nk), 1, m^(nk+k)), the terms of
+    fpr_standard_exact(m, n, k), for k rising (or repeated) from call to
+    call: A(k, j) = C(m,j) nabla^j[x^k]_m for j <= min(k, m).
 
-    The coefficients A(k, .) come from _dual_coefficient_rows, stepped for
-    every k. The powers (m-j)^(nk) step by one multiply by (m-j)^n when the
-    previous call was at k-1, and are taken afresh otherwise, into new
-    lists: earlier terms stay valid.
+    The first call takes A(k, .) from one nabla_power_row table and later
+    calls step it by _coefficient_step. Each held power steps by one
+    multiply by (m-j)^(n (k - k_prev)), and only new j take a fresh power.
+    Every call returns new lists, so earlier terms stay valid.
     """
-    rows = _dual_coefficient_rows(m)
-    coeffs, at = next(rows), 0
-    powers, powers_at = [], 0
-    steps: list[int] = []
+    coeffs: list[int] = []
+    powers: list[int] = []
+    at = 0
 
     def terms(k: int) -> _Terms:
-        nonlocal coeffs, at, powers, powers_at
-        while at < k:
-            coeffs, at = next(rows), at + 1
-        size = len(coeffs)
-        if powers and powers_at == k - 1:
-            steps.extend((m - j) ** n for j in range(len(steps), size))
-            powers = [p * s for p, s in zip(powers, steps)]
-            powers += [(m - j) ** (n * k) for j in range(len(powers), size)]
+        nonlocal coeffs, powers, at
+        if coeffs:
+            for _ in range(at, k):
+                coeffs = _coefficient_step(m, coeffs)
         else:
-            powers = [(m - j) ** (n * k) for j in range(size)]
-        powers_at = k
+            row = nabla_power_row(m, k, min(k, m))
+            coeffs = [comb(m, j) * d for j, d in enumerate(row)]
+        gap = n * (k - at)
+        powers = [p * (m - j) ** gap for j, p in enumerate(powers)]
+        powers += [(m - j) ** (n * k) for j in range(len(powers), len(coeffs))]
+        at = k
         return coeffs, powers, 1, m ** (n * k + k)
 
     return terms
 
 
-def _dual_coefficient_rows(m: int) -> Iterator[list[int]]:
-    """A(k, .) for k = 0, 1, 2, ...: A(k, j) = C(m,j) nabla^j[x^k]_m for
-    j <= min(k, m), stepped exactly in O(k) small-integer work per k:
+def _coefficient_step(m: int, row: list[int]) -> list[int]:
+    """A(k+1, .) from A(k, .), A(k, j) = C(m,j) nabla^j[x^k]_m for
+    j <= min(k, m), in O(k) small-integer work:
 
         A(0, .) = [1],  A(k+1, j) = (m-j) A(k, j) + (m-j+1) A(k, j-1).
 
@@ -724,14 +715,10 @@ def _dual_coefficient_rows(m: int) -> Iterator[list[int]]:
     lands on; and j C(m,j) = (m-j+1) C(m,j-1). The row stops at j = m,
     where the factor m-j+1 leaves nothing for j = m+1.
     """
-    row = [1]
-    while True:
-        yield row
-        lower = row + [0] if len(row) <= m else row
-        row = [
-            (m - j) * a + (m - j + 1) * b
-            for j, (a, b) in enumerate(zip(lower, [0] + row))
-        ]
+    lower = row + [0] if len(row) <= m else row
+    return [
+        (m - j) * a + (m - j + 1) * b for j, (a, b) in enumerate(zip(lower, [0] + row))
+    ]
 
 
 def _fpr_lower_bound_log2(m: int, n: int, k: int, variant: FilterVariant) -> float:
@@ -745,7 +732,11 @@ def _fpr_lower_bound_log2(m: int, n: int, k: int, variant: FilterVariant) -> flo
     few ulps of lgamma(m + 1) (about 1e-10 nats at m = 10^4, 1e-8 at
     m = 10^6), which the float-error proof of optimal_k's pruning margin
     counts (the margin is at least 1.9e-5 bits at m = 10^6).
+
+    m = 1: 0, the exact log2 f, as one urn is always set.
     """
+    if m == 1:
+        return 0.0
     if variant is FilterVariant.STANDARD:
         t = n * k * math.log1p(-1.0 / m)
         return k * math.log2(-math.expm1(t))

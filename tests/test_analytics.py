@@ -278,7 +278,8 @@ def classic_rises(m, n, k):
 
 def traced_bounds(monkeypatch):
     """Two lists that record, from here on, each k at which the walk
-    evaluates B (_fpr_lower_bound_log2) and the classic rising bound L."""
+    evaluates B (_fpr_lower_bound_log2) and the rising bound (B itself for
+    the standard variant, so its k go in both lists; L for the classic)."""
     bound, rising_bound = analytics._fpr_lower_bound_log2, analytics._rising_bound
     bound_ks, rise_ks = [], []
 
@@ -288,8 +289,6 @@ def traced_bounds(monkeypatch):
 
     def traced_rising(m, n, variant):
         k_rise, rising = rising_bound(m, n, variant)
-        if rising is None:
-            return k_rise, None
 
         def traced(k):
             rise_ks.append(k)
@@ -332,9 +331,8 @@ def fpr_classic_direct(m, n, k):
 
 
 def scan_q(m, n, k, variant):
-    """The bits per factor optimal_k asks of its bracket at k (at m = 1 the
-    scan brackets nothing, since k = 1 is the seed; f = 1 there)."""
-    bound = analytics._fpr_lower_bound_log2(m, n, k, variant) if m > 1 else 0.0
+    """The bits per factor optimal_k asks of its bracket at k."""
+    bound = analytics._fpr_lower_bound_log2(m, n, k, variant)
     return k + math.ceil(-bound) + analytics._GUARD_BITS
 
 
@@ -502,13 +500,19 @@ class TestOptimalK:
                     assert max(bound_ks + rise_ks) < m, (m, n)
 
     def test_stepped_rates_match_stirling_form(self):
-        # consecutive k step the powers; gaps and the first call take them
-        # afresh; m = 1 and k = m cover the capped coefficient row. The
+        # the first call takes its row from a table at its own k (k > 1 in
+        # the last three orders); later calls step the row and the powers
+        # over gaps of one, several and none (a repeated k), and past
+        # k = m, where the row is capped (m = 1 caps it at once). The
         # stepped terms sum to the exact rate, and still do after later
         # steps; asked for more bits than any factor has, their bracket is
         # that rate; at the scan's q it holds it, and its thunk gives it
         for m, n in [(1, 1), (2, 3), (7, 1), (7, 4), (20, 2), (33, 5), (64, 2)]:
-            for ks in (range(1, m + 1), range(1, m + 1, 3), [m]):
+            irregular = sorted([1, 2, 5, 6, 6, 13, m, m])
+            late = [m // 2 + 2, m + 2, m + 2, m + 5]
+            orders = (range(1, m + 1), range(1, m + 1, 3), irregular, [m],
+                      late, [3, 3, 4, 9])
+            for ks in orders:
                 steps = analytics._standard_rate_steps(m, n)
                 held = []
                 for k in ks:
@@ -525,15 +529,34 @@ class TestOptimalK:
                     assert analytics._rate_value(*terms) == want, (m, n, k)
 
     def test_dual_coefficient_rows_match_nabla_power(self):
-        # A(k, j) = C(m,j) nabla^j[x^k]_m, including m < k
+        # A(k, j) = C(m,j) nabla^j[x^k]_m, stepped from A(0, .) = [1],
+        # including m < k
         for m in range(1, 41):
-            rows = analytics._dual_coefficient_rows(m)
+            row = [1]
             for k in range(41):
-                row = next(rows)
+                if k:
+                    row = analytics._coefficient_step(m, row)
                 assert row == [
                     math.comb(m, j) * nabla_power(m, k, j)
                     for j in range(min(k, m) + 1)
                 ], (m, k)
+
+    def test_one_urn_is_always_set(self):
+        # m = 1: f = 1 for every n >= 1, so B is its exact log2, 0, and no
+        # target below 1 is met, even one whose cut lies above 0
+        near_one = Fraction(1) - Fraction(1, 2**45)
+        assert analytics._prune_cut(1, log2_fraction(near_one)) > 0
+        for n in (1, 2, 7):
+            for k in (1, 2, 5):
+                assert analytics._fpr_lower_bound_log2(1, n, k, STD) == 0.0
+                assert fpr_recursive(1, n, k, STD) == 1.0
+            assert fpr_recursive(1, n, 1, CLS) == 1.0
+            for variant in (STD, CLS):
+                for target in (near_one, Fraction(1, 2)):
+                    assert not analytics._rate_at_most(1, n, variant, target)
+        for variant in (STD, CLS):
+            with pytest.raises(InfeasibleError):
+                capacity_n_max(1, 0.5, variant)
 
     def test_classic_bound_equals_k_term_sum(self):
         for m in range(2, 301):
