@@ -1,13 +1,12 @@
 """False-positive rates, bounds, optimizers, and efficiency analysis.
 
-Two evaluation backends. The exact backend works in integer/rational
-arithmetic and is authoritative: the alternating sums underneath these
-formulas are catastrophically cancellative in floating point once rates
-drop below ~1e-15, and interesting configurations reach 1e-43. The
-recursive backend runs the same cancellation in decimal, at a precision
-sized from a proven error bound, so its float is the exact rate to about
-2^-51; it is a cross-check, faster than the exact sums only where its
-weights are tiny (see fpr_recursive).
+Every rate is formed in integer/rational arithmetic: the alternating sums
+underneath these formulas are catastrophically cancellative in floating
+point once rates drop below ~1e-15, and interesting configurations reach
+1e-43. Two algorithms share that arithmetic. The fpr_*_exact functions sum
+each rate's terms into an exact Fraction; fpr_recursive runs the paper's
+two-term recursion as an integer table and divides once, so its float is
+the exact rate correctly rounded, a cross-check by another route.
 
 Rates for an m-bit filter storing n items with k hash bits per item:
 
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import repeat
@@ -139,65 +137,44 @@ def fpr_exact(m: int, n: int, k: int, variant: FilterVariant) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# Recursive (approximate) backend
+# The paper's two-term recursion
 # --------------------------------------------------------------------------
 
 
 def fpr_recursive(m: int, n: int, k: int, variant: FilterVariant) -> float:
-    """The paper's two-term recursion for either variant, as one Decimal
-    loop at a precision sized from a proven error bound. The result r
-    satisfies
-
-        |r - f| <= 2^-51 f + 2^-1074
-
-    for the exact rate f: f to double precision wherever f is a normal
-    double, and within one subnormal step of f below that.
+    """The paper's two-term recursion for either variant, run in integers:
+    the result is the exact rate f correctly rounded, float(f).
 
     The recursion is g(i, t) = g(i-1, t) - w(i, t) g(i-1, t-1), f = g(k, m),
     with g(0, t) = 1 for t >= low and 0 below, q_t = 1 - low/t and either
     w(i, t) = q_t^(nk+i-1), low = 1 (standard: g(i, t) = E[(X/t)^i] over
-    nk balls) or w(i, t) = q_t^n, low = k (classic: g = rho). Write e for
-    nk (standard) or n (classic). Only the urn counts t = m - j above low,
-    j < min(k, m - low), take a step; each takes one power q_t^e, and the
-    standard weight is multiplied by q_t after each level uses it: at most
-    k Decimal powers, not about k^2/2.
+    nk balls) or w(i, t) = q_t^n, low = k (classic: g = rho).
 
-    Error bound, with u = 10^(1-p)/2 the unit roundoff at p digits:
+    Scale by D(i, t) = t^(nk+i) (standard) or C(t, k)^n (classic). The
+    weight cancels against the scale, w(i, t) D(i, t) / D(i-1, t-1) =
+    D(i, t) / D(i-1, t) = s_t with s_t = t (standard) or 1 (classic), so
+    G = D g is the integer table
 
-    (a) Every exact g(i, t) lies in [0, 1], and every weight in [0, W],
-        W = (1 - 1/m)^(nk) standard, (1 - k/m)^n classic.
-    (b) q_t is one rounded division. libmpdec forms q^e within 1 ulp;
-        allow the 2 bit_length(e) roundings of square-and-multiply at p
-        digits. With the e-fold error of the rounded base, q_t^e is within
-        3e u, and each of at most k - 1 steps adds two roundings: every
-        weight is w (1 + eta) with |eta| <= (3e + 2k) u.
-    (c) Let E_i bound the error at level i; E_0 = 0, as ones and zeros are
-        exact. One step a - w b, product and difference rounded, gives
-        E_i <= (1 + W (1 + eta)) E_(i-1) + W eta + (1 + 2W) u, so to first
-        order in u, E_k <= c k (1 + W)^k with c = (3e + 2k + 3) u.
-    (d) B = _fpr_lower_bound_log2 gives f >= 2^B. With B' = max(B, -1022),
-        p = 1 + ceil(log10(k (3e + 2k + 3)) + k log10(1 + W)
-        + (53 - B') log10 2) digits make E_k <= 2^(B'-54), with a bit to
-        spare for float error in B and W. So the Decimal result is within
-        2^-53 f, or within 2^-1075 where B < -1022, and float() adds at
-        most 2^-53 of the value in the normal range and 2^-1075 below it.
+        G(i, t) = s_t (G(i-1, t) - G(i-1, t-1)),  G(0, t) = D(0, t) (t >= low)
 
-    (1 + W)^k is what 40 fixed digits could not carry: about 2^80 at
-    (1024, 5, 133), where they gave 1.6e-16 for the standard rate 2.9e-42,
-    and 10^124 at (2048, 2, 700), where they gave -1.6e66.
+    (classic: G(k, m) = nabla^k[C(x, k)^n]_m), and f = G(k, m) / D(k, m)
+    is one correctly rounded integer division. Only the urn counts
+    t = m - j above low, j < min(k, m - low), take a step; G(i, low) stays
+    D(0, low) = 1 and the zeros below low are never stored.
 
     Below the double range: X <= min(nk, m), so both rates are at most
     (min(nk, m)/m)^k (standard E[(X/m)^k]; classic E[C(X, k)]/C(m, k), and
     C(x, k)/C(m, k) <= (x/m)^k for x <= m). Where that is under 2^-1076,
     f rounds to 0.0 and the recursion does not run.
 
-    Cost: about k^2/2 steps of p-digit products and differences, so p
-    sets it: 90 digits at (1024, 5, 133) (both variants), 24 at
-    (512, 16, 300) and about 360 at (2048, 2, 700). Best single calls of
-    25 there (CPython 3.11 on a shared 2-CPU x86-64 VM): standard 7, 18
-    and 1980 ms, classic 4, 11 and 960 ms. It is no fast path except
-    where the weights are tiny: the exact rates there take about 5, 100
-    and 230 ms standard and 0.6, 3 and 14 ms classic.
+    Cost: about k^2/2 differences of integers of up to (nk + k) log2 m bits
+    (standard, each also multiplied by t) or n log2 C(m, k) bits (classic),
+    and one division. Single calls (CPython 3.11, shared 2-CPU x86-64 VM)
+    at (1024, 5, 133), (512, 16, 300) and (2048, 2, 700): standard 6, 180
+    and 330 ms, where the exact rate takes 4, 83 and 196 ms; classic 2, 12
+    and 90 ms against 0.5, 2 and 9 ms. It is a cross-check, faster than
+    the exact rate only at large nk with small k: 0.74 s against 1.3 s at
+    (65536, 1000, 45) standard.
     """
     if m < 1 or k < 1 or n < 0:
         raise ValueError("fpr_recursive requires m >= 1, k >= 1, n >= 0")
@@ -208,33 +185,30 @@ def fpr_recursive(m: int, n: int, k: int, variant: FilterVariant) -> float:
     if k * math.log2(min(n * k, m) / m) < _ZERO_LOG2:
         return 0.0
     standard = variant is FilterVariant.STANDARD
-    low, e = (1, n * k) if standard else (k, n)
-    floor = max(_fpr_lower_bound_log2(m, n, k, variant), _NORMAL_LOG2)
-    digits = 1 + math.ceil(
-        math.log10(k * (3 * e + 2 * k + 3))
-        + k * math.log10(1 + (1 - low / m) ** e)
-        + (53 - floor) * math.log10(2)
-    )
-    with localcontext() as ctx:
-        ctx.prec = digits
-        # level[j] holds g(i, m - j); only urn counts above low take a step
-        live = min(k, m - low)
-        ratio = [Decimal(m - j - low) / (m - j) for j in range(live)]
-        weight = [q**e for q in ratio]
-        level = [Decimal(1) if m - j >= low else Decimal(0) for j in range(k + 1)]
-        for i in range(1, k + 1):
-            # ascending j reads level[j + 1] before this level overwrites it
-            for j in range(min(k + 1 - i, live)):
-                level[j] -= weight[j] * level[j + 1]
-                if standard:
-                    weight[j] *= ratio[j]  # the weight at level i + 1
-        # f > 0, so lifting a result just below zero to 0 only moves it toward f
-        return float(max(0, level[0]))
+    live = min(k, m - 1) if standard else min(k, m - k)
+    # level[j] holds G(i, m - j)
+    urns = range(m, m - live - 1, -1)
+    if standard:
+        level = [t ** (n * k) for t in urns]
+        scale = m ** (n * k + k)
+    else:
+        level = [comb(t, k) ** n for t in urns]
+        scale = comb(m, k) ** n
+    for i in range(1, k + 1):
+        steps = min(k + 1 - i, live)
+        # entries from steps on keep G(i-1, .): the one at low is constant,
+        # the rest are no longer read
+        if standard:
+            level[:steps] = [
+                t * (a - b) for t, a, b in zip(urns, level, level[1 : steps + 1])
+            ]
+        else:
+            level[:steps] = [a - b for a, b in zip(level, level[1 : steps + 1])]
+    return level[0] / scale
 
 
-# log2 of the least normal double, and a bound a bit under half the least
-# subnormal, 2^-1075, below which a rate rounds to 0.0
-_NORMAL_LOG2 = -1022
+# a bound a bit under half the least subnormal, 2^-1075, below which a
+# rate rounds to 0.0
 _ZERO_LOG2 = -1076
 
 

@@ -179,6 +179,8 @@ def optimize(m, n, p, variant: str | None, fmt: str) -> None:
     given = [v is not None for v in (m, n, p)]
     if sum(given) != 2:
         raise click.UsageError("supply exactly two of --m, --n, --p")
+    if m is not None and m < 1:
+        raise ValueError("--m must be >= 1")
     if n is not None and n < 1:
         raise ValueError("--n must be >= 1")
     variants = [variant] if variant else ["classic", "standard"]

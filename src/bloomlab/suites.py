@@ -41,10 +41,6 @@ class SuiteResult:
     checks: list[CheckResult]
     artifacts: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
 
 def _sig3(x: float) -> str:
     return f"{x:.2e}"

@@ -140,11 +140,28 @@ class TestRecursiveBackend:
         assert _within_recursive_bound(got, fpr_standard_exact(2048, 2, 700))
         assert got > 0
 
+    def test_equals_the_rounded_exact_rate(self):
+        # the integer table divides once, so the result is float(f) bit for
+        # bit: m = 1, n = 0 and standard k > m included
+        cells = [
+            (m, n, k) for m in range(1, 41) for n in range(7) for k in range(1, m + 3)
+        ]
+        cells += [(2048, 2, 700), (1024, 1, 700), (1024, 5, 133), (1024, 5, 124)]
+        cells += [(2048, 1, 1500)]
+        for m, n, k in cells:
+            for variant in (STD, CLS):
+                if variant is CLS and k > m:
+                    continue
+                got = fpr_recursive(m, n, k, variant)
+                assert got == float(fpr_exact(m, n, k, variant)), (m, n, k, variant)
+
     def test_rate_below_double_range_skips_the_recursion(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the recursion ran")
 
-        monkeypatch.setattr(analytics, "localcontext", refuse)
+        # the table's powers (classic) and its level steps (both variants)
+        monkeypatch.setattr(analytics, "comb", refuse)
+        monkeypatch.setattr(analytics, "zip", refuse, raising=False)
         # f <= (1000/4096)^1000 < 2^-2000: 0.0 is the correctly rounded double
         assert fpr_recursive(4096, 1, 1000, STD) == 0.0
         assert fpr_recursive(4096, 1, 1000, CLS) == 0.0

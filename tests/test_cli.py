@@ -450,6 +450,20 @@ class TestSweep:
         assert result.exit_code == 0
         assert path.read_text().startswith("variant,m,n,k,exact")
 
+    def test_classic_skips_rows_beyond_m(self, runner):
+        # a classic filter needs k <= m: rows k = 3, 4 are left out
+        result = runner.invoke(
+            cli,
+            ["sweep", "--variable", "k", "--start", "1", "--end", "4",
+             "--m", "2", "--n", "1", "--variant", "classic"],
+        )
+        assert result.exit_code == 0
+        assert result.output == (
+            "variant,m,n,k,exact\n"
+            "classic,2,1,1,5.00000e-01\n"
+            "classic,2,1,2,1.00000e+00\n"
+        )
+
 
 class TestFilterCommands:
     def test_build_insert_query_info_cycle(self, runner, tmp_path):
@@ -479,6 +493,46 @@ class TestFilterCommands:
         assert payload["count"] == 2
         assert payload["bit_sum"] == 6
         assert 1.5 < payload["estimated_cardinality"] < 2.5
+
+    def test_query_json(self, runner, tmp_path):
+        path = tmp_path / "f.blm"
+        runner.invoke(
+            cli,
+            ["build", "--m", "128", "--k", "3", "--variant", "classic",
+             "--seed", "9", "--out", str(path)],
+        )
+        runner.invoke(cli, ["insert", str(path)], input=b"alpha\nbeta\n")
+        result = runner.invoke(
+            cli, ["query", str(path), "--format", "json"], input=b"alpha\ngamma\n"
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {
+            "results": [
+                {"element": "alpha", "positive": True},
+                {"element": "gamma", "positive": False},
+            ],
+            "positives": 1,
+            "total": 2,
+        }
+
+    def test_info_text_rows_of_a_full_filter(self, runner, tmp_path):
+        # one bit, one hash: the first insert fills the filter
+        path = tmp_path / "full.blm"
+        runner.invoke(cli, ["build", "--m", "1", "--k", "1", "--out", str(path)])
+        runner.invoke(cli, ["insert", str(path)], input=b"a\n")
+        result = runner.invoke(cli, ["info", str(path)])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "m                      1\n"
+            "k                      1\n"
+            "variant                standard\n"
+            "seed                   0\n"
+            "count                  1\n"
+            "bit_sum                1\n"
+            "fill_ratio             1.0\n"
+            "estimated_cardinality  saturated\n"
+        )
+        assert result.stderr.startswith("warning: bit sum exceeds m/2")
 
     def test_info_empty_filter_cardinality_zero(self, runner, tmp_path):
         path = tmp_path / "e.blm"
@@ -583,12 +637,6 @@ class TestMainExitCodes:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("m", ["0", "-3"])
-    def test_capacity_without_bits_exits_1(self, monkeypatch, capsys, m):
-        code, err = self._run(monkeypatch, capsys, ["optimize", "--m", m, "--p", "0.01"])
-        assert code == 1
-        assert err == "error: capacity_n_max requires m >= 1\n"
-
     @pytest.mark.parametrize("mode", [["--m", "64"], ["--p", "0.01"]])
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_optimize_without_items_exits_1_before_any_scan(
@@ -605,6 +653,32 @@ class TestMainExitCodes:
         code, err = self._run(monkeypatch, capsys, ["optimize", *mode, "--n", n])
         assert (code, err) == (1, "error: --n must be >= 1\n")
         assert calls == []
+
+    @pytest.mark.parametrize("mode", [["--n", "64"], ["--p", "0.01"]])
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_optimize_without_bits_exits_1_before_any_scan(
+        self, monkeypatch, capsys, mode, m
+    ):
+        # the message names the option, and no scan or probe runs first
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+
+        monkeypatch.setattr(analytics, "_optimal_k_seeded", spy)
+        monkeypatch.setattr(analytics, "_rate_at_most", spy)
+        code, err = self._run(monkeypatch, capsys, ["optimize", "--m", m, *mode])
+        assert (code, err) == (1, "error: --m must be >= 1\n")
+        assert calls == []
+
+    def test_sweep_unknown_output_exits_1(self, monkeypatch, capsys):
+        code, err = self._run(
+            monkeypatch, capsys,
+            ["sweep", "--variable", "k", "--start", "1", "--end", "2",
+             "--m", "8", "--n", "1", "--outputs", "exact,bogus"],
+        )
+        assert code == 1
+        assert "Error: unknown outputs: bogus" in err
 
     def test_optimize_at_high_load_exits_0(self, monkeypatch, capsys):
         # m/n < 1/(2 ln 2): the closed-form k rounds to 0; the estimate's
