@@ -16,18 +16,20 @@ Rates for an m-bit filter storing n items with k hash bits per item:
 Efficiency is -(n/m) * log2 f, bounded by 1 for uniform hashing.
 
 optimal_k and the capacity searches read each candidate's rate as a
-certified value (kernel._Certified): a bracket cut from the rate's terms
-and a thunk that sums those terms uncut, called only where the bracket
+certified value (kernel._Certified): a bracket cut from the rate's terms,
+or for the standard rate at n <= 2 stepped from the occupancy chain in
+floats, and a thunk for the exact rate, called only where the bracket
 cannot decide, so every result is the one an all-exact scan gives.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -440,6 +442,46 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     the cut would be under 512 bits per term, which saves less than the
     bracket costs, the bracket is the exact rate.
 
+    Chain brackets: for the standard variant at n <= 2, _chain_brackets
+    brackets f(k) = sum_x P_(nk)(x) (x/m)^k from the occupancy chain in
+    floats, whose terms are all nonnegative. With u = 2^-53, each float
+    product or quotient is its exact value times some (1 + d), |d| <= u,
+    plus some e, |e| <= 2^-1075, nonzero only for a subnormal result; a sum
+    of two floats takes only the (1 + d). A throw forms
+    fl(fl(P(x) c_x) + fl(P(x-1) d_x)), c_x = fl(x/m), d_x = fl((m-x+1)/m):
+    three factors (1 + d) on each path per throw. Split the computed chain
+    into R, the same arithmetic with every e set to 0, and D, the rest,
+    which is linear in the e. Every coefficient is nonnegative, so R_N(x)
+    is within (1 +- u)^(3N) of P_N(x). D's l1 norm grows by at most
+    (1 + u)^3 per throw, as c_y + d_(y+1) = fl(y/m) + fl((m-y)/m) <= 1 + u,
+    plus 2 L 2^-1075 for the new e, L = min(N, m) + 1 the urn counts
+    carried: |D_N|_1 <= N L 2^-1074 (1 + u)^(3N). Each weight takes one
+    factor c_x per k (math.prod, for an x new at k, the same k factors),
+    so w_x is (x/m)^k within (1 +- u)^(2k) plus at most
+    k 2^-1075 (1 + u)^k, and at most 1. Each term fl(P(x) w_x) adds one
+    (1 + d) and one e, and sum() adds the L nonnegative terms left to right
+    (CPython 3.11; later versions compensate, which errs less), L - 1 more
+    factors. So with E = 3nk + 2k + L + 2 and (1 + u)^E <= 2 (Eu <= 1/2,
+    true for m < 2^48, as E <= 9m + 3), the sum F is within (1 +- u)^E of
+    f plus at most 2 (NL + k + L) 2^-1074 <= A = (3nk + 2k + 3) L 2^-1074.
+    Bernoulli gives (1 + u)^-E >= 1 - Eu and
+    (1 - u)^-E <= 1/(1 - Eu) <= 1 + 2Eu, so
+
+        (F - A)(1 - Eu) <= f <= (F + A)(1 + 2Eu).
+
+    lo and hi are formed in floats with E + 3 in place of E and A + 2^-1074
+    in place of A: 1 - (E+3)u and 1 + 2(E+3)u are exact, and
+    (1 + u)^2 (1 - (E+3)u) <= 1 - Eu, (1 - u)^2 (1 + 2(E+3)u) >= 1 + 2Eu
+    and the extra 2^-1074 cover the two roundings, one of them possibly
+    subnormal, of each end. The bracket is about 3Eu f wide. The walk
+    takes it where hi is at least 2^-960 (_CHAIN_FLOOR; A is then under
+    2^-80 f for m <= 40,000), and _rate_bracket below. The rule n <= 2 was
+    measured (CPython 3.11, shared 2-CPU x86-64 VM): over m <= 256, the
+    standard scans took 0.84 s with chain brackets against 2.5 s at n = 1
+    and 0.52 s against 0.70 s at n = 2, but 0.41 s against 0.34 s at n = 3
+    and 0.32 s against 0.19 s at n = 4, where B prunes most k and the chain
+    must still step through every throw (BENCH_chain_brackets.json).
+
     The scan keeps the best k's certified rate (kernel._Certified) and
     takes a k only where its rate is proven smaller, so ties go to the
     smaller k; T comes from best hi, so the proofs above hold as written.
@@ -499,12 +541,17 @@ def _bracket_walk(
     B(k) = _fpr_lower_bound_log2 exceeds that same cut (both argued in
     optimal_k's docstring). limit()
     is read at the start and after each yield, so the caller may lower it
-    between candidates; it must never rise. The rest get _rate_bracket of
-    the variant's terms at q = k + ceil(-B(k)) + _GUARD_BITS bits, exact
-    (lo == hi) where nothing was cut.
+    between candidates; it must never rise. The rest get the bracket of
+    _chain_brackets for the standard variant at n <= 2 where its hi is at
+    least _CHAIN_FLOOR, and otherwise _rate_bracket of the variant's terms
+    at q = k + ceil(-B(k)) + _GUARD_BITS bits, exact (lo == hi) where
+    nothing was cut. (The n <= 2 rule was measured: optimal_k's docstring.)
     """
+    chained = None
     if variant is FilterVariant.STANDARD:
         terms = _standard_rate_steps(m, n)
+        if n <= 2:
+            chained = _chain_brackets(m, n)
     else:
         terms = partial(_classic_terms, m, n)
     # from k_rise on, the rising bound only rises: once above the cut,
@@ -520,7 +567,9 @@ def _bracket_walk(
             bound = _fpr_lower_bound_log2(m, n, k, variant)
             if bound > cut:
                 continue
-            rate = _rate_bracket(*terms(k), k + math.ceil(-bound) + _GUARD_BITS)
+            rate = chained(k) if chained else None
+            if rate is None or rate.hi < _CHAIN_FLOOR:
+                rate = _rate_bracket(*terms(k), k + math.ceil(-bound) + _GUARD_BITS)
         yield k, rate
         cut = _prune_cut(m, limit())
 
@@ -593,6 +642,10 @@ def _rate_at_most(m: int, n: int, variant: FilterVariant, target: Fraction) -> b
 _GUARD_BITS = 43
 _WORD = 64
 _MIN_CUT = 512
+# _chain_brackets' unit roundoff u, and the hi below which the walk takes
+# _rate_bracket instead
+_CHAIN_U = 2.0**-53
+_CHAIN_FLOOR = 2.0**-960
 _Terms = tuple[list[int], list[int], int, int]
 
 
@@ -693,6 +746,59 @@ def _coefficient_step(m: int, row: list[int]) -> list[int]:
     return [
         (m - j) * a + (m - j + 1) * b for j, (a, b) in enumerate(zip(lower, [0] + row))
     ]
+
+
+def _chain_brackets(m: int, n: int) -> Callable[[int], _Certified]:
+    """bracket(k), the standard rate f(m, n, k) as a kernel._Certified
+    from the occupancy chain in floats, for k rising (or repeated) from
+    call to call (n >= 1); its thunk is fpr_standard_exact.
+
+    P_N(x), the chance that N throws set x bits, steps one throw at a time,
+
+        P_(N+1)(x) = P_N(x) x/m + P_N(x-1) (m-x+1)/m,
+
+    n throws per k, and f(k) = sum_x P_(nk)(x) w_x with w_x = (x/m)^k, one
+    multiply per weight per k. Every term is nonnegative, so nothing
+    cancels: with L = min(nk, m) + 1 urn counts carried,
+    E = 3nk + 2k + L + 2 and A = (3nk + 2k + 3) L 2^-1074, the float sum F
+    gives (F - A)(1 - Eu) <= f <= (F + A)(1 + 2Eu), u = _CHAIN_U, and the
+    bracket's float ends widen that to cover their own rounding (proof in
+    optimal_k's docstring). It holds at any depth; where F underflows, A
+    alone carries hi. Cost: O(n k L) float operations up to k in all.
+    """
+    # up[x] = fl(x/m) and down[x] = fl((m-x+1)/m), the chances that a throw
+    # keeps x set bits at x or takes x - 1 to x, for the counts carried
+    up, down = [0.0], [0.0]
+    pmf, weights, at = [1.0], [1.0], 0
+
+    def bracket(k: int) -> _Certified:
+        nonlocal pmf, weights, at
+        for j in range(at + 1, k + 1):
+            for _ in range(n):
+                if len(pmf) <= m:
+                    x = len(pmf)
+                    up.append(x / m)
+                    down.append((m - x + 1) / m)
+                shifted = chain((0.0,), pmf)
+                pmf = [
+                    p * c + q * d
+                    for p, c, q, d in zip(chain(pmf, (0.0,)), up, shifted, down)
+                ]
+            weights = list(map(operator.mul, weights, up))
+            weights += [math.prod(repeat(c, j)) for c in up[len(weights) :]]
+        at = k
+        size = len(pmf)
+        total = sum(map(operator.mul, pmf, weights))
+        # A + 2^-1074 and (E + 3) u also cover the roundings of the two ends
+        slack = math.ldexp((3 * n * k + 2 * k + 3) * size + 1, -1074)
+        rounding = (3 * n * k + 2 * k + size + 5) * _CHAIN_U
+        return _Certified(
+            (total - slack) * (1 - rounding),
+            (total + slack) * (1 + 2 * rounding),
+            partial(fpr_standard_exact, m, n, k),
+        )
+
+    return bracket
 
 
 def _fpr_lower_bound_log2(m: int, n: int, k: int, variant: FilterVariant) -> float:

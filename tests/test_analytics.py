@@ -445,17 +445,62 @@ class TestRateBrackets:
                     )
 
     def test_scan_is_unchanged_by_wide_brackets(self, monkeypatch):
-        # 63 guard bits fewer make the brackets wider than the rates, so
-        # most comparisons fall back to exact rates; the result may not move
+        # 63 guard bits fewer, and a unit roundoff 2^63 times larger for the
+        # chain brackets that serve (128, 2) and (256, 2), make the brackets
+        # wider than the rates, so most comparisons fall back to exact
+        # rates; the result may not move
         grid = [(96, 3, STD), (128, 2, STD), (256, 2, STD), (512, 8, STD)]
         grid += [(512, 8, CLS), (700, 10, CLS), (1000, 20, CLS)]
         want = {(m, n, v): optimal_k(m, n, v) for m, n, v in grid}
         monkeypatch.setattr(analytics, "_GUARD_BITS", analytics._GUARD_BITS - 63)
+        monkeypatch.setattr(analytics, "_CHAIN_U", analytics._CHAIN_U * 2**63)
         formed = exact_rates_formed(monkeypatch)
         for (m, n, v), best in want.items():
             formed.clear()
             assert optimal_k(m, n, v) == best, (m, n, v)
             assert len(formed) > 2, (m, n, v)
+
+    def test_chain_brackets_hold_the_exact_rate(self):
+        # every k at m <= 64, n = 1, 2; around k* = 138 at (256, 1) and
+        # k* = 807 at (1500, 1), rates near 2^-930; and at m = 10^6, n = 1,
+        # where the rates cross the walk's floor 2^-960 into the subnormals
+        # (k = 74 .. 78) and below the least one, where the float sum is 0
+        # and only the underflow slack A keeps hi above the rate. The width
+        # stays within the proven one, about 3E'u f + 2A' with E' = E + 3
+        # and A' = A + 2^-1074 as in the bracket, plus the ends' roundings;
+        # and the thunk is the exact rate
+        cells = [(m, n, range(1, m + 1)) for m in range(1, 65) for n in (1, 2)]
+        cells += [(256, 1, range(130, 147)), (1500, 1, [800, 807])]
+        cells += [(10**6, 1, [60, 70, 74, 76, 77, 78, 79, 90])]
+        u = Fraction(analytics._CHAIN_U)
+        below_floor = underflowed = 0
+        for m, n, ks in cells:
+            bracket = analytics._chain_brackets(m, n)
+            for k in ks:
+                rate, f = bracket(k), fpr_standard_exact(m, n, k)
+                assert rate.lo <= f <= rate.hi, (m, n, k)
+                size = min(n * k, m) + 1
+                e = 3 * n * k + 2 * k + size + 5
+                a = Fraction((3 * n * k + 2 * k + 3) * size + 1, 2**1074)
+                width = (3 * e + 5) * u * f * (1 + e * u) + 4 * a
+                assert rate.hi - rate.lo <= width, (m, n, k)
+                below_floor += rate.hi < analytics._CHAIN_FLOOR
+                underflowed += rate.lo < 0
+                if m <= 8:
+                    assert rate.exact() == f, (m, n, k)
+        assert below_floor >= 5 and underflowed >= 2
+
+    def test_chain_brackets_match_the_integer_chain(self):
+        # the conjecture counterexample's own chain, counted in integers,
+        # at (26, 12): a second exact reference for every k
+        from test_conjecture_counterexample import chain_fpr_standard
+
+        bracket = analytics._chain_brackets(26, 12)
+        for k in range(1, 27):
+            rate, f = bracket(k), chain_fpr_standard(26, 12, k)
+            assert rate.lo <= f <= rate.hi, k
+            assert rate.hi - rate.lo <= f / 2**40, k
+            assert rate.exact() == f, k
 
     def test_touching_brackets_tie_toward_smaller_k(self, monkeypatch):
         # f(255, 1, 127) == f(255, 1, 128); brackets [f, f + t] at odd k and
@@ -494,14 +539,20 @@ class TestOptimalK:
         grid += [(m, n) for m in (96, 128) for n in (1, 2, 3, 24)]
         high_load = [(16, 40), (24, 48), (32, 60), (40, 64), (64, 100)]
         grid += high_load
-        # low loads, where the brackets cut most of every term
-        grid += [(256, 1), (256, 2)]
+        # low loads, where the brackets cut most of every term; at n <= 2
+        # the standard walk takes chain brackets (n = 3 does not), and at
+        # (256, 1) forms only the seed's and the winner's exact rates
+        grid += [(256, 1), (256, 2), (65, 1), (200, 1), (160, 2), (160, 3)]
         oracle_rate = {STD: fpr_standard_stirling, CLS: fpr_classic_direct}
+        formed = exact_rates_formed(monkeypatch)
         for m, n in grid:
             for variant in (STD, CLS):
                 bound_ks.clear()
                 rise_ks.clear()
+                formed.clear()
                 best = optimal_k(m, n, variant)
+                if (m, n, variant) == (256, 1, STD):
+                    assert len(formed) <= 3, formed
                 rates = [oracle_rate[variant](m, n, k) for k in range(1, m + 1)]
                 f_star = min(rates)
                 ties = [k for k, f in enumerate(rates, 1) if f == f_star]
