@@ -369,7 +369,8 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
 
     Stop: the walk ends at the first k >= k_rise whose rising bound R(k)
     exceeds T + delta (_rising_bound), R = B for the standard variant and
-    a second, cheaper bound L for the classic one. R* is a lower bound on
+    for the classic one at n = 1, and a second, cheaper bound L for the
+    classic one at n >= 2. R* is a lower bound on
     log2 f that strictly increases on [k_rise, m], and R's float error is
     within B's, so the margin argument above gives R*(k) > T*, and every
     later j has f(j) >= 2^R*(j) > 2^R*(k) > 2^T*: more than the best rate
@@ -424,6 +425,14 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     B's error, and L <= 0 as y <= 1, so the margin argument holds for L
     as for B. (tests/test_analytics.py finds L within 2^-13 delta of a
     60-digit evaluation of its formula up to m = 10^6.)
+
+    Classic variant at n = 1: R is B itself, and k_rise = ceil(m/2). One
+    item sets exactly k bits, so X = k, mu = k and f_C = 1/C(m, k) exactly:
+    B*(k) = log2 C(k, k) - log2 C(m, k) = log2 f_C. As
+    C(m, k+1)/C(m, k) = (m - k)/(k + 1) is under 1 exactly when
+    k >= ceil(m/2), B* strictly increases on [ceil(m/2), m], up to
+    B*(m) = 0, and R's float error is B's own. L would rise only from
+    about m - sqrt(m).
 
     Brackets: a k that is not skipped gets lo <= f(k) <= hi and a thunk for
     f(k) that sums the same terms uncut. Both rates are alternating sums
@@ -535,7 +544,8 @@ def _bracket_walk(
 
     The seed (k, f), if given, is yielded exact, unbounded. For any other
     k the walk ends if k >= k_rise and the rising bound (_rising_bound: B
-    itself for the standard variant, L for the classic) exceeds
+    itself for the standard variant and the classic at n = 1, L for the
+    classic at n >= 2) exceeds
     _prune_cut(m, limit()), limit() plus a margin of 2^7 times the float
     error of the bound and of limit(); else k is skipped where
     B(k) = _fpr_lower_bound_log2 exceeds that same cut (both argued in
@@ -584,16 +594,20 @@ def _rising_bound(
     standard: R is B itself, and k_rise is the least integer above
     k0 (1 + 2^-40), k0 = ln 2 / |ln q| in floats, q = (1 - 1/m)^n (1 at
     m = 1, where B is the exact 0).
-    classic: R is L, L(k) = k log2((mu - k + 1) / (m - k + 1)) with
+    classic, n = 1: R is B, the exact log2 f = -log2 C(m, k), and k_rise
+    is ceil(m/2), from where C(m, k) falls.
+    classic, n >= 2: R is L, L(k) = k log2((mu - k + 1) / (m - k + 1)) with
     mu - k + 1 = 1 + (m - k)(1 - (1 - k/m)^(n-1)) summed without
-    cancellation (1 at n = 1), and k_rise is the least k <= m - 1 with
+    cancellation, and k_rise is the least k <= m - 1 with
     k (n (m-k+1) - (m-k)) >= (m-k)(m-k+1), bisected in integers, or m if
     there is none.
     """
+    bound = partial(_fpr_lower_bound_log2, m, n, variant=variant)
     if variant is FilterVariant.STANDARD:
         k0 = LN2 / (n * -math.log1p(-1 / m)) if m > 1 else 0.0
-        rising = partial(_fpr_lower_bound_log2, m, n, variant=variant)
-        return math.floor(k0 * (1 + 2**-40)) + 1, rising
+        return math.floor(k0 * (1 + 2**-40)) + 1, bound
+    if n == 1:
+        return (m + 1) // 2, bound
 
     def rising(k: int) -> float:
         if k == m:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import struct
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -91,6 +90,9 @@ def run_trials(config: TrialConfig, workers: int = 1):
         (config.trials * w // workers, config.trials * (w + 1) // workers)
         for w in range(workers)
     ]
+    # Imported here: it loads multiprocessing, which only this branch needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     positives = 0
     probe_count = 0
     hist: Counter[int] = Counter()

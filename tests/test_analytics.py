@@ -276,9 +276,12 @@ def lower_bound_log2_decimal(m, n, k, variant):
 
 
 def rise_bound_log2_decimal(m, n, k):
-    """The classic rising bound L(k) = k log2((mu - k + 1)/(m - k + 1)) of
-    analytics._rising_bound (1 <= k < m) at 60 digits, with mu formed
-    directly, mu = m (1 - (1 - k/m)^n), not as the float's 1 + (m - k) y."""
+    """The classic rising bound of analytics._rising_bound (1 <= k < m) at
+    60 digits: B at n = 1, else L(k) = k log2((mu - k + 1)/(m - k + 1))
+    with mu formed directly, mu = m (1 - (1 - k/m)^n), not as the float's
+    1 + (m - k) y."""
+    if n == 1:
+        return lower_bound_log2_decimal(m, n, k, CLS)
     with localcontext() as ctx:
         ctx.prec = 60
         dm, dn, dk = Decimal(m), Decimal(n), Decimal(k)
@@ -287,8 +290,11 @@ def rise_bound_log2_decimal(m, n, k):
 
 
 def classic_rises(m, n, k):
-    """k s(k) >= 1 in Fractions, s(k) = n/(m - k) - 1/(m - k + 1): the
-    condition under which the classic rising bound increases (k < m)."""
+    """The condition under which the classic rising bound increases (k < m):
+    at n = 1, where it is B = -log2 C(m, k), C(m, k + 1) < C(m, k); else
+    k s(k) >= 1 in Fractions, s(k) = n/(m - k) - 1/(m - k + 1)."""
+    if n == 1:
+        return math.comb(m, k + 1) < math.comb(m, k)
     s = Fraction(n, m - k) - Fraction(1, m - k + 1)
     return k * s >= 1
 
@@ -296,7 +302,8 @@ def classic_rises(m, n, k):
 def traced_bounds(monkeypatch):
     """Two lists that record, from here on, each k at which the walk
     evaluates B (_fpr_lower_bound_log2) and the rising bound (B itself for
-    the standard variant, so its k go in both lists; L for the classic)."""
+    the standard variant and the classic at n = 1, so its k go in both
+    lists; L for the classic at n >= 2)."""
     bound, rising_bound = analytics._fpr_lower_bound_log2, analytics._rising_bound
     bound_ks, rise_ks = [], []
 
@@ -533,7 +540,8 @@ class TestOptimalK:
         # high loads (16, 40) ... (64, 100) the optimum is k = 1 at a rate
         # above 2^-0.5: the seed is k = 1, and the standard scan bounds
         # k = 2 and stops. The classic n = 1 cells at m = 17, 33 tie at
-        # (m - 1)/2 and (m + 1)/2: k_max is the larger
+        # (m - 1)/2 and (m + 1)/2: k_max is the larger. Every classic n = 1
+        # walk stops just past m/2, where B = log2 f starts to rise
         bound_ks, rise_ks = traced_bounds(monkeypatch)
         grid = [(m, n) for m in (8, 17, 33, 64) for n in (1, 2, 5, 9)]
         grid += [(m, n) for m in (96, 128) for n in (1, 2, 3, 24)]
@@ -558,6 +566,8 @@ class TestOptimalK:
                 ties = [k for k, f in enumerate(rates, 1) if f == f_star]
                 want = (f_star, ties[0], ties[-1])
                 assert (best.fpr, best.k, best.k_max) == want, (m, n, variant)
+                if n == 1 and variant is CLS:
+                    assert max(bound_ks + rise_ks) <= (m + 1) // 2 + 2, m
                 if (m, n) in high_load:
                     assert best.fpr > Fraction(7071, 10**4), (m, n, variant)
                     if variant is STD:
@@ -683,8 +693,8 @@ class TestOptimalK:
                         assert rising(k) <= bound + 1e-9, (m, n, k)
 
     def test_classic_rise_bound_rises_from_k_rise(self):
-        # on the grid of test_standard_bound_falls_then_rises; n = 1 rises
-        # only near k = m, where L(m) = 0
+        # on the grid of test_standard_bound_falls_then_rises, up to
+        # R(m) = 0; at n = 1 R is B, which rises from ceil(m/2)
         for m in (2, 5, 16, 61, 128, 256):
             for n in (1, 2, 3, 9, 30, 200):
                 k_rise, rising = analytics._rising_bound(m, n, CLS)
@@ -694,8 +704,9 @@ class TestOptimalK:
                     assert hi >= lo - 1e-12 * (1 + abs(lo)), (m, n, k)
 
     def test_classic_k_rise_matches_fraction_scan(self):
-        # k_rise is the least k <= m - 1 with k s(k) >= 1, or m, and every
-        # k from k_rise to m - 1 meets the test
+        # k_rise is the least k <= m - 1 that meets classic_rises' test
+        # (k s(k) >= 1; C(m, k + 1) < C(m, k) at n = 1), or m, and every
+        # k from k_rise to m - 1 meets it
         for m in range(1, 301):
             for n in (1, 2, 3, 7, 40):
                 rises = [k for k in range(1, m) if classic_rises(m, n, k)]
@@ -704,8 +715,9 @@ class TestOptimalK:
                 assert analytics._rising_bound(m, n, CLS)[0] == want, (m, n)
 
     def test_classic_rise_bound_float_error_is_inside_the_margin(self):
-        # L(k) against its formula at 60 digits, up to m = 10^6, n = 1 and
-        # k = m - 1 included: off by at most an eighth of the margin at T = 0
+        # R(k) against its formula at 60 digits, up to m = 10^6, n = 1 (B)
+        # and k = m - 1 included: off by at most an eighth of the margin at
+        # T = 0
         for m in (2, 3, 10, 97, 1024, 4099, 65536, 10**6):
             delta = analytics._prune_cut(m, 0.0)
             for n in (1, 2, 7, 300, 10**5):

@@ -45,10 +45,11 @@ def test_every_dependency_is_imported():
     assert _declared() - _third_party_imports() == set()
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy_or_process_pool():
+    """A CLI call's cold start loads no numeric stack and no worker pool."""
     code = (
-        "import sys, bloomlab.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys, bloomlab.cli; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in {'scipy', 'multiprocessing', 'concurrent'}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
