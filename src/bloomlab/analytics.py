@@ -4,7 +4,9 @@ Every rate is formed in integer/rational arithmetic: the alternating sums
 underneath these formulas are catastrophically cancellative in floating
 point once rates drop below ~1e-15, and interesting configurations reach
 1e-43. Two algorithms share that arithmetic. The fpr_*_exact functions sum
-each rate's terms into an exact Fraction; fpr_recursive runs the paper's
+each rate's terms into an exact Fraction, reduced against the small base
+whose power its denominator is (m, or C(m, k); kernel._lowest_terms) rather
+than by Fraction's general gcd; fpr_recursive runs the paper's
 two-term recursion as an integer table and divides once, so its float is
 the exact rate correctly rounded, a cross-check by another route.
 
@@ -37,6 +39,7 @@ from .filters import FilterVariant
 from .kernel import (
     _alternating_power_sum,
     _Certified,
+    _lowest_terms,
     log2_fraction,
     nabla_power,
     nabla_power_row,
@@ -119,17 +122,18 @@ def fpr_classic_exact(m: int, n: int, k: int) -> Fraction:
 
 
 def _classic_terms(m: int, n: int, k: int) -> _Terms:
-    """The classic rate's terms C(k, i), C(m-i, k), n, C(m, k)^n, which
-    fpr_classic_exact sums and optimal_k brackets; the bases stepped by
-    C(m-i-1, k) = C(m-i, k) (m-i-k) / (m-i) instead of k+1 comb calls.
+    """The classic rate's terms C(k, i), C(m-i, k), n, C(m, k)^n and its
+    base C(m, k), which fpr_classic_exact sums and optimal_k brackets; the
+    bases stepped by C(m-i-1, k) = C(m-i, k) (m-i-k) / (m-i) instead of k+1
+    comb calls.
     At n = 1, nabla^k C(x,k) at m collapses to C(m-k, 0) = 1: the one
     term 1 / C(m, k)."""
     if n == 1:
-        return [1], [1], 1, comb(m, k)
+        return [1], [1], 1, comb(m, k), comb(m, k)
     bases = [comb(m, k)]
     for i in range(k):
         bases.append(bases[-1] * (m - i - k) // (m - i))
-    return list(map(comb, repeat(k), range(k + 1))), bases, n, bases[0] ** n
+    return list(map(comb, repeat(k), range(k + 1))), bases, n, bases[0] ** n, bases[0]
 
 
 def fpr_exact(m: int, n: int, k: int, variant: FilterVariant) -> Fraction:
@@ -175,8 +179,8 @@ def fpr_recursive(m: int, n: int, k: int, variant: FilterVariant) -> float:
     at (1024, 5, 133), (512, 16, 300) and (2048, 2, 700): standard 6, 180
     and 330 ms, where the exact rate takes 4, 83 and 196 ms; classic 2, 12
     and 90 ms against 0.5, 2 and 9 ms. It is a cross-check, faster than
-    the exact rate only at large nk with small k: 0.74 s against 1.3 s at
-    (65536, 1000, 45) standard.
+    the exact rate only at large nk with small k: 1.16 s against 1.23 s at
+    (65536, 1000, 45) standard, 0.42 s against 0.51 s at (100000, 10000, 7).
     """
     if m < 1 or k < 1 or n < 0:
         raise ValueError("fpr_recursive requires m >= 1, k >= 1, n >= 0")
@@ -252,11 +256,11 @@ def fpr_bounds(m: int, n: int, k: int) -> FprBounds:
         zero = Fraction(0)
         return FprBounds(E=0.0, M_base=zero, M_exp=k, L=zero, U=zero)
     e_val = (-math.expm1(-k * n / m)) ** k
-    l_val = Fraction(nabla_power(m, n * k, k), m ** (n * k))
+    throws = m ** (n * k)
+    l_val = _lowest_terms(nabla_power(m, n * k, k), throws, m)
     u_val = (1 - Fraction(max(m - k, 0), m) ** n) ** k
-    return FprBounds(
-        E=e_val, M_base=1 - Fraction(m - 1, m) ** (k * n), M_exp=k, L=l_val, U=u_val
-    )
+    m_base = _lowest_terms(throws - (m - 1) ** (n * k), throws, m)
+    return FprBounds(E=e_val, M_base=m_base, M_exp=k, L=l_val, U=u_val)
 
 
 def fpr_taylor(m: int, n: int, k: int) -> float:
@@ -660,16 +664,20 @@ _MIN_CUT = 512
 # _rate_bracket instead
 _CHAIN_U = 2.0**-53
 _CHAIN_FLOOR = 2.0**-960
-_Terms = tuple[list[int], list[int], int, int]
+# a rate's terms: coeffs, bases, e, den and the base whose power den is
+_Terms = tuple[list[int], list[int], int, int, int]
 
 
-def _rate_value(coeffs: list[int], bases: list[int], e: int, den: int) -> Fraction:
-    """sum_j (-1)^j coeffs[j] bases[j]^e / den, the rate of these _Terms."""
-    return Fraction(_alternating_power_sum(coeffs, bases, e), den)
+def _rate_value(
+    coeffs: list[int], bases: list[int], e: int, den: int, root: int
+) -> Fraction:
+    """sum_j (-1)^j coeffs[j] bases[j]^e / den, the rate of these _Terms,
+    reduced against root (kernel._lowest_terms), whose power den is."""
+    return _lowest_terms(_alternating_power_sum(coeffs, bases, e), den, root)
 
 
 def _rate_bracket(
-    coeffs: list[int], bases: list[int], e: int, den: int, q: int
+    coeffs: list[int], bases: list[int], e: int, den: int, root: int, q: int
 ) -> _Certified:
     """F / den as a kernel._Certified whose thunk sums these terms uncut,
     F = sum_j (-1)^j a_j b_j^e over coeffs a_j >= 0, bases b_0 >= b_j >= 0:
@@ -693,7 +701,7 @@ def _rate_bracket(
     rate at the seed k: 1.3-1.8 times the exact sum's time at m <= 100,
     n <= 3, with cuts of 115-393 bits; 0.84 times at (128, 2), 691 bits).
     """
-    exact = partial(_rate_value, coeffs, bases, e, den)
+    exact = partial(_rate_value, coeffs, bases, e, den, root)
     sa = max(sum(coeffs).bit_length() - 1 - q - len(coeffs).bit_length(), 0)
     sb = max(bases[0].bit_length() - 1 - q - e.bit_length(), 0)
     scale = sa + e * sb
@@ -715,7 +723,7 @@ def _rate_bracket(
 
 
 def _standard_rate_steps(m: int, n: int) -> Callable[[int], _Terms]:
-    """terms(k) = (A(k, .), (m-j)^(nk), 1, m^(nk+k)), the terms of
+    """terms(k) = (A(k, .), (m-j)^(nk), 1, m^(nk+k), m), the terms of
     fpr_standard_exact(m, n, k), for k rising (or repeated) from call to
     call: A(k, j) = C(m,j) nabla^j[x^k]_m for j <= min(k, m).
 
@@ -740,7 +748,7 @@ def _standard_rate_steps(m: int, n: int) -> Callable[[int], _Terms]:
         powers = [p * (m - j) ** gap for j, p in enumerate(powers)]
         powers += [(m - j) ** (n * k) for j in range(len(powers), len(coeffs))]
         at = k
-        return coeffs, powers, 1, m ** (n * k + k)
+        return coeffs, powers, 1, m ** (n * k + k), m
 
     return terms
 
@@ -1063,5 +1071,11 @@ def intersection_filter_moments(
         return Fraction(0), Fraction(0)
     spec = CommitteeSpec(m, [(n_i * k, 1) for n_i in counts])
     mean = intersection_moment(spec, 1)
-    var = mean + 2 * intersection_moment(spec, 2) - mean * mean
+    pair = intersection_moment(spec, 2)
+    # var = mean + 2 pair - mean^2 from mean = s_1 / D, pair = s_2 / D over
+    # the law's denominator D = m^(k sum n_i), reduced once
+    throws = m ** (k * sum(counts))
+    s_1 = mean.numerator * (throws // mean.denominator)
+    s_2 = pair.numerator * (throws // pair.denominator)
+    var = _lowest_terms(s_1 * (throws - s_1) + 2 * s_2 * throws, throws**2, m)
     return mean, var

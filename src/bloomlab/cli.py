@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from . import analytics, montecarlo, suites
+from . import analytics, montecarlo
 from .estimators import SaturationError
 from .filters import (
     BloomFilter,
@@ -26,7 +26,7 @@ from .filters import (
     estimate_cardinality,
     serialize,
 )
-from .kernel import _Certified, log2_fraction
+from .kernel import _Certified, _lowest_terms, log2_fraction
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -37,26 +37,38 @@ def fraction_sci(value: Fraction) -> str:
     """Scientific notation to 6 significant digits, for a rational of any size.
 
     float() would underflow around 1e-308; this scales by exact powers of
-    ten instead, so 1e-43 rates (and far smaller) print correctly.
+    ten instead, so 1e-43 rates (and far smaller) print correctly. The six
+    digits are floor(|value| 10^(5 - exp)) from one integer divmod, with
+    the exponent estimated from log2 and corrected by one where the digits
+    miss [10^5, 10^6); the remainder rounds them half to even, as round()
+    of the Fraction would.
     """
     if value == 0:
         return "0"
-    neg = value < 0
-    a = -value if neg else value
+    a = abs(value)
+    num, den = a.numerator, a.denominator
     exp = math.floor(log2_fraction(a) * math.log10(2))
-    scale = Fraction(10) ** exp
-    if a < scale:
-        exp -= 1
-        scale /= 10
-    elif a >= 10 * scale:
+    q, r, d = _sci_digits(num, den, exp)
+    if not 10**5 <= q < 10**6:
+        exp += 1 if q >= 10**6 else -1
+        q, r, d = _sci_digits(num, den, exp)
+    if 2 * r > d or (2 * r == d and q & 1):
+        q += 1
+    if q == 10**6:  # rounded up to the next power of ten
+        q //= 10
         exp += 1
-        scale *= 10
-    digits = round(a / scale * 10**5)
-    if digits >= 10**6:  # rounded up to the next power of ten
-        digits //= 10
-        exp += 1
-    text = str(digits)
-    return f"{'-' if neg else ''}{text[0]}.{text[1:]}e{exp:+03d}"
+    text = str(q)
+    return f"{'-' if value < 0 else ''}{text[0]}.{text[1:]}e{exp:+03d}"
+
+
+def _sci_digits(num: int, den: int, exp: int) -> tuple[int, int, int]:
+    """(q, r, d) with num 10^(5 - exp) / den = q + r / d, 0 <= r < d."""
+    shift = 5 - exp
+    if shift >= 0:
+        num *= 10**shift
+    else:
+        den *= 10**-shift
+    return *divmod(num, den), den
 
 
 def power_sci(base: Fraction, k: int) -> str:
@@ -68,13 +80,14 @@ def power_sci(base: Fraction, k: int) -> str:
     Rounding to significant digits is monotone, so the certified power
     (kernel._Certified.read) prints from the bracket where both ends print
     alike, and from the exact power base ** k otherwise: at or next to a
-    rounding boundary (the tie 2^-10 = 9.765625e-04 is one).
+    rounding boundary (the tie 2^-10 = 9.765625e-04 is one). The ends are
+    reduced by stripping powers of two (kernel._lowest_terms), not by a gcd.
     """
     num, den = base.numerator, base.denominator
     s = max(64 + k.bit_length() + 8 + den.bit_length() - num.bit_length(), 0)
     r = (num << s) // den
     one = 1 << (s * k)
-    ends = Fraction(r**k, one), Fraction((r + 1) ** k, one)
+    ends = _lowest_terms(r**k, one, 2), _lowest_terms((r + 1) ** k, one, 2)
     return _Certified(*ends, lambda: base**k).read(fraction_sci)
 
 
@@ -127,7 +140,10 @@ def analyze(m: int, n: int, k: int, variant: str, fmt: str) -> None:
         "n": n,
         "k": k,
         "variant": variant,
-        "exact_fraction": f"{rep.exact.numerator}/{rep.exact.denominator}",
+        # int-to-str is quadratic in CPython: built only where it is printed
+        "exact_fraction": (
+            f"{rep.exact.numerator}/{rep.exact.denominator}" if fmt == "json" else None
+        ),
         "exact": fraction_sci(rep.exact),
         "log2_exact": rep.log2_exact if math.isfinite(rep.log2_exact) else None,
         "bits_of_cutdown": cutdown if math.isfinite(cutdown) else None,
@@ -479,12 +495,29 @@ def simulate(m, n, k, variant, trials, probes, seed, fmt) -> None:
         click.echo("note: fpr z-score outside 4 SE", err=True)
 
 
+# suites.suite_names(), listed here so that importing the CLI does not
+# import the suites (and the oracle they check against); a test keeps the two
+# equal
+_SUITE_NAMES = (
+    "paper-numbers",
+    "oracle-small",
+    "invariants",
+    "montecarlo",
+    "asymptotics",
+    "valley",
+    "conjectures",
+    "all",
+)
+
+
 @cli.command()
-@click.argument("suite", type=click.Choice(suites.suite_names()))
+@click.argument("suite", type=click.Choice(_SUITE_NAMES))
 @click.option("--out", type=click.Path(file_okay=False), default=None,
               help="Directory for report artifacts (CSV).")
 def verify(suite, out) -> None:
     """Run a verification suite; exit 3 if any check fails."""
+    from . import suites
+
     results = suites.run_suite(suite)
     failed = False
     for result in results:

@@ -1,8 +1,10 @@
 """Exact combinatorial primitives: Stirling numbers, falling factorials,
 finite-difference operators over arbitrary-precision rationals, the one
 binomial-power product prod C(t,k)^n over a batch law's (n, k) departments,
-and the certified value _Certified: lo <= x <= hi, x formed only if needed.
-Everything here is exact integer or rational arithmetic.
+the reduction _lowest_terms of a fraction whose denominator is a power of a
+small known base, and the certified value _Certified: lo <= x <= hi, x
+formed only if needed. Everything here is exact integer or rational
+arithmetic.
 
 Alternating sums are accumulated in integer (or exact rational) arithmetic
 and divided once at the end, so no cancellation error is possible. All
@@ -16,7 +18,7 @@ import math
 import threading
 from fractions import Fraction
 from itertools import repeat
-from math import comb
+from math import comb, gcd
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 __all__ = [
@@ -164,6 +166,67 @@ def nabla_power_row(m: int, n: int, r: int) -> list[int]:
 
 
 # --------------------------------------------------------------------------
+# Lowest terms against a known base
+# --------------------------------------------------------------------------
+
+if hasattr(Fraction, "_from_coprime_ints"):  # CPython 3.12 and later
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+
+    def _coprime_fraction(num: int, den: int) -> Fraction:
+        """num / den as given, for coprime num and den > 0."""
+        return Fraction(num, den, _normalize=False)
+
+
+# the denominator size up to which _lowest_terms leaves the reduction to
+# Fraction: both take 2-3 us at about 300 bits (CPython 3.11, x86-64)
+_GCD_BITS = 320
+
+
+def _lowest_terms(num: int, den: int, base: int) -> Fraction:
+    """num / den as a Fraction, for den >= 1 whose every prime factor
+    divides base: m for m^e, C(m, k) for C(m, k)^n, prod C(m, k_d) for
+    prod C(m, k_d)^(n_d). It equals Fraction(num, den), built without
+    Fraction's general gcd, which is quadratic in the bit length.
+
+    A prime dividing num and den divides d = gcd(num mod base, base), cut
+    to gcd(d, den) where den % d != 0; at d = 1, num and den are coprime.
+    Each round strips the largest power d^v dividing both: d, then d^2,
+    d^4, ... while they divide, then the same powers back down, at most
+    2 log2(v + 1) trial divisions of num (a loop taking one d per step
+    takes v). The next round's d properly divides this one's, and a round
+    whose d holds a prime below its full power in base strips that prime
+    out, so there are at most 2 omega(base) + 1 rounds (omega counts
+    distinct primes); a rate takes one or two. Each step divides by d or a
+    power of it, in time linear in num's length while that power is small.
+    Up to _GCD_BITS bits of den, Fraction's own gcd is as fast and is used.
+    """
+    if den.bit_length() <= _GCD_BITS:
+        return Fraction(num, den)
+    while True:
+        d = gcd(num % base, base)
+        if den % d:
+            d = gcd(d, den % d)
+        if d == 1:
+            return _coprime_fraction(num, den)
+        num, den = num // d, den // d
+        powers = [d]
+        while True:
+            q = powers[-1] ** 2
+            quo, rem = divmod(num, q)
+            if rem or den % q:
+                break
+            num, den = quo, den // q
+            powers.append(q)
+        # d^(2^J) failed after d^(2^J - 1) came off, J = len(powers): what
+        # is left is under 2^J powers of d, a sum of distinct powers above
+        for q in reversed(powers):
+            quo, rem = divmod(num, q)
+            if not rem and not den % q:
+                num, den = quo, den // q
+
+
+# --------------------------------------------------------------------------
 # Normalized differences of binomial products
 # --------------------------------------------------------------------------
 
@@ -175,6 +238,13 @@ def _binom_product(t: int, departments: Iterable[tuple[int, int]]) -> int:
     for n, k in departments:
         out *= comb(t, k) ** n
     return out
+
+
+def _binom_root(t: int, departments: Iterable[tuple[int, int]]) -> int:
+    """prod C(t,k) over (n, k) in departments: every prime factor of
+    _binom_product(t, departments) divides it, so _lowest_terms reduces a
+    law's fractions against it."""
+    return _binom_product(t, ((1, k) for _, k in departments))
 
 
 def _exact_cover_counts(departments: Sequence[tuple[int, int]], top: int) -> list[int]:
@@ -198,7 +268,11 @@ def rho(r: int, s: int, departments: Sequence[tuple[int, int]]) -> Fraction:
         raise ValueError("rho requires departments of n >= 1 batches of 1 <= k <= s")
     values = [_binom_product(s - j, departments) for j in range(r + 1)]
     coeffs = map(comb, repeat(r), range(r + 1))
-    return Fraction(_alternating_power_sum(coeffs, values, 1), values[0])
+    return _lowest_terms(
+        _alternating_power_sum(coeffs, values, 1),
+        values[0],
+        _binom_root(s, departments),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,9 @@ for Y the number of empty urns:
 
 over j <= min(deg g, m), with g = x^r, x_(r) or C(x,r) for the three
 moment kinds. The p.m.f.s come from one forward-difference table of the
-same product. The product and the difference loops live in kernel.
+same product. The product and the difference loops live in kernel, and
+every result is reduced there against prod C(m,k), whose power the
+denominator is (kernel._lowest_terms), not by Fraction's general gcd.
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ from typing import Sequence
 from .kernel import (
     _alternating_power_sum,
     _binom_product,
+    _binom_root,
     _difference_row,
     _exact_cover_counts,
+    _lowest_terms,
     binom_poly,
     falling_factorial,
     nabla_power,
@@ -107,7 +111,7 @@ def classic_pmf(m: int, n: int, i: int) -> Fraction:
         raise ValueError("classic_pmf requires m >= 1 and n >= 0")
     if i < 0 or i > m:
         return Fraction(0)
-    return Fraction(stirling2(n, i) * falling_factorial(m, i), m**n)
+    return _lowest_terms(stirling2(n, i) * falling_factorial(m, i), m**n, m)
 
 
 def classic_raw_moment(m: int, n: int, r: int) -> Fraction:
@@ -166,9 +170,9 @@ def _batch_pmf_row(
     ask for the law one i at a time.
     """
     top = min(m, sum(n * k for n, k in departments))
-    denom = _binom_product(m, departments)
+    denom, root = _binom_product(m, departments), _binom_root(m, departments)
     return tuple(
-        Fraction(comb(m, i) * c, denom)
+        _lowest_terms(comb(m, i) * c, denom, root)
         for i, c in enumerate(_exact_cover_counts(departments, top))
     )
 
@@ -198,21 +202,38 @@ def _moment(
     batches of size k for each (n, k) in departments."""
     if r < 0:
         raise ValueError("moment order must be >= 0")
+    return _lowest_terms(
+        _moment_numerator(m, departments, r, kind),
+        _binom_product(m, departments),
+        _binom_root(m, departments),
+    )
+
+
+def _moment_numerator(
+    m: int, departments: Sequence[tuple[int, int]], r: int, kind: MomentKind
+) -> int:
+    """_moment's value times prod C(m,k)^n, an integer."""
     top = min(r, m)
     if kind is MomentKind.RAW:
         row = nabla_power_row(m, r, top)
     else:
         g = falling_factorial if kind is MomentKind.FACTORIAL else comb
         row = _difference_row([g(m - j, r) for j in range(top + 1)])
-    denom = _binom_product(m, departments)
-    return Fraction(_empty_urn_sum(m, departments, row), denom)
+    return _empty_urn_sum(m, departments, row)
 
 
 def _mean_variance(
     m: int, departments: Sequence[tuple[int, int]]
 ) -> tuple[Fraction, Fraction]:
-    mean = _moment(m, departments, 1, MomentKind.RAW)
-    return mean, _moment(m, departments, 2, MomentKind.RAW) - mean * mean
+    """E[X] = s_1 / D and Var X = (s_2 D - s_1^2) / D^2 from the raw
+    empty-urn numerators s_r over D = prod C(m,k)^n, each reduced once."""
+    first = _moment_numerator(m, departments, 1, MomentKind.RAW)
+    second = _moment_numerator(m, departments, 2, MomentKind.RAW)
+    denom, root = _binom_product(m, departments), _binom_root(m, departments)
+    return (
+        _lowest_terms(first, denom, root),
+        _lowest_terms(second * denom - first * first, denom * denom, root),
+    )
 
 
 def committee_moment(m: int, n: int, k: int, r: int, kind: MomentKind) -> Fraction:
@@ -268,7 +289,12 @@ def intersection_moment(spec: CommitteeSpec, r: int) -> Fraction:
         raise ValueError("moment order must be >= 0")
     if r > spec.m:
         return Fraction(0)
-    return comb(spec.m, r) * prod(rho(r, spec.m, [d]) for d in spec.departments)
+    factors = [rho(r, spec.m, [d]) for d in spec.departments]
+    return _lowest_terms(
+        comb(spec.m, r) * prod(f.numerator for f in factors),
+        prod(f.denominator for f in factors),
+        _binom_root(spec.m, spec.departments),
+    )
 
 
 def intersection_pmf_table(spec: CommitteeSpec) -> list[Fraction]:
@@ -294,6 +320,7 @@ def _intersection_pmf_row(spec: CommitteeSpec) -> tuple[Fraction, ...]:
         for d in spec.departments
     ]
     denom = _binom_product(m, spec.departments)
+    root = _binom_root(m, spec.departments)
     # joint[w] = q(w) * denom, listed from w = m down to 0
     joint = [1] * (m + 1)
     for w in range(m + 1):
@@ -301,7 +328,7 @@ def _intersection_pmf_row(spec: CommitteeSpec) -> tuple[Fraction, ...]:
             joint[m - w] *= row[w]
     # reversed, the row's entry i is nabla^(m-i)[q]_m * denom
     return tuple(
-        Fraction(comb(m, i) * (-d if (m - i) & 1 else d), denom)
+        _lowest_terms(comb(m, i) * (-d if (m - i) & 1 else d), denom, root)
         for i, d in enumerate(reversed(_difference_row(joint)))
     )
 
@@ -336,7 +363,7 @@ def moment_bounds(
         raise ValueError("batch count must be >= 0")
     if not 0 <= r <= min(k, m - k):
         raise ValueError("bounds hold only for 0 <= r <= min(k, m - k)")
-    lower = Fraction(nabla_power(m, n * k, r), m ** (n * k))
+    lower = _lowest_terms(nabla_power(m, n * k, r), m ** (n * k), m)
     mu = m * (1 - Fraction(m - k, m) ** n)
     jensen = binom_poly(mu, r) / comb(m, r)
     upper = (mu / m) ** r

@@ -431,7 +431,9 @@ class TestRateBrackets:
                 coeffs = [(9 + slope * j) * top + r for j, r in enumerate(ends_a)]
                 bases = [5 * top + rb0] + [5 * top + rb] * (size - 1)
                 den = sum(coeffs) * bases[0] ** e
-                rate = analytics._rate_bracket(coeffs, bases, e, den, q)
+                # every prime of den divides sum(coeffs) * bases[0]
+                root = sum(coeffs) * bases[0]
+                rate = analytics._rate_bracket(coeffs, bases, e, den, root, q)
                 lo, hi = rate.lo, rate.hi
                 f = Fraction(kernel._alternating_power_sum(coeffs, bases, e), den)
                 assert lo <= f <= hi, (e, q, size, slope, ends)
@@ -519,8 +521,8 @@ class TestRateBrackets:
             taken.append(k)
             return terms(m, n, k)
 
-        def touching(coeffs, bases, e, den, q):
-            f = analytics._rate_value(coeffs, bases, e, den)
+        def touching(coeffs, bases, e, den, root, q):
+            f = analytics._rate_value(coeffs, bases, e, den, root)
             t = f / 2**50
             lo, hi = (f, f + t) if taken[-1] % 2 else (f - t, f)
             return kernel._Certified(lo, hi, lambda: f)

@@ -15,6 +15,7 @@ from bloomlab import analytics
 from bloomlab import cli as cli_module
 from bloomlab.cli import cli, fraction_sci, main, power_sci
 from bloomlab.filters import FilterVariant
+from bloomlab.kernel import log2_fraction
 from bloomlab.suites import CheckResult, SuiteResult
 from fractions import Fraction
 
@@ -32,6 +33,52 @@ def _restore_int_str_limit():
     sys.set_int_max_str_digits(limit)
 
 
+def fraction_sci_by_fractions(value: Fraction) -> str:
+    """The printer as it was before its integer rewrite, Fraction division
+    and round() throughout: the oracle for cli.fraction_sci."""
+    if value == 0:
+        return "0"
+    neg = value < 0
+    a = -value if neg else value
+    exp = math.floor(log2_fraction(a) * math.log10(2))
+    scale = Fraction(10) ** exp
+    if a < scale:
+        exp -= 1
+        scale /= 10
+    elif a >= 10 * scale:
+        exp += 1
+        scale *= 10
+    digits = round(a / scale * 10**5)
+    if digits >= 10**6:  # rounded up to the next power of ten
+        digits //= 10
+        exp += 1
+    text = str(digits)
+    return f"{'-' if neg else ''}{text[0]}.{text[1:]}e{exp:+03d}"
+
+
+def _printing_grid():
+    """Six-digit mantissas at and around every rounding case (exact, tie,
+    just off a tie, carries to the next power of ten), at exponents from
+    1e-1000 up, both signs; and rates of the paper's sizes."""
+    tails = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(999, 1000)]
+    tails += [Fraction(1, 2) + Fraction(s, 10**12) for s in (-1, 1)]
+    for exp in (-1000, -801, -800, -433, -308, -43, -10, -4, -1, 0, 1, 2, 5, 40):
+        for digits in (100000, 123456, 500000, 976562, 999999):
+            for tail in tails:
+                value = (digits + tail) * Fraction(10) ** (exp - 5)
+                yield value
+                yield -value
+    # at and around powers of ten, where the exponent from log2 can be one
+    # off either way
+    for exp in (-1000, -800, -43, -1, 0, 1, 40):
+        for eps in (0, Fraction(-1, 10**14), Fraction(-1, 10**17), Fraction(1, 10**17)):
+            yield Fraction(10) ** exp * (1 + eps)
+    for m, n, k in [(1024, 5, 133), (64, 4, 11), (1000, 20, 35), (2, 1, 1)]:
+        yield 1 - Fraction(m - 1, m) ** (n * k)
+        yield (1 - Fraction(m - 1, m) ** (n * k)) ** k
+        yield Fraction(1, m ** (n * k))
+
+
 class TestFractionSci:
     def test_values(self):
         assert fraction_sci(Fraction(0)) == "0"
@@ -44,6 +91,62 @@ class TestFractionSci:
     def test_far_below_float_range(self):
         # 2^2000 = 1.148130e602, so 3/2^2000 = 2.612943e-602
         assert fraction_sci(Fraction(3, 2**2000)) == "2.61294e-602"
+
+    def test_rounding_cases(self):
+        # the tie 2^-10 = 9.765625e-04 goes to the even digit
+        assert fraction_sci(Fraction(1, 1024)) == "9.76562e-04"
+        assert fraction_sci(Fraction(-1, 1024)) == "-9.76562e-04"
+        assert fraction_sci(Fraction(9999995, 10**7)) == "1.00000e+00"
+        assert fraction_sci(Fraction(1, 10**800)) == "1.00000e-800"
+        # just under 10^-1000, where the exponent from log2 is one high
+        below = Fraction(1, 10**1000) * (1 - Fraction(1, 10**14))
+        assert fraction_sci(below) == "1.00000e-1000"
+        assert fraction_sci(below * (1 - Fraction(1, 10**5))) == "9.99990e-1001"
+        assert fraction_sci(Fraction(-7, 3 * 10**900)) == "-2.33333e-900"
+
+    def test_equals_the_fraction_arithmetic_printer(self):
+        values = list(_printing_grid())
+        assert len(values) > 800
+        for value in values:
+            assert fraction_sci(value) == fraction_sci_by_fractions(value), value
+
+    @given(
+        num=st.integers(-(10**400), 10**400).filter(bool),
+        den=st.integers(1, 10**400),
+        shift=st.integers(-3000, 3000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_values_equal_the_oracle(self, num, den, shift):
+        value = Fraction(num, den) * Fraction(2) ** shift
+        assert fraction_sci(value) == fraction_sci_by_fractions(value)
+
+    def test_power_sci_at_the_paper_cell(self):
+        base = 1 - Fraction(1023, 1024) ** 665
+        assert power_sci(base, 133) == fraction_sci_by_fractions(base**133)
+        assert power_sci(base, 133) == "2.19495e-43"
+
+
+class TestPrintedOutputsUnchanged:
+    """analyze and optimize print the same bytes with the integer printer
+    as with the Fraction-arithmetic one."""
+
+    REQUESTS = [
+        ["analyze", "--m", "1024", "--n", "5", "--k", "133"],
+        ["analyze", "--m", "1024", "--n", "5", "--k", "133", "--variant", "classic"],
+        ["analyze", "--m", "64", "--n", "4", "--k", "11", "--format", "json"],
+        ["analyze", "--m", "512", "--n", "1", "--k", "400", "--format", "json"],
+        ["optimize", "--m", "1024", "--n", "5"],
+        ["optimize", "--m", "1000", "--n", "20", "--format", "json"],
+        ["optimize", "--m", "100", "--p", "0.01"],
+        ["optimize", "--n", "8", "--p", "1e-5", "--variant", "classic"],
+    ]
+
+    @pytest.mark.parametrize("args", REQUESTS, ids=" ".join)
+    def test_stdout_equals_the_oracle_printers(self, monkeypatch, capsys, args):
+        out = _main_stdout(monkeypatch, capsys, args)
+        monkeypatch.setattr(cli_module, "fraction_sci", fraction_sci_by_fractions)
+        monkeypatch.setattr(cli_module, "_lowest_terms", lambda n, d, b: Fraction(n, d))
+        assert _main_stdout(monkeypatch, capsys, args) == out
 
 
 class TestAnalyze:
@@ -577,6 +680,19 @@ class TestSimulate:
 
 
 class TestVerify:
+    def test_suite_names_match_the_registry(self):
+        from bloomlab import suites
+
+        assert cli_module._SUITE_NAMES == tuple(suites.suite_names())
+
+    def test_unknown_suite_exits_1_naming_every_suite(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["bloomlab", "verify", "nosuch"])
+        with pytest.raises(SystemExit) as stop:
+            main()
+        assert stop.value.code == 1
+        names = "', '".join(cli_module._SUITE_NAMES)
+        assert f"'nosuch' is not one of '{names}'." in capsys.readouterr().err
+
     def test_known_suite_passes(self, runner):
         result = runner.invoke(cli, ["verify", "valley"])
         assert result.exit_code == 0

@@ -1,4 +1,6 @@
+import fractions
 import math
+import sys
 import threading
 from enum import Enum
 from fractions import Fraction
@@ -8,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloomlab import oracle
+from bloomlab import kernel, oracle
 from bloomlab.analytics import fpr_classic_exact
 from bloomlab.kernel import (
     _alternating_power_sum,
     _Certified,
     _exact_cover_counts,
+    _lowest_terms,
     binom_poly,
     falling_factorial,
     log2_fraction,
@@ -386,6 +389,130 @@ class TestCertified:
                     seen.add((g(lo) == g(x), g(hi) == g(x)))
         # g(x) matched only the low end, only the high end, and both
         assert {(True, False), (False, True), (True, True)} <= seen
+
+
+def prime_powers(base):
+    """{p: a} with p^a exactly dividing base, by trial division (the bases
+    here, m and C(m, k), have no prime factor above m <= 1024)."""
+    out, p = {}, 2
+    while base > 1:
+        while base % p == 0:
+            out[p] = out.get(p, 0) + 1
+            base //= p
+        p += 1
+    return out
+
+
+# m and C(m, k), the bases of the rates, moments and p.m.f.s
+LOWEST_TERMS_BASES = [2, 768, 1000, 1024, comb(64, 3), comb(1024, 7), comb(100, 50)]
+
+
+def lowest_terms_cases():
+    """(num, den, base) with den = base^e: numerators sharing base^j up to
+    j = e - 1, or a power of one prime of base up to past its power in den,
+    times cofactors that are 1, coprime to base or share other primes."""
+    for base in LOWEST_TERMS_BASES:
+        powers = prime_powers(base)
+        primes = sorted(powers)
+        for bits in (8, 400, 3000):
+            e = -(-bits // base.bit_length())
+            den = base**e
+            shares = [base**j for j in sorted({0, 1, e // 2, e - 1})]
+            for p in (primes[0], primes[-1]):
+                full = powers[p] * e
+                shares += [p**v for v in sorted({1, full - 1, full, full + 3})]
+            for share in shares:
+                for cof in (1, 3**40 + 2, (base - 1) ** 5, -(7**90)):
+                    yield cof * share, den, base
+            yield 0, den, base
+
+
+def strip_step_bound(num, den, base):
+    """The docstring's bound on _lowest_terms's trial divisions of num: at
+    most 2 omega(base) + 1 stripping rounds, each at most 2 log2(v + 1)
+    for v <= bit_length(den)."""
+    rounds = 2 * len(prime_powers(base)) + 1
+    return rounds * 2 * math.log2(den.bit_length() + 1)
+
+
+class TestLowestTerms:
+    def test_grid_equals_fraction_in_lowest_terms(self):
+        cases = 0
+        for num, den, base in lowest_terms_cases():
+            got, want = _lowest_terms(num, den, base), Fraction(num, den)
+            assert type(got) is Fraction
+            assert got.numerator == want.numerator, (num, den, base)
+            assert got.denominator == want.denominator, (num, den, base)
+            assert math.gcd(got.numerator, got.denominator) == 1
+            cases += den.bit_length() > kernel._GCD_BITS
+        assert cases > 500  # most cases take the stripping path
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_shares_equal_fraction(self, data):
+        base = data.draw(st.sampled_from(LOWEST_TERMS_BASES), label="base")
+        e = data.draw(st.integers(1, 4000 // base.bit_length() + 1), label="e")
+        powers = prime_powers(base)
+        p = data.draw(st.sampled_from(sorted(powers)), label="p")
+        j = data.draw(st.integers(0, e - 1), label="j")
+        v = data.draw(st.integers(0, powers[p] * e + 4), label="v")
+        cof = data.draw(st.integers(-(2**600), 2**600), label="cofactor")
+        num, den = cof * base**j * p**v, base**e
+        got, want = _lowest_terms(num, den, base), Fraction(num, den)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    def test_strip_steps_are_logarithmic(self, monkeypatch):
+        steps = []
+
+        def counting(a, b):
+            steps.append(b)
+            return divmod(a, b)
+
+        monkeypatch.setattr(kernel, "divmod", counting, raising=False)
+        for num, den, base in lowest_terms_cases():
+            steps.clear()
+            _lowest_terms(num, den, base)
+            assert len(steps) <= strip_step_bound(num, den, base), (num, den, base)
+        # 1024^1999 shared: a loop stripping one 1024 per step takes 1999
+        steps.clear()
+        assert _lowest_terms(3 * 1024**1999, 1024**2000, 1024) == Fraction(3, 1024)
+        assert 0 < len(steps) <= 2 * math.log2(2000) + 2
+
+    def test_builds_the_fraction_without_a_gcd(self, monkeypatch):
+        num, den = 5**3000 * 2**45 + 2**45, 1000**1500
+        want = Fraction(num, den)
+        seen = []
+
+        class GcdSpy:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            @staticmethod
+            def gcd(*args):
+                seen.append(args)
+                return math.gcd(*args)
+
+        monkeypatch.setattr(fractions, "math", GcdSpy())
+        got = _lowest_terms(num, den, 1000)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert seen == []
+
+    def test_construction_path_of_this_python(self):
+        # numerator and denominator are taken as given, unreduced
+        q = kernel._coprime_fraction(6, 4)
+        assert (q.numerator, q.denominator) == (6, 4)
+        if sys.version_info >= (3, 12):
+            assert kernel._coprime_fraction == Fraction._from_coprime_ints
+        else:
+            assert kernel._coprime_fraction.__name__ == "_coprime_fraction"
+
+    def test_small_denominators_reduce_by_fraction(self, monkeypatch):
+        monkeypatch.setattr(
+            kernel, "_coprime_fraction", lambda num, den: pytest.fail("stripped")
+        )
+        den = 1024**31  # 311 bits
+        assert den.bit_length() <= kernel._GCD_BITS
+        assert _lowest_terms(48, den, 1024) == Fraction(48, den)
 
 
 class TestLog2Fraction:

@@ -46,10 +46,13 @@ def test_every_dependency_is_imported():
 
 
 def test_cli_import_loads_no_scipy_or_process_pool():
-    """A CLI call's cold start loads no numeric stack and no worker pool."""
+    """A CLI call's cold start loads no numeric stack, no worker pool, and
+    neither the verify suites nor the oracle they check against (verify
+    imports them when it runs)."""
     code = (
         "import sys, bloomlab.cli; print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in {'scipy', 'multiprocessing', 'concurrent'}))"
+        "if m.split('.')[0] in {'scipy', 'multiprocessing', 'concurrent'} "
+        "or m in {'bloomlab.suites', 'bloomlab.oracle'}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
