@@ -17,11 +17,10 @@ Rates for an m-bit filter storing n items with k hash bits per item:
 
 Efficiency is -(n/m) * log2 f, bounded by 1 for uniform hashing.
 
-optimal_k and the capacity searches read each candidate's rate as a
-certified value (kernel._Certified): a bracket cut from the rate's terms,
-or for the standard rate at n <= 2 stepped from the occupancy chain in
-floats, and a thunk for the exact rate, called only where the bracket
-cannot decide, so every result is the one an all-exact scan gives.
+optimal_k, the capacity searches and the CLI's optimize and sweep read
+each rate as a certified value (kernel._Certified) from one _rate_source,
+and form the exact rate only where its bracket cannot decide, so every
+result is the one an all-exact scan gives.
 """
 
 from __future__ import annotations
@@ -342,11 +341,11 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
 
     Scans k = 1..m with exact comparisons, ties toward smaller k, and
     returns the winner's exact rate and the last k that ties it. The
-    closed-form seed is evaluated exactly first, to set the threshold T, the
-    float log2 of an upper bound on the best rate so far; T never rises. A
-    candidate whose proven lower bound B(k) = _fpr_lower_bound_log2 exceeds
-    T + delta is skipped, delta = (|T| + c_m) 2^-40 bits with
-    c_m = m log2(m+1) + m + 1 (_prune_cut).
+    closed-form seed is rated first (_rate_source), to set the threshold T,
+    the float log2 of an upper bound on the best rate so far; T never
+    rises. A candidate whose proven lower bound B(k) =
+    _fpr_lower_bound_log2 exceeds T + delta is skipped, delta =
+    (|T| + c_m) 2^-40 bits with c_m = m log2(m+1) + m + 1 (_prune_cut).
 
     Margin: skipping cannot change the winner. Write u = 2^-53 and B*, T*
     for the exact values that the floats B, T approximate; libm's log1p,
@@ -472,11 +471,25 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     factor c_x per k (math.prod, for an x new at k, the same k factors),
     so w_x is (x/m)^k within (1 +- u)^(2k) plus at most
     k 2^-1075 (1 + u)^k, and at most 1. Each term fl(P(x) w_x) adds one
-    (1 + d) and one e, and sum() adds the L nonnegative terms left to right
-    (CPython 3.11; later versions compensate, which errs less), L - 1 more
-    factors. So with E = 3nk + 2k + L + 2 and (1 + u)^E <= 2 (Eu <= 1/2,
-    true for m < 2^48, as E <= 9m + 3), the sum F is within (1 +- u)^E of
-    f plus at most 2 (NL + k + L) 2^-1074 <= A = (3nk + 2k + 3) L 2^-1074.
+    (1 + d) and one e, and sum() of the L nonnegative terms is within
+    (1 +- u)^(L-1) of their exact sum S: left to right (CPython up to 3.11)
+    each addition is one more factor; from 3.12 on, sum() is Neumaier's
+    compensated sum (Higham 2002, section 4.3), which meets the same bound.
+    There each step t_i = fl(s + x_i), s = t_(i-1), keeps its rounding error
+    e_i = s + x_i - t_i exactly (the branch on |s| >= |x_i| is Fast2Sum,
+    exact in binary floating point, subnormals included), and the result is
+    fl(t_L + c), c the left-to-right float sum of the e_i, while
+    S = t_L + sum_i e_i. The t_i are the left-to-right partial sums, so
+    |e_i| <= u (t_(i-1) + x_i) <= u (1 + u)^(L-2) S and
+    sum_i |e_i| <= (L - 1) u (1 + u)^(L-2) S; c is within
+    gamma_(L-2) = (L-2)u/(1 - (L-2)u) of that (Higham's (4.4)), and the
+    last addition rounds once. L = 1 is exact, L = 2 correctly rounded,
+    and for L >= 3 with Lu <= 2^-5 (m < 2^48) the error is at most
+    u S + 1.07 (L-1)(L-2) u^2 S <= ((L-1)u - (L-1)(L-2)u^2/2) S, within
+    (1 - u)^(L-1) S and (1 + u)^(L-1) S. So with E = 3nk + 2k + L + 2 and
+    (1 + u)^E <= 2 (Eu <= 1/2, true for m < 2^48, as E <= 9m + 3), the sum
+    F is within (1 +- u)^E of f plus at most 2 (NL + k + L) 2^-1074 <= A =
+    (3nk + 2k + 3) L 2^-1074.
     Bernoulli gives (1 + u)^-E >= 1 - Eu and
     (1 - u)^-E <= 1/(1 - Eu) <= 1 + 2Eu, so
 
@@ -486,18 +499,13 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     in place of A: 1 - (E+3)u and 1 + 2(E+3)u are exact, and
     (1 + u)^2 (1 - (E+3)u) <= 1 - Eu, (1 - u)^2 (1 + 2(E+3)u) >= 1 + 2Eu
     and the extra 2^-1074 cover the two roundings, one of them possibly
-    subnormal, of each end. The bracket is about 3Eu f wide. The walk
-    takes it where hi is at least 2^-960 (_CHAIN_FLOOR; A is then under
-    2^-80 f for m <= 40,000), and _rate_bracket below. The rule n <= 2 was
-    measured (CPython 3.11, shared 2-CPU x86-64 VM): over m <= 256, the
-    standard scans took 0.84 s with chain brackets against 2.5 s at n = 1
-    and 0.52 s against 0.70 s at n = 2, but 0.41 s against 0.34 s at n = 3
-    and 0.32 s against 0.19 s at n = 4, where B prunes most k and the chain
-    must still step through every throw (BENCH_chain_brackets.json).
+    subnormal, of each end. The bracket is about 3Eu f wide, and A is
+    under 2^-80 f where hi >= _CHAIN_FLOOR = 2^-960 and m <= 40,000.
 
     The scan keeps the best k's certified rate (kernel._Certified) and
     takes a k only where its rate is proven smaller, so ties go to the
-    smaller k; T comes from best hi, so the proofs above hold as written.
+    smaller k; T comes from the seed's hi, then from best hi, so the proofs
+    above hold as written.
 
     Ties: k_max is the last walked k whose exact rate equals the best so far
     (reset by each new best). Every k with f(k) = f*, the optimum, is walked:
@@ -507,22 +515,23 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     rates are formed only where the improvement test formed them or the
     brackets touch. At n = 0 every k ties at rate 0, so k_max = m.
     """
-    return _optimal_k_seeded(m, n, variant)[0]
-
-
-def _optimal_k_seeded(
-    m: int, n: int, variant: FilterVariant
-) -> tuple[OptimalK, Fraction | None]:
-    """optimal_k's result and the exact rate at its closed-form seed
-    _k_seed(m, n), which the scan computes first anyway (None at n = 0,
-    where there is no seed)."""
     if m < 1 or n < 0:
         raise ValueError("optimal_k requires m >= 1 and n >= 0")
     if n == 0:
-        return OptimalK(1, Fraction(0), m), None
+        return OptimalK(1, Fraction(0), m)
+    k, k_max, best, _ = _optimum(m, n, variant)
+    return OptimalK(k, best.exact(), k_max)
+
+
+def _optimum(
+    m: int, n: int, variant: FilterVariant
+) -> tuple[int, int, _Certified, _Certified]:
+    """(k, k_max, f(k), f(seed)) of optimal_k's scan (n >= 1), the rates
+    certified, the seed's _k_seed(m, n) from a source of its own."""
     seed = _k_seed(m, n)
-    seed_rate = fpr_exact(m, n, seed, variant)
-    threshold = log2_fraction(seed_rate)
+    bound = _fpr_lower_bound_log2(m, n, seed, variant)
+    seed_rate = _rate_source(m, n, variant)(seed, bound)
+    threshold = log2_fraction(seed_rate.hi)
     best_k = last = best = None
     for k, rate in _bracket_walk(m, n, variant, (seed, seed_rate), lambda: threshold):
         if best is None or rate.hi < best.lo or (
@@ -532,60 +541,75 @@ def _optimal_k_seeded(
             threshold = min(threshold, log2_fraction(rate.hi))
         elif rate.lo <= best.hi and rate.exact() == best.exact():
             last = k
-    return OptimalK(best_k, best.exact(), last), seed_rate
+    return best_k, last, best, seed_rate
 
 
 def _bracket_walk(
     m: int,
     n: int,
     variant: FilterVariant,
-    seed: tuple[int, Fraction] | None,
+    seed: tuple[int, _Certified] | None,
     limit: Callable[[], float],
 ) -> Iterator[tuple[int, _Certified]]:
     """(k, f(m, n, k) as a kernel._Certified) for k = 1..m in increasing
     order, less every k whose bound proves f(k) > 2^limit(): the candidate
     walk of optimal_k and _rate_at_most (n >= 1).
 
-    The seed (k, f), if given, is yielded exact, unbounded. For any other
-    k the walk ends if k >= k_rise and the rising bound (_rising_bound: B
-    itself for the standard variant and the classic at n = 1, L for the
-    classic at n >= 2) exceeds
-    _prune_cut(m, limit()), limit() plus a margin of 2^7 times the float
-    error of the bound and of limit(); else k is skipped where
-    B(k) = _fpr_lower_bound_log2 exceeds that same cut (both argued in
-    optimal_k's docstring). limit()
-    is read at the start and after each yield, so the caller may lower it
-    between candidates; it must never rise. The rest get the bracket of
-    _chain_brackets for the standard variant at n <= 2 where its hi is at
-    least _CHAIN_FLOOR, and otherwise _rate_bracket of the variant's terms
-    at q = k + ceil(-B(k)) + _GUARD_BITS bits, exact (lo == hi) where
-    nothing was cut. (The n <= 2 rule was measured: optimal_k's docstring.)
+    The seed (k, f(k)), if given, is yielded as given, unbounded. For any
+    other k the walk ends if k >= k_rise and the rising bound
+    (_rising_bound: B itself for the standard variant and the classic at
+    n = 1, L for the classic at n >= 2) exceeds _prune_cut(m, limit()),
+    limit() plus a margin of 2^7 times the float error of the bound and of
+    limit(); else k is skipped where B(k) = _fpr_lower_bound_log2 exceeds
+    that same cut (both argued in optimal_k's docstring). limit() is read
+    at the start and after each yield, so the caller may lower it between
+    candidates; it must never rise. The rest are rated by one _rate_source.
     """
-    chained = None
-    if variant is FilterVariant.STANDARD:
-        terms = _standard_rate_steps(m, n)
-        if n <= 2:
-            chained = _chain_brackets(m, n)
-    else:
-        terms = partial(_classic_terms, m, n)
+    rates = _rate_source(m, n, variant)
     # from k_rise on, the rising bound only rises: once above the cut,
     # above it for every later k
     k_rise, rising = _rising_bound(m, n, variant)
     cut = _prune_cut(m, limit())
     for k in range(1, m + 1):
         if seed and k == seed[0]:
-            rate = _Certified(seed[1], seed[1], lambda: seed[1])
+            rate = seed[1]
         elif k >= k_rise and rising(k) > cut:
             return
         else:
             bound = _fpr_lower_bound_log2(m, n, k, variant)
             if bound > cut:
                 continue
-            rate = chained(k) if chained else None
-            if rate is None or rate.hi < _CHAIN_FLOOR:
-                rate = _rate_bracket(*terms(k), k + math.ceil(-bound) + _GUARD_BITS)
+            rate = rates(k, bound)
         yield k, rate
         cut = _prune_cut(m, limit())
+
+
+def _rate_source(
+    m: int, n: int, variant: FilterVariant
+) -> Callable[[int, float], _Certified]:
+    """rate(k, B(k)): f(m, n, k) as a kernel._Certified for k rising (or
+    repeated) from call to call (n >= 1, B = _fpr_lower_bound_log2), by the
+    one rule for how a rate is certified: the standard rate at n <= 2 takes
+    the bracket of _chain_brackets while its hi is at least _CHAIN_FLOOR,
+    any other rate _rate_bracket of its terms at q = k + ceil(-B) +
+    _GUARD_BITS bits, exact where nothing was cut (both proven in
+    optimal_k's docstring). Chain brackets were measured faster at n <= 2
+    and slower at n >= 3, where B prunes most k and the chain must still
+    step through every throw (BENCH_chain_brackets.json).
+    """
+    if variant is FilterVariant.CLASSIC:
+        terms, chained = partial(_classic_terms, m, n), None
+    else:
+        terms = _standard_rate_steps(m, n)
+        chained = _chain_brackets(m, n) if n <= 2 else None
+
+    def rate(k: int, bound: float) -> _Certified:
+        certified = chained(k) if chained else None
+        if certified is None or certified.hi < _CHAIN_FLOOR:
+            certified = _rate_bracket(*terms(k), k + math.ceil(-bound) + _GUARD_BITS)
+        return certified
+
+    return rate
 
 
 def _rising_bound(

@@ -33,25 +33,34 @@ EXIT_IO = 2
 EXIT_VERIFY = 3
 
 
-def fraction_sci(value: Fraction) -> str:
-    """Scientific notation to 6 significant digits, for a rational of any size.
+def fraction_sci(value: Fraction | float) -> str:
+    """Scientific notation to 6 significant digits, for a rational of any size
+    (a float, such as a chain bracket's end, is taken exactly).
 
     float() would underflow around 1e-308; this scales by exact powers of
     ten instead, so 1e-43 rates (and far smaller) print correctly. The six
     digits are floor(|value| 10^(5 - exp)) from one integer divmod, with
-    the exponent estimated from log2 and corrected by one where the digits
-    miss [10^5, 10^6); the remainder rounds them half to even, as round()
-    of the Fraction would.
+    the exponent exp from log2; the remainder rounds them half to even, as
+    round() of the Fraction would.
+
+    The exponent needs no correction. log2_fraction is within u (|L| + 4)
+    of L = log2 |value| (u = 2^-53), and its product with log10(2) within
+    u (1.3 |L| + 2) of log10 |value|. While |L| < 2^30 (every dyadic
+    bracket end of a rate, and every float, whose |L| is at most 1075),
+    that is under 1.6e-7, so exp is one off only within 3.6e-7 relative of
+    a power of ten, and there both exponents print the same: just under
+    10^(e+1), exp = e + 1 gives q = 99999 and a remainder above one half,
+    which rounds up to 1.00000e(e+1), as the six digits 999999.5 and above
+    do; at or just above 10^e, exp = e - 1 gives q = 10^6 and a remainder
+    of at most one half, which stays 10^6 (even) and carries to
+    1.00000e(e).
     """
     if value == 0:
         return "0"
-    a = abs(value)
+    a = abs(Fraction(value))
     num, den = a.numerator, a.denominator
     exp = math.floor(log2_fraction(a) * math.log10(2))
     q, r, d = _sci_digits(num, den, exp)
-    if not 10**5 <= q < 10**6:
-        exp += 1 if q >= 10**6 else -1
-        q, r, d = _sci_digits(num, den, exp)
     if 2 * r > d or (2 * r == d and q & 1):
         q += 1
     if q == 10**6:  # rounded up to the next power of ten
@@ -215,16 +224,16 @@ def _optimize_one(m, n, p, variant: str) -> dict:
     var = _variant(variant)
     payload: dict = {"variant": variant}
     if p is None:
-        exact, seed_fpr = analytics._optimal_k_seeded(m, n, var)
+        k, _, best, seed = analytics._optimum(m, n, var)
         est = analytics.optimal_k_estimate(m, n)
         payload.update(
             m=m,
             n=n,
-            k_exact=exact.k,
-            fpr_exact=fraction_sci(exact.fpr),
+            k_exact=k,
+            fpr_exact=best.read(fraction_sci),
             k_estimate=est,
-            fpr_at_estimate=fraction_sci(seed_fpr),
-            estimate_gap=round(est) - exact.k,
+            fpr_at_estimate=seed.read(fraction_sci),
+            estimate_gap=round(est) - k,
         )
     elif m is not None:
         n_exact = analytics.capacity_n_max(m, p, var)
@@ -233,7 +242,7 @@ def _optimize_one(m, n, p, variant: str) -> dict:
             p=p,
             n_max_exact=n_exact,
             n_max_estimate=analytics.n_max_estimate(m, p),
-            k_exact=analytics.optimal_k(m, n_exact, var).k,
+            k_exact=analytics._optimum(m, n_exact, var)[0],
         )
         payload["estimate_gap"] = round(payload["n_max_estimate"]) - n_exact
     else:
@@ -243,7 +252,7 @@ def _optimize_one(m, n, p, variant: str) -> dict:
             p=p,
             m_min_exact=m_exact,
             m_min_estimate=analytics.m_min_estimate(n, p),
-            k_exact=analytics.optimal_k(m_exact, n, var).k,
+            k_exact=analytics._optimum(m_exact, n, var)[0],
         )
         payload["estimate_gap"] = round(payload["m_min_estimate"]) - m_exact
     return payload
@@ -303,6 +312,8 @@ def sweep(variable, start, end, step, m, n, k, variant, outputs, out) -> None:
     if missing:
         raise click.UsageError("missing fixed parameters: " + ", ".join(missing))
     var = _variant(variant)
+    # one rate source across a k sweep's rising k, one per row otherwise
+    rates = analytics._rate_source(m, n, var) if variable == "k" else None
     lines = [("m,n," if kstar_only else "variant,m,n,k,") + ",".join(wanted)]
     for value in range(start, end + 1, step):
         point = {**fixed, variable: value}
@@ -314,14 +325,15 @@ def sweep(variable, start, end, step, m, n, k, variant, outputs, out) -> None:
         else:
             key = f"{variant},{pm},{pn},{pk},"
         cells = []
-        bounds = None
+        bounds = rate = None
         for w in wanted:
             if w == "kstar_est":
                 cells.append(f"{analytics.optimal_k_estimate(pm, pn):.4f}")
             elif w.startswith("kstar_"):
                 cells.append(str(analytics.optimal_k(pm, pn, _variant(w[6:])).k))
             elif w == "exact":
-                cells.append(fraction_sci(analytics.fpr_exact(pm, pn, pk, var)))
+                rate = rate or _sweep_rate(rates, pm, pn, pk, var)
+                cells.append(rate.read(fraction_sci))
             elif w in ("E", "M", "L", "U"):
                 bounds = bounds or analytics.fpr_bounds(pm, pn, pk)
                 if w == "E":
@@ -333,13 +345,24 @@ def sweep(variable, start, end, step, m, n, k, variant, outputs, out) -> None:
             elif w == "taylor":
                 cells.append(f"{analytics.fpr_taylor(pm, pn, pk):.9e}")
             elif w == "efficiency":
-                cells.append(f"{analytics.efficiency(pm, pn, pk, var):.9f}")
+                rate = rate or _sweep_rate(rates, pm, pn, pk, var)
+                cells.append(f"{analytics._efficiency(pm, pn, rate.exact()):.9f}")
         lines.append(key + ",".join(cells))
     text = "\n".join(lines) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         click.echo(text, nl=False)
+
+
+def _sweep_rate(rates, m: int, n: int, k: int, var: FilterVariant) -> _Certified:
+    """A sweep cell's certified rate, from rates or a source of its own."""
+    if m < 1 or k < 1 or n < 0:
+        raise ValueError(f"sweep needs m >= 1, n >= 0, k >= 1; got {m}, {n}, {k}")
+    if n == 0:
+        return _Certified(0, 0, lambda: 0)
+    rates = rates or analytics._rate_source(m, n, var)
+    return rates(k, analytics._fpr_lower_bound_log2(m, n, k, var))
 
 
 # --------------------------------------------------------------------------

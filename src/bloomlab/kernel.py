@@ -169,13 +169,19 @@ def nabla_power_row(m: int, n: int, r: int) -> list[int]:
 # Lowest terms against a known base
 # --------------------------------------------------------------------------
 
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """num / den as given, for coprime num and den > 0 (CPython up to 3.11)."""
+    return Fraction(num, den, _normalize=False)
+
+
 if hasattr(Fraction, "_from_coprime_ints"):  # CPython 3.12 and later
     _coprime_fraction = Fraction._from_coprime_ints
 else:
-
-    def _coprime_fraction(num: int, den: int) -> Fraction:
-        """num / den as given, for coprime num and den > 0."""
-        return Fraction(num, den, _normalize=False)
+    try:
+        _coprime_fraction(1, 1)
+    except TypeError:  # neither: Fraction reduces again, correct if slower
+        _coprime_fraction = Fraction
 
 
 # the denominator size up to which _lowest_terms leaves the reduction to

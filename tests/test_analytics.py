@@ -373,10 +373,24 @@ def rate_brackets(m, n, variant, ks, q=None):
         )
 
 
+def neumaier_sum(values):
+    """sum() of floats as CPython 3.12 and later compute it: Neumaier's
+    compensated sum (Higham 2002, section 4.3), each rounding error kept
+    exactly (Fast2Sum) and the errors summed apart, added once at the end."""
+    total = compensation = 0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation else total
+
+
 def exact_rates_formed(monkeypatch):
     """A list recording each exact rate formed from here on: ("fpr_exact", k)
-    for an fpr_exact call (optimal_k's seed), "thunk" for a certified rate's
-    thunk."""
+    for an fpr_exact call, "thunk" for a certified rate's thunk."""
     formed = []
     exact = analytics.fpr_exact
 
@@ -470,6 +484,26 @@ class TestRateBrackets:
             assert len(formed) > 2, (m, n, v)
 
     def test_chain_brackets_hold_the_exact_rate(self):
+        self.check_chain_brackets()
+
+    def test_chain_brackets_hold_under_a_compensated_sum(self, monkeypatch):
+        # the same cells with sum() as CPython 3.12 and later run it, which
+        # optimal_k's chain proof also covers; it rounds some totals apart
+        # from the left-to-right sum
+        apart = []
+
+        def compensated(values):
+            values = list(values)
+            total = neumaier_sum(values)
+            apart.append(total != sum(values))
+            return total
+
+        monkeypatch.setattr(analytics, "sum", compensated, raising=False)
+        self.check_chain_brackets()
+        assert any(apart) and len(apart) > 1000
+
+    @staticmethod
+    def check_chain_brackets():
         # every k at m <= 64, n = 1, 2; around k* = 138 at (256, 1) and
         # k* = 807 at (1500, 1), rates near 2^-930; and at m = 10^6, n = 1,
         # where the rates cross the walk's floor 2^-960 into the subnormals
@@ -543,7 +577,8 @@ class TestOptimalK:
         # above 2^-0.5: the seed is k = 1, and the standard scan bounds
         # k = 2 and stops. The classic n = 1 cells at m = 17, 33 tie at
         # (m - 1)/2 and (m + 1)/2: k_max is the larger. Every classic n = 1
-        # walk stops just past m/2, where B = log2 f starts to rise
+        # walk stops just past m/2, where B = log2 f starts to rise. The
+        # seed's bracket takes the first B, before the walk
         bound_ks, rise_ks = traced_bounds(monkeypatch)
         grid = [(m, n) for m in (8, 17, 33, 64) for n in (1, 2, 5, 9)]
         grid += [(m, n) for m in (96, 128) for n in (1, 2, 3, 24)]
@@ -551,7 +586,7 @@ class TestOptimalK:
         grid += high_load
         # low loads, where the brackets cut most of every term; at n <= 2
         # the standard walk takes chain brackets (n = 3 does not), and at
-        # (256, 1) forms only the seed's and the winner's exact rates
+        # (256, 1) forms only the winner's exact rate
         grid += [(256, 1), (256, 2), (65, 1), (200, 1), (160, 2), (160, 3)]
         oracle_rate = {STD: fpr_standard_stirling, CLS: fpr_classic_direct}
         formed = exact_rates_formed(monkeypatch)
@@ -561,23 +596,25 @@ class TestOptimalK:
                 rise_ks.clear()
                 formed.clear()
                 best = optimal_k(m, n, variant)
+                assert bound_ks[0] == analytics._k_seed(m, n), (m, n, variant)
+                walked = bound_ks[1:]
                 if (m, n, variant) == (256, 1, STD):
-                    assert len(formed) <= 3, formed
+                    assert formed == ["thunk"], formed
                 rates = [oracle_rate[variant](m, n, k) for k in range(1, m + 1)]
                 f_star = min(rates)
                 ties = [k for k, f in enumerate(rates, 1) if f == f_star]
                 want = (f_star, ties[0], ties[-1])
                 assert (best.fpr, best.k, best.k_max) == want, (m, n, variant)
                 if n == 1 and variant is CLS:
-                    assert max(bound_ks + rise_ks) <= (m + 1) // 2 + 2, m
+                    assert max(walked + rise_ks) <= (m + 1) // 2 + 2, m
                 if (m, n) in high_load:
                     assert best.fpr > Fraction(7071, 10**4), (m, n, variant)
                     if variant is STD:
-                        assert bound_ks == [2], (m, n)
+                        assert walked == [2], (m, n)
                 elif m >= 96 and n > 1 and variant is STD:
-                    assert max(bound_ks) < (m // 2 if n > 2 else m)
+                    assert max(walked) < (m // 2 if n > 2 else m)
                 elif m >= 96 and n > 1:
-                    assert max(bound_ks + rise_ks) < m, (m, n)
+                    assert max(walked + rise_ks) < m, (m, n)
 
     def test_stepped_rates_match_stirling_form(self):
         # the first call takes its row from a table at its own k (k > 1 in
@@ -753,10 +790,12 @@ class TestOptimalK:
     )
     def test_classic_bound_evaluations(self, monkeypatch, m, n, bounds, rises):
         # each walked k but the seed evaluates B until L passes the cut:
-        # 63, 999 and 1,023 B evaluations when the classic walk went to m
+        # 63, 999 and 1,023 B evaluations when the classic walk went to m.
+        # The seed's bracket takes one more B first, for its q
         bound_ks, rise_ks = traced_bounds(monkeypatch)
         optimal_k(m, n, CLS)
         k_rise, _ = analytics._rising_bound(m, n, CLS)
+        assert bound_ks.pop(0) == analytics._k_seed(m, n)
         assert (len(bound_ks), len(rise_ks)) == (bounds, rises)
         assert rise_ks == list(range(k_rise, k_rise + rises))
         assert max(bound_ks) == rise_ks[-1] - 1
@@ -772,15 +811,17 @@ class TestOptimalK:
          (1000, 20, CLS, 2), (1024, 5, STD, 2), (1024, 5, CLS, 2)],
     )
     def test_exact_rates_computed(self, monkeypatch, m, n, variant, evals):
-        # the seed (the one fpr_exact call), and the winner's thunk where its
-        # bracket cut something (at m = 64 none does): no pair of brackets
-        # here needs exact rates
+        # the winner's thunk where its bracket cut something (at m = 64 none
+        # does; evals also counts the seed, whose bracket decides it): no
+        # pair of brackets here needs exact rates, and a caller that reads
+        # only the brackets (_optimum) forms none
         formed = exact_rates_formed(monkeypatch)
         best = optimal_k(m, n, variant)
-        assert len(formed) == evals, formed
-        assert formed[0] == ("fpr_exact", analytics._k_seed(m, n))
-        assert formed.count("thunk") == evals - 1, formed
+        assert formed == ["thunk"] * (evals - 1), formed
         assert best.fpr == fpr_exact(m, n, best.k, variant)
+        formed.clear()
+        k, k_max, _, _ = analytics._optimum(m, n, variant)
+        assert (k, k_max, formed) == (best.k, best.k_max, [])
 
     def test_estimate_mode(self):
         assert optimal_k_estimate(64, 4) == pytest.approx(16 * math.log(2), rel=1e-12)

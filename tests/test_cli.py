@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloomlab import analytics
+from bloomlab import analytics, kernel
 from bloomlab import cli as cli_module
 from bloomlab.cli import cli, fraction_sci, main, power_sci
 from bloomlab.filters import FilterVariant
@@ -333,6 +333,30 @@ def _main_stdout(monkeypatch, capsys, args):
     return capsys.readouterr().out
 
 
+def exact_sums(monkeypatch):
+    """Two lists recording, from here on, each exact sum of a rate's terms
+    (analytics._rate_value: fpr_*_exact, a thunk, or a bracket that cut
+    nothing) and each certified rate's thunk called."""
+    sums, thunks = [], []
+    value = analytics._rate_value
+
+    def counted(*terms):
+        sums.append(terms[3])
+        return value(*terms)
+
+    class Counted(kernel._Certified):
+        def __init__(self, lo, hi, thunk):
+            def counted_thunk():
+                thunks.append(lo)
+                return thunk()
+
+            super().__init__(lo, hi, counted_thunk)
+
+    monkeypatch.setattr(analytics, "_rate_value", counted)
+    monkeypatch.setattr(analytics, "_Certified", Counted)
+    return sums, thunks
+
+
 class TestAnalyzePinnedOutput:
     """analyze prints M from a bracket of its base (power_sci), never from
     the exact power, and its stdout is unchanged byte for byte."""
@@ -434,16 +458,23 @@ class TestOptimize:
 
     @pytest.mark.parametrize("variant", ["classic", "standard"])
     def test_m_n_rates_the_seed_once(self, runner, monkeypatch, variant):
-        # at (1024, 5) the closed-form seed 142 loses in both variants
+        # at (1024, 5) the closed-form seed 142 loses in both variants. It
+        # is rated once, as a bracket, and both printed rates are read from
+        # their brackets: no exact sum at all
         seed = analytics._k_seed(1024, 5)
-        exact = analytics.fpr_exact
-        calls = []
+        source, rated = analytics._rate_source, []
 
-        def counting(m, n, k, var):
-            calls.append(k)
-            return exact(m, n, k, var)
+        def traced_source(m, n, var):
+            rate = source(m, n, var)
 
-        monkeypatch.setattr(analytics, "fpr_exact", counting)
+            def traced(k, bound):
+                rated.append(k)
+                return rate(k, bound)
+
+            return traced
+
+        monkeypatch.setattr(analytics, "_rate_source", traced_source)
+        sums, thunks = exact_sums(monkeypatch)
         result = runner.invoke(
             cli, ["optimize", "--m", "1024", "--n", "5", "--variant", variant,
                   "--format", "json"],
@@ -451,8 +482,9 @@ class TestOptimize:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["k_exact"] != seed
-        assert calls.count(seed) == 1
-        rate = exact(1024, 5, seed, cli_module._variant(variant))
+        assert rated.count(seed) == 1
+        assert (sums, thunks) == ([], [])
+        rate = analytics.fpr_exact(1024, 5, seed, cli_module._variant(variant))
         assert payload["fpr_at_estimate"] == fraction_sci(rate)
 
     def test_requires_exactly_two(self, runner):
@@ -498,6 +530,134 @@ class TestOptimize:
             assert payload["k_exact"] == 1
             assert payload["fpr_exact"] == "9.80037e-01"
         assert fraction_sci(1 - Fraction(255, 256) ** 1000) == "9.80037e-01"
+
+
+# optimize and sweep stdout as printed while each rate was formed exactly
+# (fpr_exact and optimal_k's exact rates): text in full or by sha256. The
+# standard rates at (256, 1) and (1024, 1) come from chain brackets, those
+# at (1024, 5) from cut terms
+_RATES_PINNED = {
+    ("optimize", "--m", "1024", "--n", "5"): (
+        "variant          classic\nm                1024\nn                5\n"
+        "k_exact          124\nfpr_exact        9.13467e-44\n"
+        "k_estimate       141.9565425786768\nfpr_at_estimate  1.88963e-43\n"
+        "estimate_gap     18\n\n"
+        "variant          standard\nm                1024\nn                5\n"
+        "k_exact          133\nfpr_exact        2.91401e-42\n"
+        "k_estimate       141.9565425786768\nfpr_at_estimate  3.37186e-42\n"
+        "estimate_gap     9\n"
+    ),
+    ("optimize", "--m", "1024", "--n", "5", "--format", "json"):
+        "6152efc5c642b79177d19cb63c285426c6f41fe29b99d365492ed06de6140650",
+    ("optimize", "--m", "256", "--n", "1"):
+        "673ae9530a1473b3dd11b6d8af8a7de426d8b789b20af808c53315f0b782864c",
+    ("optimize", "--m", "1024", "--n", "1"):
+        "51db410b30689c07a56506a0ff6e8d7b12aa3ae5c0a00cdaea84c6b2d8cfc98e",
+    ("sweep", "--variable", "k", "--start", "120", "--end", "145", "--m", "1024",
+     "--n", "5", "--outputs", "exact,efficiency"):
+        "45ad3e4a0b14fbcfdc424e919f5e634789aed8ad9f60edf092364605303b7ba9",
+    ("sweep", "--variable", "k", "--start", "120", "--end", "145", "--m", "1024",
+     "--n", "5", "--outputs", "exact,efficiency", "--variant", "classic"):
+        "f9ea17f59dc3a946c03ba977972fb6f74943c7ccacd30c1809cc246d2db2459a",
+    ("sweep", "--variable", "k", "--start", "130", "--end", "146", "--m", "256",
+     "--n", "1", "--outputs", "exact,efficiency"):
+        "3489306ac3c5e81ff7b21d5f09dce8c049190f96e25c7789066aa0d27c38b159",
+    ("sweep", "--variable", "k", "--start", "1", "--end", "1024", "--step", "31",
+     "--m", "1024", "--n", "1", "--outputs", "exact,efficiency"):
+        "15abfb168a18f84437301db3e894be1d5b69cea2413fe7c1a11fd604b52cf46e",
+    ("sweep", "--variable", "n", "--start", "0", "--end", "3", "--m", "64", "--k",
+     "3", "--outputs", "exact"): (
+        "variant,m,n,k,exact\nstandard,64,0,3,0\nstandard,64,1,3,9.96282e-05\n"
+        "standard,64,2,3,7.46046e-04\nstandard,64,3,3,2.35111e-03\n"
+    ),
+    ("sweep", "--variable", "n", "--start", "0", "--end", "3", "--m", "64", "--k",
+     "3", "--outputs", "exact", "--variant", "classic"): (
+        "variant,m,n,k,exact\nclassic,64,0,3,0\nclassic,64,1,3,2.40015e-05\n"
+        "classic,64,2,3,4.46707e-04\nclassic,64,3,3,1.74675e-03\n"
+    ),
+    # classic rows need k <= m: k = 6, 7, 8 are left out
+    ("sweep", "--variable", "k", "--start", "3", "--end", "8", "--m", "5", "--n",
+     "2", "--outputs", "exact,efficiency", "--variant", "classic"): (
+        "variant,m,n,k,exact,efficiency\nclassic,5,2,3,5.50000e-01,0.344998591\n"
+        "classic,5,2,4,8.40000e-01,0.100615507\n"
+        "classic,5,2,5,1.00000e+00,0.000000000\n"
+    ),
+}
+
+
+class TestRateReads:
+    """optimize and sweep print each rate from its certified bracket
+    (kernel._Certified.read, Ziv's rounding test), form an exact rate only
+    where the bracket cannot decide or a value needs it, and print the
+    bytes the exact rates printed."""
+
+    @staticmethod
+    def matches(out, pin):
+        if "\n" in pin:
+            return out == pin
+        return hashlib.sha256(out.encode()).hexdigest() == pin
+
+    @pytest.mark.parametrize("args", list(_RATES_PINNED), ids=" ".join)
+    def test_stdout_unchanged(self, monkeypatch, capsys, args):
+        assert self.matches(_main_stdout(monkeypatch, capsys, list(args)),
+                            _RATES_PINNED[args])
+
+    @pytest.mark.parametrize(
+        "mode", [["--m", "16384", "--p", "1e-6"], ["--n", "100", "--p", "1e-6"]]
+    )
+    def test_capacity_modes_read_only_k(self, monkeypatch, capsys, mode):
+        # the search's brackets decide every probe, and the trailing k* is
+        # read without its exact rate: no thunk is called. The standard
+        # requests sum nothing exactly; the classic ones only two brackets
+        # that cut nothing, so that their sum is the bracket
+        sums, thunks = exact_sums(monkeypatch)
+        for variant, formed in (("standard", 0), ("classic", 2)):
+            sums.clear()
+            args = ["optimize", *mode, "--variant", variant]
+            assert "k_exact" in _main_stdout(monkeypatch, capsys, args)
+            assert (len(sums), thunks) == (formed, []), variant
+
+    @pytest.mark.parametrize("variant", ["classic", "standard"])
+    def test_k_sweep_reads_brackets(self, monkeypatch, capsys, variant):
+        # exact alone forms no exact rate; efficiency forms one per row,
+        # which exact then shares
+        args = ["sweep", "--variable", "k", "--start", "120", "--end", "145",
+                "--m", "1024", "--n", "5", "--variant", variant, "--outputs"]
+        sums, thunks = exact_sums(monkeypatch)
+        _main_stdout(monkeypatch, capsys, args + ["exact"])
+        assert (sums, thunks) == ([], [])
+        _main_stdout(monkeypatch, capsys, args + ["exact,efficiency"])
+        assert len(sums) == len(thunks) == 26
+
+    def test_print_boundary_takes_the_exact_rate(self, monkeypatch, capsys):
+        # every cut bracket widened to f (1 -+ 2^-12), whose ends print
+        # apart: each printed rate must come from the exact rate. The
+        # classic f(1024, 1, 1) is the tie 2^-10 = 9.765625e-04, which
+        # prints to the even digit; either end alone prints 9.76324e-04 or
+        # 9.76801e-04
+        thunks = []
+
+        def wide(coeffs, bases, e, den, root, q):
+            f = analytics._rate_value(coeffs, bases, e, den, root)
+
+            def exact():
+                thunks.append(f)
+                return f
+
+            return kernel._Certified(f - f / 2**12, f + f / 2**12, exact)
+
+        monkeypatch.setattr(analytics, "_rate_bracket", wide)
+        args = ["sweep", "--variable", "k", "--start", "1", "--end", "2", "--m",
+                "1024", "--n", "1", "--outputs", "exact", "--variant", "classic"]
+        out = _main_stdout(monkeypatch, capsys, args)
+        assert out.splitlines()[1] == "classic,1024,1,1,9.76562e-04"
+        assert thunks[0] == Fraction(1, 1024)
+        for args, pin in _RATES_PINNED.items():
+            if "--n" in args and args[args.index("--n") + 1] == "5":
+                thunks.clear()
+                out = _main_stdout(monkeypatch, capsys, list(args))
+                assert self.matches(out, pin), args
+                assert thunks, args
 
 
 class TestSweep:
@@ -764,7 +924,7 @@ class TestMainExitCodes:
         def spy(*args):
             calls.append(args)
 
-        monkeypatch.setattr(analytics, "_optimal_k_seeded", spy)
+        monkeypatch.setattr(analytics, "_optimum", spy)
         monkeypatch.setattr(analytics, "_rate_at_most", spy)
         code, err = self._run(monkeypatch, capsys, ["optimize", *mode, "--n", n])
         assert (code, err) == (1, "error: --n must be >= 1\n")
@@ -781,7 +941,7 @@ class TestMainExitCodes:
         def spy(*args):
             calls.append(args)
 
-        monkeypatch.setattr(analytics, "_optimal_k_seeded", spy)
+        monkeypatch.setattr(analytics, "_optimum", spy)
         monkeypatch.setattr(analytics, "_rate_at_most", spy)
         code, err = self._run(monkeypatch, capsys, ["optimize", "--m", m, *mode])
         assert (code, err) == (1, "error: --m must be >= 1\n")

@@ -1,10 +1,13 @@
 import fractions
+import importlib.util
 import math
 import sys
 import threading
+import types
 from enum import Enum
 from fractions import Fraction
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -435,6 +438,18 @@ def strip_step_bound(num, den, base):
     return rounds * 2 * math.log2(den.bit_length() + 1)
 
 
+def kernel_against(stub):
+    """A fresh copy of bloomlab.kernel, loaded while fractions.Fraction is
+    stub: how a Python with that Fraction would import it."""
+    fake = types.ModuleType("fractions")
+    fake.Fraction = stub
+    spec = importlib.util.spec_from_file_location("kernel_copy", kernel.__file__)
+    module = importlib.util.module_from_spec(spec)
+    with patch.dict(sys.modules, {"fractions": fake}):
+        spec.loader.exec_module(module)
+    return module
+
+
 class TestLowestTerms:
     def test_grid_equals_fraction_in_lowest_terms(self):
         cases = 0
@@ -505,6 +520,45 @@ class TestLowestTerms:
             assert kernel._coprime_fraction == Fraction._from_coprime_ints
         else:
             assert kernel._coprime_fraction.__name__ == "_coprime_fraction"
+
+    def test_construction_path_of_each_python(self):
+        # the unreduced construction is chosen at import: _from_coprime_ints
+        # (CPython 3.12 on), the _normalize keyword (up to 3.11), or, on a
+        # Python with neither, Fraction itself, which reduces again; the
+        # value of a reduction is the same on every path
+        built = []
+
+        class Coprime:
+            def __new__(cls, num=0, den=None):
+                return Fraction(num, den)
+
+            @staticmethod
+            def _from_coprime_ints(num, den):
+                built.append("coprime")
+                return Fraction(num, den)
+
+        class Keyword:
+            def __new__(cls, num=0, den=None, *, _normalize=True):
+                built.append("keyword" if _normalize is False else "reduced")
+                return Fraction(num, den)
+
+        class Neither:
+            def __new__(cls, num=0, den=None):
+                built.append("reduced")
+                return Fraction(num, den)
+
+        num, den = 5**3000 * 2**45 + 2**45, 1000**1500
+        paths = [(Coprime, "coprime"), (Keyword, "keyword"), (Neither, "reduced")]
+        for stub, path in paths:
+            copy = kernel_against(stub)
+            if stub is Neither:
+                assert copy._coprime_fraction is Neither
+            built.clear()
+            assert copy._coprime_fraction(3, 2) == Fraction(3, 2)
+            assert built == [path], stub
+            built.clear()
+            assert copy._lowest_terms(num, den, 1000) == Fraction(num, den), stub
+            assert built[-1] == path, stub
 
     def test_small_denominators_reduce_by_fraction(self, monkeypatch):
         monkeypatch.setattr(
