@@ -33,6 +33,11 @@ CELLS = [
     "optimize --m 65536 --n 1000 --variant classic",
     "optimize --m 16384 --p 1e-6",
     "optimize --m 2048 --n 1",
+    "sweep --variable n --start 0 --end 64 --m 1024 --outputs "
+    "kstar_classic,kstar_standard",
+    "sweep --variable n --start 1 --end 64 --m 1024 --outputs "
+    "kstar_est,kstar_classic,kstar_standard",
+    "sweep --variable k --start 1 --end 50 --m 1024 --n 0",
 ]
 
 

@@ -370,16 +370,17 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     (tests/test_analytics.py finds B within 2^-11 delta of a 60-digit
     evaluation of its formula up to m = 10^6.)
 
-    Stop: the walk ends at the first k >= k_rise whose rising bound R(k)
-    exceeds T + delta (_rising_bound), R = B for the standard variant and
-    for the classic one at n = 1, and a second, cheaper bound L for the
-    classic one at n >= 2. R* is a lower bound on
+    Stop: the walk ends at the first skipped k >= k_rise whose rising bound
+    R(k) also exceeds T + delta (_rising_bound), R = B for the standard
+    variant and for the classic one at n = 1, and a second, cheaper bound L
+    for the classic one at n >= 2. R* is a lower bound on
     log2 f that strictly increases on [k_rise, m], and R's float error is
     within B's, so the margin argument above gives R*(k) > T*, and every
     later j has f(j) >= 2^R*(j) > 2^R*(k) > 2^T*: more than the best rate
     so far, and every later best rate is smaller still (or p, in
-    _rate_at_most). A bounded k costs one O(1) evaluation of B, and from
-    k_rise on one of R before it; the k the walk stops at costs R alone.
+    _rate_at_most). Each k costs one O(1) evaluation of B, a skipped k
+    from k_rise on one of R after it, and a rated k whose bracket is cut
+    one more B for its q (_rate_source).
 
     Standard variant: k_rise is the least integer above k0 (1 + 2^-40),
     k0 = ln 2 / |ln q| in floats. B rises from there: with q = (1 - 1/m)^n
@@ -513,12 +514,10 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
     later f(j) exceeds the best so far, >= f*. Such a k comes after the
     winner, and f(k) lies in both brackets, so rate.lo <= best.hi: exact
     rates are formed only where the improvement test formed them or the
-    brackets touch. At n = 0 every k ties at rate 0, so k_max = m.
+    brackets touch. At n = 0 every k ties at rate 0, so k_max = m (_optimum).
     """
     if m < 1 or n < 0:
         raise ValueError("optimal_k requires m >= 1 and n >= 0")
-    if n == 0:
-        return OptimalK(1, Fraction(0), m)
     k, k_max, best, _ = _optimum(m, n, variant)
     return OptimalK(k, best.exact(), k_max)
 
@@ -526,11 +525,13 @@ def optimal_k(m: int, n: int, variant: FilterVariant) -> OptimalK:
 def _optimum(
     m: int, n: int, variant: FilterVariant
 ) -> tuple[int, int, _Certified, _Certified]:
-    """(k, k_max, f(k), f(seed)) of optimal_k's scan (n >= 1), the rates
-    certified, the seed's _k_seed(m, n) from a source of its own."""
+    """(k, k_max, f(k), f(seed)) of optimal_k's scan, the rates certified,
+    the seed's _k_seed(m, n) from a source of its own; (1, m, 0, 0) at
+    n = 0, where no bit is ever set and every k ties at rate 0."""
+    if n == 0:
+        return 1, m, _ZERO_RATE, _ZERO_RATE
     seed = _k_seed(m, n)
-    bound = _fpr_lower_bound_log2(m, n, seed, variant)
-    seed_rate = _rate_source(m, n, variant)(seed, bound)
+    seed_rate = _rate_source(m, n, variant)(seed)
     threshold = log2_fraction(seed_rate.hi)
     best_k = last = best = None
     for k, rate in _bracket_walk(m, n, variant, (seed, seed_rate), lambda: threshold):
@@ -553,17 +554,19 @@ def _bracket_walk(
 ) -> Iterator[tuple[int, _Certified]]:
     """(k, f(m, n, k) as a kernel._Certified) for k = 1..m in increasing
     order, less every k whose bound proves f(k) > 2^limit(): the candidate
-    walk of optimal_k and _rate_at_most (n >= 1).
+    walk of optimal_k and _rate_at_most (n >= 1). Each k in turn is
+    skipped if B(k) = _fpr_lower_bound_log2 exceeds the cut
+    _prune_cut(m, limit()), and ends the walk if also k >= k_rise and its
+    rising bound (_rising_bound, at most B) exceeds that cut (both proven
+    in optimal_k's docstring); any other k is rated by one _rate_source.
+    limit() is read at the start and after each yield, so the caller may
+    lower it between candidates; it must never rise.
 
-    The seed (k, f(k)), if given, is yielded as given, unbounded. For any
-    other k the walk ends if k >= k_rise and the rising bound
-    (_rising_bound: B itself for the standard variant and the classic at
-    n = 1, L for the classic at n >= 2) exceeds _prune_cut(m, limit()),
-    limit() plus a margin of 2^7 times the float error of the bound and of
-    limit(); else k is skipped where B(k) = _fpr_lower_bound_log2 exceeds
-    that same cut (both argued in optimal_k's docstring). limit() is read
-    at the start and after each yield, so the caller may lower it between
-    candidates; it must never rise. The rest are rated by one _rate_source.
+    The seed (k, f(k)), if given, takes both tests like any other k; only
+    its rate is reused. _optimum starts T = limit() at log2 of the seed's
+    hi, and B(seed) <= log2 f(seed) <= T within the float margin, so it is
+    skipped (or the walk ended at or before it) only after a k whose rate
+    is strictly smaller has lowered T.
     """
     rates = _rate_source(m, n, variant)
     # from k_rise on, the rising bound only rises: once above the cut,
@@ -571,41 +574,38 @@ def _bracket_walk(
     k_rise, rising = _rising_bound(m, n, variant)
     cut = _prune_cut(m, limit())
     for k in range(1, m + 1):
-        if seed and k == seed[0]:
-            rate = seed[1]
-        elif k >= k_rise and rising(k) > cut:
-            return
-        else:
-            bound = _fpr_lower_bound_log2(m, n, k, variant)
-            if bound > cut:
-                continue
-            rate = rates(k, bound)
-        yield k, rate
+        if _fpr_lower_bound_log2(m, n, k, variant) > cut:
+            if k >= k_rise and rising(k) > cut:
+                return
+            continue
+        yield k, seed[1] if seed and k == seed[0] else rates(k)
         cut = _prune_cut(m, limit())
 
 
-def _rate_source(
-    m: int, n: int, variant: FilterVariant
-) -> Callable[[int, float], _Certified]:
-    """rate(k, B(k)): f(m, n, k) as a kernel._Certified for k rising (or
-    repeated) from call to call (n >= 1, B = _fpr_lower_bound_log2), by the
-    one rule for how a rate is certified: the standard rate at n <= 2 takes
-    the bracket of _chain_brackets while its hi is at least _CHAIN_FLOOR,
-    any other rate _rate_bracket of its terms at q = k + ceil(-B) +
-    _GUARD_BITS bits, exact where nothing was cut (both proven in
-    optimal_k's docstring). Chain brackets were measured faster at n <= 2
-    and slower at n >= 3, where B prunes most k and the chain must still
-    step through every throw (BENCH_chain_brackets.json).
+def _rate_source(m: int, n: int, variant: FilterVariant) -> Callable[[int], _Certified]:
+    """rate(k): f(m, n, k) as a kernel._Certified for k rising (or repeated)
+    from call to call, by the one rule for how a rate is certified: 0
+    exactly at n = 0, where no bit is ever set (and B = log2 0); the
+    standard rate at n <= 2 takes the bracket of _chain_brackets while its
+    hi is at least _CHAIN_FLOOR; any other rate _rate_bracket of its terms
+    at q = k + ceil(-B(k)) + _GUARD_BITS bits, B = _fpr_lower_bound_log2,
+    exact where nothing was cut (both proven in optimal_k's docstring).
+    Chain brackets were measured faster at n <= 2 and slower at n >= 3,
+    where B prunes most k and the chain must still step through every
+    throw (BENCH_chain_brackets.json).
     """
+    if n == 0:
+        return lambda k: _ZERO_RATE
     if variant is FilterVariant.CLASSIC:
         terms, chained = partial(_classic_terms, m, n), None
     else:
         terms = _standard_rate_steps(m, n)
         chained = _chain_brackets(m, n) if n <= 2 else None
 
-    def rate(k: int, bound: float) -> _Certified:
+    def rate(k: int) -> _Certified:
         certified = chained(k) if chained else None
         if certified is None or certified.hi < _CHAIN_FLOOR:
+            bound = _fpr_lower_bound_log2(m, n, k, variant)
             certified = _rate_bracket(*terms(k), k + math.ceil(-bound) + _GUARD_BITS)
         return certified
 
@@ -690,6 +690,8 @@ _CHAIN_U = 2.0**-53
 _CHAIN_FLOOR = 2.0**-960
 # a rate's terms: coeffs, bases, e, den and the base whose power den is
 _Terms = tuple[list[int], list[int], int, int, int]
+# every rate at n = 0
+_ZERO_RATE = _Certified(Fraction(0), Fraction(0), Fraction)
 
 
 def _rate_value(
@@ -854,10 +856,8 @@ def _fpr_lower_bound_log2(m: int, n: int, k: int, variant: FilterVariant) -> flo
     classic: X >= k always and x -> C(x, k) is convex there, so
     f_C >= C(mu, k) / C(m, k) with mu = m (1 - (1 - k/m)^n); in log form
     ln C(mu, k) = lgamma(mu + 1) - lgamma(mu - k + 1) for real mu > k - 1,
-    so four lgamma calls replace the k-term product. lgamma's rounding is a
-    few ulps of lgamma(m + 1) (about 1e-10 nats at m = 10^4, 1e-8 at
-    m = 10^6), which the float-error proof of optimal_k's pruning margin
-    counts (the margin is at least 1.9e-5 bits at m = 10^6).
+    so four lgamma calls replace the k-term product. Their rounding is
+    counted in the float-error proof of optimal_k's pruning margin.
 
     m = 1: 0, the exact log2 f, as one urn is always set.
     """
@@ -1053,11 +1053,9 @@ def valley_crossing(k: int) -> float:
         raise ValueError("valley_crossing requires k >= 1")
     z = 1.5
     for _ in range(10_000):
-        z_next = (1 + z) ** (1 / (k + 1))
-        if abs(z_next - z) < 1e-12:
-            z = z_next
+        z, last = (1 + z) ** (1 / (k + 1)), z
+        if abs(z - last) < 1e-12:
             break
-        z = z_next
     return math.log(z)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import analytics, montecarlo
-from .estimators import SaturationError
+from .estimators import SaturationError, UnsupportedObservationError
 from .filters import (
     BloomFilter,
     FilterParams,
@@ -330,10 +330,20 @@ def sweep(variable, start, end, step, m, n, k, variant, outputs, out) -> None:
             if w == "kstar_est":
                 cells.append(f"{analytics.optimal_k_estimate(pm, pn):.4f}")
             elif w.startswith("kstar_"):
-                cells.append(str(analytics.optimal_k(pm, pn, _variant(w[6:])).k))
-            elif w == "exact":
-                rate = rate or _sweep_rate(rates, pm, pn, pk, var)
-                cells.append(rate.read(fraction_sci))
+                if pm < 1 or pn < 0:
+                    raise ValueError(f"sweep needs m >= 1, n >= 0; got {pm}, {pn}")
+                cells.append(str(analytics._optimum(pm, pn, _variant(w[6:]))[0]))
+            elif w in ("exact", "efficiency"):
+                if rate is None:
+                    if pm < 1 or pk < 1 or pn < 0:
+                        raise ValueError(
+                            f"sweep needs m >= 1, n >= 0, k >= 1; got {pm}, {pn}, {pk}"
+                        )
+                    rate = (rates or analytics._rate_source(pm, pn, var))(pk)
+                if w == "exact":
+                    cells.append(rate.read(fraction_sci))
+                else:
+                    cells.append(f"{analytics._efficiency(pm, pn, rate.exact()):.9f}")
             elif w in ("E", "M", "L", "U"):
                 bounds = bounds or analytics.fpr_bounds(pm, pn, pk)
                 if w == "E":
@@ -344,25 +354,12 @@ def sweep(variable, start, end, step, m, n, k, variant, outputs, out) -> None:
                     cells.append(fraction_sci(getattr(bounds, w)))
             elif w == "taylor":
                 cells.append(f"{analytics.fpr_taylor(pm, pn, pk):.9e}")
-            elif w == "efficiency":
-                rate = rate or _sweep_rate(rates, pm, pn, pk, var)
-                cells.append(f"{analytics._efficiency(pm, pn, rate.exact()):.9f}")
         lines.append(key + ",".join(cells))
     text = "\n".join(lines) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         click.echo(text, nl=False)
-
-
-def _sweep_rate(rates, m: int, n: int, k: int, var: FilterVariant) -> _Certified:
-    """A sweep cell's certified rate, from rates or a source of its own."""
-    if m < 1 or k < 1 or n < 0:
-        raise ValueError(f"sweep needs m >= 1, n >= 0, k >= 1; got {m}, {n}, {k}")
-    if n == 0:
-        return _Certified(0, 0, lambda: 0)
-    rates = rates or analytics._rate_source(m, n, var)
-    return rates(k, analytics._fpr_lower_bound_log2(m, n, k, var))
 
 
 # --------------------------------------------------------------------------
@@ -462,9 +459,11 @@ def info(filter_file, fmt) -> None:
     """Parameters, bit sum, and estimated cardinality of a filter file."""
     filt = deserialize(Path(filter_file).read_bytes())
     try:
-        cardinality = estimate_cardinality(filt)
+        cardinality, unknown = estimate_cardinality(filt), None
     except SaturationError:
-        cardinality = None
+        cardinality, unknown = None, "saturated"
+    except UnsupportedObservationError:
+        cardinality, unknown = None, "unavailable"
     payload = {
         "m": filt.params.m,
         "k": filt.params.k,
@@ -479,7 +478,7 @@ def info(filter_file, fmt) -> None:
         click.echo(json.dumps(payload, indent=2))
     else:
         for key, val in payload.items():
-            shown = "saturated" if key == "estimated_cardinality" and val is None else val
+            shown = unknown if key == "estimated_cardinality" and val is None else val
             click.echo(f"{key:<22} {shown}")
     _warn_if_overfull(filt)
 

@@ -300,15 +300,20 @@ def classic_rises(m, n, k):
 
 
 def traced_bounds(monkeypatch):
-    """Two lists that record, from here on, each k at which the walk
+    """Four lists that record, from here on, each k at which the walk
     evaluates B (_fpr_lower_bound_log2) and the rising bound (B itself for
     the standard variant and the classic at n = 1, so its k go in both
-    lists; L for the classic at n >= 2)."""
+    lists; L for the classic at n >= 2), each k a rate source
+    (_rate_source) is asked to rate, and each k at which a rate source
+    evaluates B itself, for a cut bracket's q (in neither of the first two
+    lists)."""
     bound, rising_bound = analytics._fpr_lower_bound_log2, analytics._rising_bound
-    bound_ks, rise_ks = [], []
+    source = analytics._rate_source
+    bound_ks, rise_ks, rated, q_ks = [], [], [], []
+    rating = []
 
     def traced_bound(m, n, k, variant):
-        bound_ks.append(k)
+        (q_ks if rating else bound_ks).append(k)
         return bound(m, n, k, variant)
 
     def traced_rising(m, n, variant):
@@ -320,9 +325,23 @@ def traced_bounds(monkeypatch):
 
         return k_rise, traced
 
+    def traced_source(m, n, variant):
+        rate = source(m, n, variant)
+
+        def traced(k):
+            rated.append(k)
+            rating.append(k)
+            try:
+                return rate(k)
+            finally:
+                rating.pop()
+
+        return traced
+
     monkeypatch.setattr(analytics, "_fpr_lower_bound_log2", traced_bound)
     monkeypatch.setattr(analytics, "_rising_bound", traced_rising)
-    return bound_ks, rise_ks
+    monkeypatch.setattr(analytics, "_rate_source", traced_source)
+    return bound_ks, rise_ks, rated, q_ks
 
 
 def fpr_standard_stirling(m, n, k):
@@ -574,12 +593,16 @@ class TestOptimalK:
         # from n = 3; at k = 53 and 70 for n = 2), and the classic scan
         # there stops before k = m, bounding neither B nor L at m. At the
         # high loads (16, 40) ... (64, 100) the optimum is k = 1 at a rate
-        # above 2^-0.5: the seed is k = 1, and the standard scan bounds
-        # k = 2 and stops. The classic n = 1 cells at m = 17, 33 tie at
-        # (m - 1)/2 and (m + 1)/2: k_max is the larger. Every classic n = 1
+        # above 2^-0.5: the seed is k = 1, which the standard scan bounds
+        # and rates; it skips k = 2, whose rising bound (B again) stops it.
+        # The classic n = 1 cells at m = 17, 33 tie at (m - 1)/2 and
+        # (m + 1)/2: k_max is the larger. Every classic n = 1
         # walk stops just past m/2, where B = log2 f starts to rise. The
-        # seed's bracket takes the first B, before the walk
-        bound_ks, rise_ks = traced_bounds(monkeypatch)
+        # seed is rated first, before the walk, and once: the walk bounds
+        # its k like any other (or ends at or before it), reusing its rate.
+        # Every other rated k passed the walk's bound, and a source forms
+        # B only for a k it rates
+        bound_ks, rise_ks, rated, q_ks = traced_bounds(monkeypatch)
         grid = [(m, n) for m in (8, 17, 33, 64) for n in (1, 2, 5, 9)]
         grid += [(m, n) for m in (96, 128) for n in (1, 2, 3, 24)]
         high_load = [(16, 40), (24, 48), (32, 60), (40, 64), (64, 100)]
@@ -592,12 +615,14 @@ class TestOptimalK:
         formed = exact_rates_formed(monkeypatch)
         for m, n in grid:
             for variant in (STD, CLS):
-                bound_ks.clear()
-                rise_ks.clear()
-                formed.clear()
+                for traced in (bound_ks, rise_ks, rated, q_ks, formed):
+                    traced.clear()
                 best = optimal_k(m, n, variant)
-                assert bound_ks[0] == analytics._k_seed(m, n), (m, n, variant)
-                walked = bound_ks[1:]
+                seed, walked = analytics._k_seed(m, n), bound_ks
+                assert rated[0] == seed not in rated[1:], (m, n, variant)
+                assert seed in walked + rise_ks or max(walked + rise_ks) < seed
+                assert set(rated[1:]) <= set(walked), (m, n, variant)
+                assert set(q_ks) <= set(rated), (m, n, variant)
                 if (m, n, variant) == (256, 1, STD):
                     assert formed == ["thunk"], formed
                 rates = [oracle_rate[variant](m, n, k) for k in range(1, m + 1)]
@@ -610,7 +635,7 @@ class TestOptimalK:
                 if (m, n) in high_load:
                     assert best.fpr > Fraction(7071, 10**4), (m, n, variant)
                     if variant is STD:
-                        assert walked == [2], (m, n)
+                        assert walked == [1, 2, 2], (m, n)
                 elif m >= 96 and n > 1 and variant is STD:
                     assert max(walked) < (m // 2 if n > 2 else m)
                 elif m >= 96 and n > 1:
@@ -785,20 +810,67 @@ class TestOptimalK:
         assert walked == [k for k in range(1, m + 1) if k != k_rise]
 
     @pytest.mark.parametrize(
-        "m, n, bounds, rises",
-        [(64, 4, 18, 5), (1000, 20, 48, 1), (1024, 5, 246, 44)],
+        "m, n, bounds, rises, first, last",
+        [(64, 4, 20, 5, 8, 13), (1000, 20, 50, 1, 29, 39),
+         (1024, 5, 248, 44, 95, 169)],
     )
-    def test_classic_bound_evaluations(self, monkeypatch, m, n, bounds, rises):
-        # each walked k but the seed evaluates B until L passes the cut:
-        # 63, 999 and 1,023 B evaluations when the classic walk went to m.
-        # The seed's bracket takes one more B first, for its q
-        bound_ks, rise_ks = traced_bounds(monkeypatch)
+    def test_classic_bound_evaluations(
+        self, monkeypatch, m, n, bounds, rises, first, last
+    ):
+        # the walk evaluates B at each k, the seed's included, and L at
+        # each k from k_rise that B skips, until L passes the cut too: 64,
+        # 1,000 and 1,024 B evaluations when the classic walk went to m.
+        # Here B skips every k from k_rise on. Every classic bracket is cut
+        # from terms, so the source forms one more B at each k it rates:
+        # the seed first, then first..last less the seed (6, 11 and 75 in
+        # all), whose rate is reused, not formed again
+        bound_ks, rise_ks, rated, q_ks = traced_bounds(monkeypatch)
         optimal_k(m, n, CLS)
         k_rise, _ = analytics._rising_bound(m, n, CLS)
-        assert bound_ks.pop(0) == analytics._k_seed(m, n)
+        seed = analytics._k_seed(m, n)
         assert (len(bound_ks), len(rise_ks)) == (bounds, rises)
+        assert bound_ks == list(range(1, rise_ks[-1] + 1))
         assert rise_ks == list(range(k_rise, k_rise + rises))
-        assert max(bound_ks) == rise_ks[-1] - 1
+        assert first <= seed <= last
+        rest = [k for k in range(first, last + 1) if k != seed]
+        assert q_ks == rated == [seed, *rest]
+
+    @pytest.mark.parametrize("variant", [STD, CLS])
+    def test_walk_tests_the_seed_and_reuses_its_rate(self, monkeypatch, variant):
+        # the seed here is k_rise. At limit 0 no bound passes the cut, so
+        # every k is walked: the seed's k is bounded like the rest, yields
+        # the given rate, and no source rates it. Far below every rate, B
+        # skips every k, and the seed's rising bound ends the walk there
+        m, n = 40, 3
+        seed, _ = analytics._rising_bound(m, n, variant)
+        bound_ks, rise_ks, rated, _ = traced_bounds(monkeypatch)
+        given = kernel._Certified(Fraction(1), Fraction(1), Fraction)
+        walk = partial(analytics._bracket_walk, m, n, variant, (seed, given))
+        walked = dict(walk(lambda: 0.0))
+        assert list(walked) == list(range(1, m + 1))
+        assert walked[seed] is given
+        assert rated == [k for k in walked if k != seed]
+        bound_ks.clear()
+        rise_ks.clear()
+        assert 1 < seed < m
+        assert list(walk(lambda: -1e6)) == []
+        assert rise_ks == [seed]
+        assert sorted(set(bound_ks)) == list(range(1, seed + 1))
+
+    @pytest.mark.parametrize("variant", [STD, CLS])
+    def test_zero_items_rate_and_optimum(self, variant):
+        # no bit is ever set: every rate is exactly 0 (B would be log2 0),
+        # and every k ties, so the optimum is k = 1 with k_max = m
+        for m in (1, 2, 7, 64, 1024):
+            rate = analytics._rate_source(m, 0, variant)
+            top = m if variant is CLS else m + 3
+            for k in sorted({1, 2, 3, m // 2 + 1, top} & set(range(1, top + 1))):
+                f = rate(k)
+                assert f.lo == f.hi == f.exact() == 0, (m, k)
+            k, k_max, best, seed = analytics._optimum(m, 0, variant)
+            assert (k, k_max) == (1, m)
+            assert best.lo == best.hi == seed.lo == seed.hi == 0
+            assert optimal_k(m, 0, variant) == (1, 0, m)
 
     def test_ties_break_toward_smaller_k(self):
         best = optimal_k(255, 1, CLS)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bloomlab import analytics, kernel
 from bloomlab import cli as cli_module
 from bloomlab.cli import cli, fraction_sci, main, power_sci
-from bloomlab.filters import FilterVariant
+from bloomlab.filters import BloomFilter, FilterParams, FilterVariant, serialize
 from bloomlab.kernel import log2_fraction
 from bloomlab.suites import CheckResult, SuiteResult
 from fractions import Fraction
@@ -467,9 +467,9 @@ class TestOptimize:
         def traced_source(m, n, var):
             rate = source(m, n, var)
 
-            def traced(k, bound):
+            def traced(k):
                 rated.append(k)
-                return rate(k, bound)
+                return rate(k)
 
             return traced
 
@@ -575,6 +575,17 @@ _RATES_PINNED = {
         "variant,m,n,k,exact\nclassic,64,0,3,0\nclassic,64,1,3,2.40015e-05\n"
         "classic,64,2,3,4.46707e-04\nclassic,64,3,3,1.74675e-03\n"
     ),
+    # k* columns read only k; at n = 0 every k ties, so k* = 1
+    ("sweep", "--variable", "n", "--start", "0", "--end", "64", "--m", "1024",
+     "--outputs", "kstar_classic,kstar_standard"):
+        "a9639641dc562cfb25e1790dffb7c30a0dc1ac57930c451e601a853aac65316f",
+    ("sweep", "--variable", "n", "--start", "1", "--end", "64", "--m", "1024",
+     "--outputs", "kstar_est,kstar_classic,kstar_standard"):
+        "183e30cb4d8afc3154f9b72b1c7986aac0d76e23ac47ddb8d7fe21524c41ba7e",
+    # every rate at n = 0 is exactly 0
+    ("sweep", "--variable", "k", "--start", "1", "--end", "50", "--m", "1024",
+     "--n", "0"):
+        "d5f5c3b5b57b9b018eb8aa7166be5d27bb189c347e37ac96f3008c295d48ef4b",
     # classic rows need k <= m: k = 6, 7, 8 are left out
     ("sweep", "--variable", "k", "--start", "3", "--end", "8", "--m", "5", "--n",
      "2", "--outputs", "exact,efficiency", "--variant", "classic"): (
@@ -628,6 +639,17 @@ class TestRateReads:
         assert (sums, thunks) == ([], [])
         _main_stdout(monkeypatch, capsys, args + ["exact,efficiency"])
         assert len(sums) == len(thunks) == 26
+
+    def test_kstar_columns_read_only_k(self, monkeypatch, capsys):
+        # each k* cell reads the optimum's k from its brackets: no exact
+        # sum, and no thunk
+        sums, thunks = exact_sums(monkeypatch)
+        args = ["sweep", "--variable", "n", "--start", "0", "--end", "64",
+                "--step", "9", "--m", "1024", "--outputs",
+                "kstar_classic,kstar_standard"]
+        lines = _main_stdout(monkeypatch, capsys, args).splitlines()
+        assert lines[1:3] == ["1024,0,1,1", "1024,9,73,76"]
+        assert (sums, thunks) == ([], [])
 
     def test_print_boundary_takes_the_exact_rate(self, monkeypatch, capsys):
         # every cut bracket widened to f (1 -+ 2^-12), whose ends print
@@ -797,6 +819,28 @@ class TestFilterCommands:
         )
         assert result.stderr.startswith("warning: bit sum exceeds m/2")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_info_at_k_equal_m_has_no_cardinality(self, runner, tmp_path, fmt):
+        # k = m sets every bit at the first insert, so a bit sum of 3 out of
+        # 8 has no estimate; the header is valid and is printed in full
+        params = FilterParams(m=8, k=8, variant=FilterVariant.CLASSIC, seed=1)
+        filt = BloomFilter(params)
+        filt.bits[0] = 0b1011
+        path = tmp_path / "k8.blm"
+        path.write_bytes(serialize(filt))
+        result = runner.invoke(cli, ["info", str(path), "--format", fmt])
+        assert result.exit_code == 0, result.output
+        fields = {"m": 8, "k": 8, "variant": "classic", "seed": 1, "count": 0,
+                  "bit_sum": 3, "fill_ratio": 0.375, "estimated_cardinality": None}
+        if fmt == "json":
+            assert json.loads(result.stdout) == fields
+        else:
+            fields["estimated_cardinality"] = "unavailable"
+            assert result.stdout == "".join(
+                f"{key:<22} {val}\n" for key, val in fields.items()
+            )
+        assert result.stderr == ""
+
     def test_info_empty_filter_cardinality_zero(self, runner, tmp_path):
         path = tmp_path / "e.blm"
         runner.invoke(cli, ["build", "--m", "64", "--k", "2", "--out", str(path)])
@@ -945,6 +989,23 @@ class TestMainExitCodes:
         monkeypatch.setattr(analytics, "_rate_at_most", spy)
         code, err = self._run(monkeypatch, capsys, ["optimize", "--m", m, *mode])
         assert (code, err) == (1, "error: --m must be >= 1\n")
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "fixed, m, n", [(["--variable", "n", "--m", "0"], 0, 1),
+                        (["--variable", "m", "--n", "-1"], 1, -1)],
+    )
+    def test_sweep_kstar_domain_exits_1_before_any_scan(
+        self, monkeypatch, capsys, fixed, m, n
+    ):
+        # the k* cell checks m and n itself; no scan runs first (B at m = 0
+        # would raise ZeroDivisionError)
+        calls = []
+        monkeypatch.setattr(analytics, "_optimum", lambda *a: calls.append(a))
+        args = ["sweep", *fixed, "--start", "1", "--end", "2", "--outputs",
+                "kstar_classic,kstar_standard"]
+        code, err = self._run(monkeypatch, capsys, args)
+        assert (code, err) == (1, f"error: sweep needs m >= 1, n >= 0; got {m}, {n}\n")
         assert calls == []
 
     def test_sweep_unknown_output_exits_1(self, monkeypatch, capsys):
