@@ -869,8 +869,11 @@ def _fpr_lower_bound_log2(m: int, n: int, k: int, variant: FilterVariant) -> flo
     if k >= m:
         return 0.0 if k == m else math.inf
     mu = m * -math.expm1(n * math.log1p(-k / m))
+    # The exact mu is at least k and the float within 6um of it (optimal_k's
+    # docstring), so this fires only past m ~ 2^50; mu = k is still a lower
+    # bound there, as X >= k gives C(X, k) >= 1 = C(k, k).
     if mu <= k - 1 + 1e-12:
-        mu = float(k)  # n = 1 gives mu = k exactly; guard float dust
+        mu = float(k)
     lg = math.lgamma
     return (lg(mu + 1) - lg(mu - k + 1) - lg(m + 1) + lg(m - k + 1)) / LN2
 

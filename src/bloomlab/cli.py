@@ -319,7 +319,13 @@ def sweep(variable, start, end, step, m, n, k, variant, outputs, out) -> None:
         point = {**fixed, variable: value}
         pm, pn, pk = point["m"], point["n"], point["k"]
         if kstar_only:
+            if pm < 1 or pn < 0:
+                raise ValueError(f"sweep needs m >= 1, n >= 0; got {pm}, {pn}")
             key = f"{pm},{pn},"
+        elif pm < 1 or pk < 1 or pn < 0:
+            raise ValueError(
+                f"sweep needs m >= 1, n >= 0, k >= 1; got {pm}, {pn}, {pk}"
+            )
         elif pk > pm and var is FilterVariant.CLASSIC:
             continue
         else:
@@ -330,15 +336,9 @@ def sweep(variable, start, end, step, m, n, k, variant, outputs, out) -> None:
             if w == "kstar_est":
                 cells.append(f"{analytics.optimal_k_estimate(pm, pn):.4f}")
             elif w.startswith("kstar_"):
-                if pm < 1 or pn < 0:
-                    raise ValueError(f"sweep needs m >= 1, n >= 0; got {pm}, {pn}")
                 cells.append(str(analytics._optimum(pm, pn, _variant(w[6:]))[0]))
             elif w in ("exact", "efficiency"):
                 if rate is None:
-                    if pm < 1 or pk < 1 or pn < 0:
-                        raise ValueError(
-                            f"sweep needs m >= 1, n >= 0, k >= 1; got {pm}, {pn}, {pk}"
-                        )
                     rate = (rates or analytics._rate_source(pm, pn, var))(pk)
                 if w == "exact":
                     cells.append(rate.read(fraction_sci))

@@ -3,8 +3,7 @@
 Trials are driven by a counter-based element generator keyed by rng_seed and
 a distinct prefix byte separates probe elements from inserted elements, so
 probes are true negatives by construction and every report is bit-for-bit
-reproducible from its TrialConfig. Trials are independent; chunks may be
-farmed out to worker processes and merged order-independently.
+reproducible from its TrialConfig.
 """
 
 from __future__ import annotations
@@ -66,11 +65,11 @@ def _probe_element(seed: int, trial: int, i: int) -> bytes:
     return b"\x01" + struct.pack("<QQQ", seed, trial, i)
 
 
-def _run_chunk(config: TrialConfig, start: int, stop: int):
-    """(positives, probe_count, bit-sum counter) over trials [start, stop)."""
+def run_trials(config: TrialConfig):
+    """(positives, probe_count, bit-sum counter) over all trials."""
     positives = 0
     hist: Counter[int] = Counter()
-    for trial in range(start, stop):
+    for trial in range(config.trials):
         filt = BloomFilter(config.params)
         for i in range(config.n):
             filt.insert(_insert_element(config.rng_seed, trial, i))
@@ -78,32 +77,7 @@ def _run_chunk(config: TrialConfig, start: int, stop: int):
         for i in range(config.probes):
             if filt.query(_probe_element(config.rng_seed, trial, i)):
                 positives += 1
-    return positives, (stop - start) * config.probes, hist
-
-
-def run_trials(config: TrialConfig, workers: int = 1):
-    """All trials, optionally on worker processes; merged totals are
-    order-independent so the result is deterministic either way."""
-    if workers <= 1:
-        return _run_chunk(config, 0, config.trials)
-    bounds = [
-        (config.trials * w // workers, config.trials * (w + 1) // workers)
-        for w in range(workers)
-    ]
-    # Imported here: it loads multiprocessing, which only this branch needs.
-    from concurrent.futures import ProcessPoolExecutor
-
-    positives = 0
-    probe_count = 0
-    hist: Counter[int] = Counter()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for pos, cnt, h in pool.map(
-            _run_chunk, [config] * len(bounds), *zip(*bounds)
-        ):
-            positives += pos
-            probe_count += cnt
-            hist.update(h)
-    return positives, probe_count, hist
+    return positives, config.trials * config.probes, hist
 
 
 def _exact_pmf(params: FilterParams, n: int, i: int) -> Fraction:
@@ -231,13 +205,20 @@ def validation_suite() -> list[TrialConfig]:
 
 
 def run_validation(configs: list[TrialConfig], workers: int = 1) -> list[ValidationRow]:
-    """Empirical FPR and bit-sum statistics against the exact values."""
+    """Empirical FPR and bit-sum statistics against the exact values.
+
+    Trials run in this process. ``workers`` is accepted only because the
+    benchmark's workloads still pass ``workers=1``; any other value raises
+    ValueError before a trial runs.
+    """
+    if workers != 1:
+        raise ValueError(f"trials run in one process; got workers={workers}")
     rows = []
     for config in configs:
         if config.probes < 1:
             raise ValueError("need at least one probe")
         params, n = config.params, config.n
-        positives, total, hist = run_trials(config, workers)
+        positives, total, hist = run_trials(config)
         exact = float(fpr_exact(params.m, n, params.k, params.variant))
         se = math.sqrt(exact * (1 - exact) / total)
         rate = positives / total

@@ -1103,6 +1103,20 @@ class TestEfficiency:
                 assert pk.epsilon == pytest.approx(direct[0], rel=1e-12)
                 assert pk.n == direct[1]
 
+    def test_peak_scan_extends_while_the_best_sits_on_its_edge(self, monkeypatch):
+        # m = 100, k = 1 opens the window at n <= 278; a peak at n = 500
+        # doubles it once, to 556
+        seen = []
+
+        def rising(m, n, k, variant):
+            seen.append(n)
+            return -abs(n - 500)
+
+        monkeypatch.setattr(analytics, "efficiency", rising)
+        pk = peak_efficiency(100, 1, STD)
+        assert (pk.n, pk.epsilon) == (500, 0)
+        assert max(seen) == 556
+
     def test_max_efficiency_standard(self):
         pt = max_efficiency(100, STD)
         assert (pt.n, pt.k) == (69, 1)
@@ -1115,6 +1129,9 @@ class TestEfficiency:
         pt = max_efficiency(100, CLS)
         assert (pt.n, pt.k) == (1, 50)
         assert pt.conjectured
+        closed = max_efficiency_closed_form(100, CLS)
+        assert closed == pytest.approx(math.log2(math.comb(100, 50)) / 100, rel=1e-12)
+        assert round(pt.epsilon, 2) == round(closed, 2)
 
 
 class TestValley:

@@ -998,8 +998,8 @@ class TestMainExitCodes:
     def test_sweep_kstar_domain_exits_1_before_any_scan(
         self, monkeypatch, capsys, fixed, m, n
     ):
-        # the k* cell checks m and n itself; no scan runs first (B at m = 0
-        # would raise ZeroDivisionError)
+        # the row checks m and n before its first cell; no scan runs first
+        # (B at m = 0 would raise ZeroDivisionError)
         calls = []
         monkeypatch.setattr(analytics, "_optimum", lambda *a: calls.append(a))
         args = ["sweep", *fixed, "--start", "1", "--end", "2", "--outputs",
@@ -1007,6 +1007,43 @@ class TestMainExitCodes:
         code, err = self._run(monkeypatch, capsys, args)
         assert (code, err) == (1, f"error: sweep needs m >= 1, n >= 0; got {m}, {n}\n")
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--variable", "n", "--m", "0", "--outputs", "kstar_est"],
+             "sweep needs m >= 1, n >= 0; got 0, 1"),
+            (["--variable", "n", "--m", "-5", "--outputs", "kstar_est"],
+             "sweep needs m >= 1, n >= 0; got -5, 1"),
+            # n = 0 is in the k* domain; the closed form alone rejects it
+            (["--variable", "m", "--n", "0", "--outputs",
+              "kstar_classic,kstar_est"],
+             "optimal_k_estimate requires n >= 1"),
+            (["--variable", "n", "--m", "0", "--k", "1", "--outputs", "E,exact"],
+             "sweep needs m >= 1, n >= 0, k >= 1; got 0, 1, 1"),
+            (["--variable", "n", "--m", "0", "--k", "1", "--outputs", "exact,E"],
+             "sweep needs m >= 1, n >= 0, k >= 1; got 0, 1, 1"),
+            (["--variable", "n", "--m", "0", "--k", "1", "--outputs", "taylor"],
+             "sweep needs m >= 1, n >= 0, k >= 1; got 0, 1, 1"),
+            # a classic row with k > m is skipped, but only once m is valid
+            (["--variable", "n", "--m", "0", "--k", "1", "--outputs", "exact",
+              "--variant", "classic"],
+             "sweep needs m >= 1, n >= 0, k >= 1; got 0, 1, 1"),
+            (["--variable", "k", "--m", "8", "--n", "-1", "--outputs", "U"],
+             "sweep needs m >= 1, n >= 0, k >= 1; got 8, -1, 1"),
+        ],
+    )
+    def test_sweep_row_domain_is_checked_before_its_cells(
+        self, monkeypatch, capsys, args, message
+    ):
+        # one message per invalid row, whatever the order of --outputs
+        defaults = ["--start", "1", "--end", "2"]
+        monkeypatch.setattr(sys, "argv", ["bloomlab", "sweep", *defaults, *args])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.err) == (1, f"error: {message}\n")
+        assert captured.out == ""
 
     def test_sweep_unknown_output_exits_1(self, monkeypatch, capsys):
         code, err = self._run(

@@ -69,9 +69,17 @@ class TestEmpiricalFpr:
         b, _, _ = run_trials(_config(rng_seed=2))
         assert a != b  # 4000 Bernoulli draws; collision absurd
 
-    def test_parallel_merge_matches_serial(self):
+    def test_workers_other_than_one_rejected_before_any_trial(self, monkeypatch):
         config = _config(trials=200)
-        assert run_trials(config, workers=2) == run_trials(config, workers=1)
+        assert run_validation([config], workers=1) == run_validation([config])
+
+        def no_trials(config):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(montecarlo, "run_trials", no_trials)
+        for workers in (0, 2):
+            with pytest.raises(ValueError, match="one process"):
+                run_validation([config], workers=workers)
 
 
 class TestHistogram:

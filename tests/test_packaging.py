@@ -107,8 +107,6 @@ DEFAULTED = {
         "new filters start empty; deserialize and the set operations pass stored bits",
     ("filters", "BloomFilter.__init__", "count"):
         "new filters start at 0; filter_intersect passes None (unknown)",
-    ("montecarlo", "run_trials", "workers"):
-        "run_validation passes its own; the worker-pool test passes 2",
     ("montecarlo", "run_validation", "workers"):
         "perfbench's workloads pass workers=1; the CLI and the suite take the default",
     ("montecarlo", "conjecture_scan", "k_values"):
