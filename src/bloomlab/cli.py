@@ -235,26 +235,19 @@ def _optimize_one(m, n, p, variant: str) -> dict:
             fpr_at_estimate=seed.read(fraction_sci),
             estimate_gap=round(est) - k,
         )
-    elif m is not None:
-        n_exact = analytics.capacity_n_max(m, p, var)
-        payload.update(
-            m=m,
-            p=p,
-            n_max_exact=n_exact,
-            n_max_estimate=analytics.n_max_estimate(m, p),
-            k_exact=analytics._optimum(m, n_exact, var)[0],
-        )
-        payload["estimate_gap"] = round(payload["n_max_estimate"]) - n_exact
     else:
-        m_exact = analytics.size_m_min(n, p, var)
-        payload.update(
-            n=n,
-            p=p,
-            m_min_exact=m_exact,
-            m_min_estimate=analytics.m_min_estimate(n, p),
-            k_exact=analytics._optimum(m_exact, n, var)[0],
-        )
-        payload["estimate_gap"] = round(payload["m_min_estimate"]) - m_exact
+        # --m --p solves for the capacity n_max, --n --p for the size m_min
+        if m is not None:
+            given, key = {"m": m}, "n_max"
+            n = exact = analytics.capacity_n_max(m, p, var)
+            est = analytics.n_max_estimate(m, p)
+        else:
+            given, key = {"n": n}, "m_min"
+            m = exact = analytics.size_m_min(n, p, var)
+            est = analytics.m_min_estimate(n, p)
+        payload.update(given, p=p, **{f"{key}_exact": exact, f"{key}_estimate": est})
+        payload.update(k_exact=analytics._optimum(m, n, var)[0],
+                       estimate_gap=round(est) - exact)
     return payload
 
 

@@ -213,10 +213,10 @@ def run_validation(configs: list[TrialConfig], workers: int = 1) -> list[Validat
     """
     if workers != 1:
         raise ValueError(f"trials run in one process; got workers={workers}")
+    if any(config.probes < 1 for config in configs):
+        raise ValueError("need at least one probe")
     rows = []
     for config in configs:
-        if config.probes < 1:
-            raise ValueError("need at least one probe")
         params, n = config.params, config.n
         positives, total, hist = run_trials(config)
         exact = float(fpr_exact(params.m, n, params.k, params.variant))
@@ -328,8 +328,13 @@ def conjecture_scan(
     and k*_C = k*_S = 1 otherwise. Peak monotonicity: classic peak
     efficiency increases in k for k <= m/2 - 1 (checked on k_values when
     given). Violations are reported, never raised. Tie ranges are
-    optimal_k's k..k_max.
+    optimal_k's k..k_max. Every m and n must be >= 1, checked before the
+    first cell.
     """
+    m_values, n_values = list(m_values), list(n_values)
+    for name, values in (("m", m_values), ("n", n_values)):
+        if bad := [v for v in values if v < 1]:
+            raise ValueError(f"conjecture_scan needs {name} >= 1; got {name}={bad[0]}")
     ordering = []
     for m in m_values:
         for n in n_values:

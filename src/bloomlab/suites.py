@@ -3,6 +3,12 @@
 Each suite returns a list of CheckResult plus optional report artifacts
 (CSV text keyed by filename stem). Suites are deterministic: randomized
 sweeps draw from a fixed-seed generator.
+
+Every timed check measures its work once, with `_timed`; the invariant
+battery has one clock for all its checks. Each invariant lists its cases and
+tests one predicate over them (`_tally`). The battery draws all its random
+cases before any predicate runs, so a failing case cannot shift the draws
+of a later check.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from . import analytics, montecarlo, occupancy, oracle
 from .filters import FilterVariant
@@ -46,46 +53,58 @@ def _sig3(x: float) -> str:
     return f"{x:.2e}"
 
 
+def _timed(measure):
+    """measure()'s value and the seconds it took, as (value, seconds)."""
+    t0 = time.perf_counter()
+    value = measure()
+    return value, time.perf_counter() - t0
+
+
 # --------------------------------------------------------------------------
 # Published-number reproduction
 # --------------------------------------------------------------------------
 
 
-def suite_paper_numbers() -> SuiteResult:
-    checks = []
+def _optima(m: int, n: int):
+    """The standard and classic optima at (m, n) and the estimate (m/n) ln 2."""
+    return (
+        analytics.optimal_k(m, n, STANDARD),
+        analytics.optimal_k(m, n, CLASSIC),
+        analytics.optimal_k_estimate(m, n),
+    )
 
-    t0 = time.perf_counter()
-    ks = analytics.optimal_k(64, 4, STANDARD)
-    kc = analytics.optimal_k(64, 4, CLASSIC)
-    f_s11 = float(analytics.fpr_standard_exact(64, 4, 11))
-    f_c11 = float(analytics.fpr_classic_exact(64, 4, 11))
-    est = analytics.optimal_k_estimate(64, 4)
-    elapsed = time.perf_counter() - t0
+
+def _misconfiguration(best: analytics.OptimalK, variant: FilterVariant):
+    """Percent rate penalty and efficiency drop of k = 142 at (1024, 5)."""
+    f, eff = analytics.fpr_exact(1024, 5, 142, variant), analytics._efficiency
+    return (
+        (float(f / best.fpr) - 1) * 100,
+        (1 - eff(1024, 5, f) / eff(1024, 5, best.fpr)) * 100,
+    )
+
+
+def suite_paper_numbers() -> SuiteResult:
+    (ks, kc, est, f_s11, f_c11), elapsed = _timed(lambda: (
+        *_optima(64, 4),
+        float(analytics.fpr_standard_exact(64, 4, 11)),
+        float(analytics.fpr_classic_exact(64, 4, 11)),
+    ))
+    f_s, f_c = _sig3(float(ks.fpr)), _sig3(float(kc.fpr))
     ok = (
-        ks.k == 10
-        and _sig3(float(ks.fpr)) == "6.15e-04"
-        and kc.k == 9
-        and _sig3(float(kc.fpr)) == "4.55e-04"
-        and _sig3(f_s11) == "6.25e-04"
-        and _sig3(f_c11) == "4.85e-04"
-        and f"{est:.2f}" == "11.09"
+        (ks.k, f_s, kc.k, f_c, _sig3(f_s11), _sig3(f_c11), f"{est:.2f}")
+        == (10, "6.15e-04", 9, "4.55e-04", "6.25e-04", "4.85e-04", "11.09")
         and elapsed < 5.0
     )
-    checks.append(
+    checks = [
         CheckResult(
             "optima at m=64, n=4",
             ok,
-            f"k*_S={ks.k} f*_S={_sig3(float(ks.fpr))} k*_C={kc.k} "
-            f"f*_C={_sig3(float(kc.fpr))} f_S(11)={_sig3(f_s11)} "
+            f"k*_S={ks.k} f*_S={f_s} k*_C={kc.k} f*_C={f_c} f_S(11)={_sig3(f_s11)} "
             f"f_C(11)={_sig3(f_c11)} est={est:.2f} ({elapsed:.2f}s)",
         )
-    )
+    ]
 
-    t0 = time.perf_counter()
-    ks = analytics.optimal_k(1000, 20, STANDARD)
-    kc = analytics.optimal_k(1000, 20, CLASSIC)
-    est = analytics.optimal_k_estimate(1000, 20)
-    elapsed = time.perf_counter() - t0
+    (ks, kc, est), elapsed = _timed(lambda: _optima(1000, 20))
     ok = kc.k == 33 and ks.k == 34 and f"{est:.1f}" == "34.7" and elapsed < 60
     checks.append(
         CheckResult(
@@ -95,27 +114,20 @@ def suite_paper_numbers() -> SuiteResult:
         )
     )
 
-    t0 = time.perf_counter()
-    ks = analytics.optimal_k(1024, 5, STANDARD)
-    kc = analytics.optimal_k(1024, 5, CLASSIC)
-    est = analytics.optimal_k_estimate(1024, 5)
-    pen_s = (float(analytics.fpr_standard_exact(1024, 5, 142) / ks.fpr) - 1) * 100
-    pen_c = (float(analytics.fpr_classic_exact(1024, 5, 142) / kc.fpr) - 1) * 100
-    eff_s = 1 - analytics.efficiency(1024, 5, 142, STANDARD) / analytics.efficiency(
-        1024, 5, ks.k, STANDARD
-    )
-    eff_c = 1 - analytics.efficiency(1024, 5, 142, CLASSIC) / analytics.efficiency(
-        1024, 5, kc.k, CLASSIC
-    )
-    elapsed = time.perf_counter() - t0
+    def misconfigured():
+        ks, kc, est = _optima(1024, 5)
+        cost_s, cost_c = _misconfiguration(ks, STANDARD), _misconfiguration(kc, CLASSIC)
+        return ks, kc, est, cost_s, cost_c
+
+    (ks, kc, est, (pen_s, eff_s), (pen_c, eff_c)), elapsed = _timed(misconfigured)
     ok = (
         ks.k == 133
         and kc.k == 124
         and round(est) == 142
         and abs(pen_s - 15.7) <= 0.1
         and abs(pen_c - 106.9) <= 0.1
-        and abs(eff_s * 100 - 0.2) <= 0.1
-        and abs(eff_c * 100 - 0.7) <= 0.1
+        and abs(eff_s - 0.2) <= 0.1
+        and abs(eff_c - 0.7) <= 0.1
         and elapsed < 600
     )
     checks.append(
@@ -124,23 +136,19 @@ def suite_paper_numbers() -> SuiteResult:
             ok,
             f"k*_S={ks.k} k*_C={kc.k} est={est:.2f} "
             f"penalty S=+{pen_s:.1f}% C=+{pen_c:.1f}% "
-            f"eff drop S={eff_s*100:.2f}% C={eff_c*100:.2f}% ({elapsed:.2f}s)",
+            f"eff drop S={eff_s:.2f}% C={eff_c:.2f}% ({elapsed:.2f}s)",
         )
     )
 
-    t0 = time.perf_counter()
-    ms = analytics.max_efficiency(100, STANDARD)
-    mc = analytics.max_efficiency(100, CLASSIC)
-    closed = analytics.max_efficiency_closed_form(100, STANDARD)
-    elapsed = time.perf_counter() - t0
+    (ms, mc, closed), elapsed = _timed(lambda: (
+        analytics.max_efficiency(100, STANDARD),
+        analytics.max_efficiency(100, CLASSIC),
+        analytics.max_efficiency_closed_form(100, STANDARD),
+    ))
     ok = (
-        ms.n == 69
-        and ms.k == 1
-        and f"{ms.epsilon:.2f}" == "0.69"
+        (ms.n, ms.k, f"{ms.epsilon:.2f}") == (69, 1, "0.69")
         and abs(ms.epsilon - closed) < 0.005
-        and mc.n == 1
-        and mc.k == 50
-        and f"{mc.epsilon:.2f}" == "0.96"
+        and (mc.n, mc.k, f"{mc.epsilon:.2f}") == (1, 50, "0.96")
         and elapsed < 60
     )
     checks.append(
@@ -159,35 +167,36 @@ def suite_paper_numbers() -> SuiteResult:
 # --------------------------------------------------------------------------
 
 
+def _oracle_mismatches(m: int, n: int, k: int):
+    """Names of the exact values at (m, n, k) that enumeration disagrees with."""
+    if oracle.enumerate_fpr_standard(m, n, k) != analytics.fpr_standard_exact(m, n, k):
+        yield f"fpr_S({m},{n},{k})"
+    if oracle.enumerate_fpr_classic(m, n, k) != analytics.fpr_classic_exact(m, n, k):
+        yield f"fpr_C({m},{n},{k})"
+    pmf_s = oracle.enumerate_classic_pmf(m, n * k)
+    pmf_c = oracle.enumerate_committee_pmf(m, n, k)
+    for i in range(m + 1):
+        if pmf_s[i] != occupancy.classic_pmf(m, n * k, i):
+            yield f"pmf_S({m},{n},{k},{i})"
+        if pmf_c[i] != occupancy.committee_pmf(m, n, k, i):
+            yield f"pmf_C({m},{n},{k},{i})"
+
+
 def suite_oracle_small() -> SuiteResult:
-    t0 = time.perf_counter()
-    bad: list[str] = []
-    count = 0
-    for m in range(1, 6):
-        for n in range(0, 4):
-            for k in range(1, min(3, m) + 1):
-                count += 1
-                if oracle.enumerate_fpr_standard(m, n, k) != (
-                    analytics.fpr_standard_exact(m, n, k)
-                ):
-                    bad.append(f"fpr_S({m},{n},{k})")
-                if oracle.enumerate_fpr_classic(m, n, k) != (
-                    analytics.fpr_classic_exact(m, n, k)
-                ):
-                    bad.append(f"fpr_C({m},{n},{k})")
-                pmf_s = oracle.enumerate_classic_pmf(m, n * k)
-                pmf_c = oracle.enumerate_committee_pmf(m, n, k)
-                for i in range(m + 1):
-                    if pmf_s[i] != occupancy.classic_pmf(m, n * k, i):
-                        bad.append(f"pmf_S({m},{n},{k},{i})")
-                    if pmf_c[i] != occupancy.committee_pmf(m, n, k, i):
-                        bad.append(f"pmf_C({m},{n},{k},{i})")
-    elapsed = time.perf_counter() - t0
-    ok = not bad and elapsed < 60
-    detail = f"{count} configurations, exact equality ({elapsed:.2f}s)"
+    cases = [
+        (m, n, k)
+        for m in range(1, 6)
+        for n in range(0, 4)
+        for k in range(1, min(3, m) + 1)
+    ]
+    bad, elapsed = _timed(lambda: [b for c in cases for b in _oracle_mismatches(*c)])
+    detail = f"{len(cases)} configurations, exact equality ({elapsed:.2f}s)"
     if bad:
         detail = "mismatch at " + ", ".join(bad[:8])
-    return SuiteResult("oracle-small", [CheckResult("brute-force equivalence", ok, detail)])
+    return SuiteResult(
+        "oracle-small",
+        [CheckResult("brute-force equivalence", not bad and elapsed < 60, detail)],
+    )
 
 
 # --------------------------------------------------------------------------
@@ -196,189 +205,154 @@ def suite_oracle_small() -> SuiteResult:
 
 
 def suite_invariants() -> SuiteResult:
-    rng = random.Random(0xB100F)
-    checks = []
-    t_start = time.perf_counter()
+    checks, elapsed = _timed(lambda: _invariant_checks(random.Random(0xB100F)))
+    checks.append(CheckResult(
+        "invariant battery runtime < 300s", elapsed < 300, f"{elapsed:.1f}s"
+    ))
+    return SuiteResult("invariants", checks)
 
-    # normalization, every family
-    bad = 0
-    for m in range(1, 13):
-        for n in range(0, 13):
-            if sum(occupancy.classic_pmf(m, n, i) for i in range(m + 1)) != 1:
-                bad += 1
-    cases = 0
-    for m in range(1, 13):
-        for k in range(1, m + 1):
-            for n in range(0, 12 // k + 1):
-                cases += 1
-                total = sum(
-                    occupancy.committee_pmf(m, n, k, i) for i in range(m + 1)
-                )
-                if total != 1:
-                    bad += 1
-    multi = 0
-    for _ in range(25):
-        spec = _random_spec(rng, max_m=8, max_total=10)
-        multi += 1
-        if sum(occupancy.union_pmf(spec, i) for i in range(spec.m + 1)) != 1:
-            bad += 1
-        if sum(occupancy.intersection_pmf_table(spec)) != 1:
-            bad += 1
-    checks.append(
-        CheckResult(
-            "pmf normalization (classic/committee/union/intersection)",
-            bad == 0,
-            f"{156 + cases + 2 * multi} distributions",
-        )
-    )
 
-    # single-step recurrence in n for the classic pmf
-    bad = 0
-    for _ in range(40):
-        m = rng.randint(1, 10)
-        n = rng.randint(0, 10)
-        for i in range(m):
-            lhs = occupancy.classic_pmf(m, n + 1, i + 1)
-            rhs = Fraction(m - i, m) * occupancy.classic_pmf(m, n, i) + Fraction(
-                i + 1, m
-            ) * occupancy.classic_pmf(m, n, i + 1)
-            if lhs != rhs:
-                bad += 1
-    checks.append(CheckResult("classic pmf recurrence in n", bad == 0, "40 draws"))
+def _tally(name: str, cases: list, unit: str, holds) -> CheckResult:
+    """Pass when holds(*case) for every case; the detail counts the cases."""
+    return CheckResult(name, all(holds(*c) for c in cases), f"{len(cases)} {unit}")
 
-    # moment recurrence linking (m, r) to (m-1, r)
-    bad = 0
-    for _ in range(40):
-        m = rng.randint(2, 8)
-        n = rng.randint(0, 8)
-        r = rng.randint(0, 8)
-        lhs = occupancy.classic_raw_moment(m, n, r)
-        rhs = Fraction(1, m) * occupancy.classic_raw_moment(m, n, r + 1) + Fraction(
-            m - 1, m
-        ) ** n * occupancy.classic_raw_moment(m - 1, n, r)
-        if lhs != rhs:
-            bad += 1
-    checks.append(CheckResult("classic moment recurrence in m", bad == 0, "40 draws"))
 
-    # Stirling / backward-difference polynomial identity at rational points
-    bad = 0
-    for _ in range(30):
-        n = rng.randint(1, 8)
-        r = rng.randint(0, 8)
-        z = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
-        lhs = sum(
-            stirling2(n, i) * i**r * falling_factorial(z, i) for i in range(1, n + 1)
-        )
-        rhs = sum(
-            stirling2(r, j) * nabla_power(z, n, j) * falling_factorial(z, j)
-            for j in range(0, r + 1)
-        )
-        if lhs != rhs:
-            bad += 1
-    checks.append(
-        CheckResult("Stirling difference identity at rational z", bad == 0, "30 draws")
-    )
-
-    # complement duality: intersection at i == union at m-i with sizes m-k_d
-    bad = 0
+def _invariant_checks(rng: random.Random) -> list[CheckResult]:
+    # every random case, drawn before any predicate runs
+    specs = [_random_spec(rng, max_m=8, max_total=10) for _ in range(25)]
+    steps_n = [(rng.randint(1, 10), rng.randint(0, 10)) for _ in range(40)]
+    steps_m = [
+        (rng.randint(2, 8), rng.randint(0, 8), rng.randint(0, 8)) for _ in range(40)
+    ]
+    points = [
+        (rng.randint(1, 8), rng.randint(0, 8),
+         Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+        for _ in range(30)
+    ]
+    duals = []
     for _ in range(20):
         m = rng.randint(2, 8)
-        c = rng.randint(1, 3)
-        sizes = [rng.randint(1, m - 1) for _ in range(c)]
-        spec = occupancy.CommitteeSpec(m, [(1, k) for k in sizes])
-        comp = occupancy.CommitteeSpec(m, [(1, m - k) for k in sizes])
-        inter = occupancy.intersection_pmf_table(spec)
-        for i in range(m + 1):
-            if inter[i] != occupancy.union_pmf(comp, m - i):
-                bad += 1
-    checks.append(
-        CheckResult("union/intersection complement duality", bad == 0, "20 specs")
-    )
-
-    # moment sandwich
-    bad = 0
+        sizes = [rng.randint(1, m - 1) for _ in range(rng.randint(1, 3))]
+        duals.append((
+            occupancy.CommitteeSpec(m, [(1, k) for k in sizes]),
+            occupancy.CommitteeSpec(m, [(1, m - k) for k in sizes]),
+        ))
+    sandwiches = []
     for _ in range(60):
         m = rng.randint(2, 20)
         k = rng.randint(1, m - 1)
         n = rng.randint(0, 8)
-        r = rng.randint(0, min(k, m - k))
-        lower, jensen, upper = occupancy.moment_bounds(m, n, k, r)
-        middle = occupancy.committee_moment(
-            m, n, k, r, occupancy.MomentKind.BINOMIAL
-        ) / Fraction(math.comb(m, r))
-        if not lower <= jensen <= middle <= upper:
-            bad += 1
-    checks.append(CheckResult("normalized-moment sandwich", bad == 0, "60 draws"))
+        sandwiches.append((m, n, k, rng.randint(0, min(k, m - k))))
 
-    # full bound-ordering sweep
-    bad = 0
-    cnt = 0
-    for m in range(2, 65):
-        for n in range(1, 17):
-            for k in range(1, (m - 1) // 2 + 1):
-                cnt += 1
-                b = analytics.fpr_bounds(m, n, k)
-                f_s = analytics.fpr_standard_exact(m, n, k)
-                f_c = analytics.fpr_classic_exact(m, n, k)
-                if not (
-                    b.E <= float(b.M) + 1e-12
-                    and b.M <= f_s <= b.U
-                    and b.L <= f_s
-                    and b.L <= f_c <= b.U
-                ):
-                    bad += 1
-    checks.append(
-        CheckResult("bound ordering E<=M<=f_S<=U, L<=f<=U", bad == 0, f"{cnt} configs")
-    )
-
-    # recursive backend within its documented bound on the same sweep
-    # (subsampled) and at the paper's optima and misconfiguration, both variants
-    bad = 0
-    cells = [
-        (m, n, k)
-        for m in range(2, 65, 3)
-        for n in range(1, 17, 3)
-        for k in range(1, (m - 1) // 2 + 1, 2)
+    pmf, moment = occupancy.classic_pmf, occupancy.classic_raw_moment
+    # normalization, every family: each distribution as (P[X = .], m)
+    dists = [(partial(pmf, m, n), m) for m in range(1, 13) for n in range(0, 13)]
+    dists += [
+        (partial(occupancy.committee_pmf, m, n, k), m)
+        for m in range(1, 13)
+        for k in range(1, m + 1)
+        for n in range(0, 12 // k + 1)
     ]
-    cells += [(64, 4, 9), (64, 4, 10), (64, 4, 11), (1000, 20, 33), (1000, 20, 34)]
-    cells += [(1024, 5, 124), (1024, 5, 133), (1024, 5, 142)]
-    for m, n, k in cells:
-        for variant in (STANDARD, CLASSIC):
-            exact = analytics.fpr_exact(m, n, k, variant)
-            rec = analytics.fpr_recursive(m, n, k, variant)
-            if abs(Fraction(rec) - exact) > exact / 2**51 + Fraction(1, 2**1074):
-                bad += 1
-    checks.append(
-        CheckResult(
-            "recursive backend |r-f| <= 2^-51 f + 2^-1074",
-            bad == 0,
-            f"{len(cells)} configs",
-        )
+    for spec in specs:
+        dists.append((partial(occupancy.union_pmf, spec), spec.m))
+        dists.append((partial(occupancy.intersection_pmf, spec), spec.m))
+    # the bound-ordering sweep, and a subsample of it plus the paper's optima
+    # and misconfiguration for the recursive backend
+    sweep = [
+        (m, n, k)
+        for m in range(2, 65)
+        for n in range(1, 17)
+        for k in range(1, (m - 1) // 2 + 1)
+    ]
+    subsample = [(m, n, k) for m, n, k in sweep if m % 3 == 2 and n % 3 == 1 and k % 2]
+    subsample += [(64, 4, 9), (64, 4, 10), (64, 4, 11), (1000, 20, 33), (1000, 20, 34)]
+    subsample += [(1024, 5, 124), (1024, 5, 133), (1024, 5, 142)]
+    # (k + 1) j items with k hashes against k j items with k + 1 hashes: the
+    # same k (k + 1) j hash insertions either way
+    splits = [
+        (m, k, (k + 1) * j, k * j)
+        for m in range(3, 201, 7)
+        for k in range(1, 7)
+        for j in (1, 2)
+    ]
+
+    return [
+        _tally(
+            "pmf normalization (classic/committee/union/intersection)",
+            dists, "distributions", lambda p, m: sum(p(i) for i in range(m + 1)) == 1,
+        ),
+        _tally("classic pmf recurrence in n", steps_n, "draws", lambda m, n: all(
+            pmf(m, n + 1, i + 1)
+            == Fraction(m - i, m) * pmf(m, n, i) + Fraction(i + 1, m) * pmf(m, n, i + 1)
+            for i in range(m)
+        )),
+        _tally(
+            "classic moment recurrence in m", steps_m, "draws",
+            lambda m, n, r: moment(m, n, r)
+            == Fraction(1, m) * moment(m, n, r + 1)
+            + Fraction(m - 1, m) ** n * moment(m - 1, n, r),
+        ),
+        _tally(
+            "Stirling difference identity at rational z", points, "draws",
+            lambda n, r, z: sum(
+                stirling2(n, i) * i**r * falling_factorial(z, i)
+                for i in range(1, n + 1)
+            ) == sum(
+                stirling2(r, j) * nabla_power(z, n, j) * falling_factorial(z, j)
+                for j in range(0, r + 1)
+            ),
+        ),
+        _tally(
+            "union/intersection complement duality", duals, "specs",
+            lambda spec, comp: all(
+                p == occupancy.union_pmf(comp, spec.m - i)
+                for i, p in enumerate(occupancy.intersection_pmf_table(spec))
+            ),
+        ),
+        _tally("normalized-moment sandwich", sandwiches, "draws", _sandwiched),
+        _tally("bound ordering E<=M<=f_S<=U, L<=f<=U", sweep, "configs", _ordered),
+        _tally(
+            "recursive backend |r-f| <= 2^-51 f + 2^-1074", subsample, "configs",
+            _recursive_close,
+        ),
+        _tally("hash-count power-mean monotonicity", splits, "configs", _power_mean),
+    ]
+
+
+def _sandwiched(m: int, n: int, k: int, r: int) -> bool:
+    lower, jensen, upper = occupancy.moment_bounds(m, n, k, r)
+    kind = occupancy.MomentKind.BINOMIAL
+    middle = occupancy.committee_moment(m, n, k, r, kind) / math.comb(m, r)
+    return lower <= jensen <= middle <= upper
+
+
+def _ordered(m: int, n: int, k: int) -> bool:
+    b = analytics.fpr_bounds(m, n, k)
+    f_s = analytics.fpr_standard_exact(m, n, k)
+    f_c = analytics.fpr_classic_exact(m, n, k)
+    return (
+        b.E <= float(b.M) + 1e-12
+        and b.M <= f_s <= b.U
+        and b.L <= f_s
+        and b.L <= f_c <= b.U
     )
 
-    # power-mean monotonicity across hash counts (and efficiency ordering)
-    bad = 0
-    cnt = 0
-    for m in range(3, 201, 7):
-        for k in range(1, 7):
-            for j in (1, 2):
-                n = k * (k + 1) * j
-                f_lo = analytics.fpr_standard_exact(m, n // k, k)
-                f_hi = analytics.fpr_standard_exact(m, n // (k + 1), k + 1)
-                cnt += 1
-                if f_hi**k < f_lo ** (k + 1):
-                    bad += 1
-                if analytics.efficiency(m, n // k, k, STANDARD) <= analytics.efficiency(
-                    m, n // (k + 1), k + 1, STANDARD
-                ):
-                    bad += 1
-    checks.append(
-        CheckResult("hash-count power-mean monotonicity", bad == 0, f"{cnt} configs")
-    )
 
-    elapsed = time.perf_counter() - t_start
-    checks.append(CheckResult("invariant battery runtime < 300s", elapsed < 300, f"{elapsed:.1f}s"))
-    return SuiteResult("invariants", checks)
+def _recursive_close(m: int, n: int, k: int) -> bool:
+    for variant in (STANDARD, CLASSIC):
+        exact = analytics.fpr_exact(m, n, k, variant)
+        rec = analytics.fpr_recursive(m, n, k, variant)
+        if abs(Fraction(rec) - exact) > exact / 2**51 + Fraction(1, 2**1074):
+            return False
+    return True
+
+
+def _power_mean(m: int, k: int, n_lo: int, n_hi: int) -> bool:
+    """f(n_lo, k)^(k+1) <= f(n_hi, k+1)^k, and k hashes are the more efficient."""
+    f_lo = analytics.fpr_standard_exact(m, n_lo, k)
+    f_hi = analytics.fpr_standard_exact(m, n_hi, k + 1)
+    eff = analytics._efficiency
+    return f_hi**k >= f_lo ** (k + 1) and eff(m, n_lo, f_lo) > eff(m, n_hi, f_hi)
 
 
 def _random_spec(rng: random.Random, max_m: int, max_total: int):
@@ -402,9 +376,9 @@ def _random_spec(rng: random.Random, max_m: int, max_total: int):
 
 
 def suite_montecarlo() -> SuiteResult:
-    t0 = time.perf_counter()
-    rows = montecarlo.run_validation(montecarlo.validation_suite())
-    elapsed = time.perf_counter() - t0
+    rows, elapsed = _timed(
+        lambda: montecarlo.run_validation(montecarlo.validation_suite())
+    )
     fpr_out = [r for r in rows if abs(r.z_score) > 4]
     mean_out = [r for r in rows if abs(r.mean_z) > 4]
     chi_bad = [r for r in rows if r.chi2_p <= 1e-4]
@@ -435,10 +409,10 @@ def suite_montecarlo() -> SuiteResult:
 
 
 def suite_asymptotics() -> SuiteResult:
-    t0 = time.perf_counter()
-    eps_s = [analytics.max_efficiency(m, STANDARD).epsilon for m in (100, 1000, 10000)]
-    eps_c = [analytics.max_efficiency(m, CLASSIC).epsilon for m in (100, 1000, 10000)]
-    elapsed = time.perf_counter() - t0
+    (eps_s, eps_c), elapsed = _timed(lambda: [
+        [analytics.max_efficiency(m, variant).epsilon for m in (100, 1000, 10000)]
+        for variant in (STANDARD, CLASSIC)
+    ])
     ok = (
         eps_s[0] < eps_s[1] < eps_s[2]
         and eps_c[0] < eps_c[1] < eps_c[2]
@@ -457,22 +431,14 @@ def suite_asymptotics() -> SuiteResult:
 
 
 def suite_valley() -> SuiteResult:
-    worst = 0.0
-    for k in range(1, 11):
-        x = analytics.valley_crossing(k)
-        worst = max(worst, analytics.valley_residual(k, x))
+    worst = max(
+        analytics.valley_residual(k, analytics.valley_crossing(k)) for k in range(1, 11)
+    )
     golden = abs(analytics.valley_crossing(1) - math.log((1 + math.sqrt(5)) / 2))
     ok = worst < 1e-10 and golden < 1e-9
-    return SuiteResult(
-        "valley",
-        [
-            CheckResult(
-                "equal-rate crossings k=1..10",
-                ok,
-                f"max residual {worst:.2e}, k=1 vs ln(golden ratio) {golden:.2e}",
-            )
-        ],
-    )
+    detail = f"max residual {worst:.2e}, k=1 vs ln(golden ratio) {golden:.2e}"
+    check = CheckResult("equal-rate crossings k=1..10", ok, detail)
+    return SuiteResult("valley", [check])
 
 
 # --------------------------------------------------------------------------
@@ -481,16 +447,13 @@ def suite_valley() -> SuiteResult:
 
 
 def suite_conjectures() -> SuiteResult:
-    t0 = time.perf_counter()
-    report = montecarlo.conjecture_scan(
+    report, elapsed = _timed(lambda: montecarlo.conjecture_scan(
         range(1, 257),
         range(1, 33),
         k_values=[(m, k) for m in (32, 64, 100) for k in range(1, 11)],
-    )
-    elapsed = time.perf_counter() - t0
+    ))
     bad_cells = [r for r in report.ordering if not r.ok]
     mono_bad = sum(not r.ok for r in report.monotonicity)
-    ok = not bad_cells
     cells = "".join(
         f" (m={r.m},n={r.n}: k*_C={r.k_classic},k*_S={r.k_standard})"
         for r in bad_cells[:4]
@@ -503,7 +466,7 @@ def suite_conjectures() -> SuiteResult:
     )
     return SuiteResult(
         "conjectures",
-        [CheckResult("optimal-k ordering conjecture scan", ok, detail)],
+        [CheckResult("optimal-k ordering conjecture scan", not bad_cells, detail)],
         artifacts={"conjecture_scan": report.to_csv()},
     )
 

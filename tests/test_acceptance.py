@@ -9,9 +9,14 @@ committed reports/conjecture_scan.csv byte for byte. The rates behind that
 cell are confirmed by an independent bit-count Markov chain in
 test_conjecture_counterexample.py. The suite's own check still reports the
 violation, since the conjecture is false.
+
+Each suite runs once per module. The last test rebuilds the `bloomlab verify
+all` transcript from those results and compares it, and every artifact, with
+the committed reports/.
 """
 
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -28,57 +33,62 @@ def _report(criterion: int, check: suites.CheckResult) -> None:
 
 
 @pytest.fixture(scope="module")
-def paper_numbers():
-    return suites.suite_paper_numbers()
+def suite():
+    """suite(name) runs the named suite on its first request in this module
+    and returns that same result on every later one."""
+    results = {}
+
+    def run(name: str) -> suites.SuiteResult:
+        if name not in results:
+            results[name] = suites.SUITES[name]()
+        return results[name]
+
+    return run
 
 
-def test_criterion_01_optima_m64_n4(paper_numbers):
-    _report(1, paper_numbers.checks[0])
+def test_criterion_01_optima_m64_n4(suite):
+    _report(1, suite("paper-numbers").checks[0])
 
 
-def test_criterion_02_optima_m1000_n20(paper_numbers):
-    _report(2, paper_numbers.checks[1])
+def test_criterion_02_optima_m1000_n20(suite):
+    _report(2, suite("paper-numbers").checks[1])
 
 
-def test_criterion_03_misconfiguration_m1024_n5(paper_numbers):
-    _report(3, paper_numbers.checks[2])
+def test_criterion_03_misconfiguration_m1024_n5(suite):
+    _report(3, suite("paper-numbers").checks[2])
 
 
-def test_criterion_04_peak_efficiency_m100(paper_numbers):
-    _report(4, paper_numbers.checks[3])
+def test_criterion_04_peak_efficiency_m100(suite):
+    _report(4, suite("paper-numbers").checks[3])
 
 
-def test_criterion_05_brute_force_oracle():
-    result = suites.suite_oracle_small()
-    _report(5, result.checks[0])
+def test_criterion_05_brute_force_oracle(suite):
+    _report(5, suite("oracle-small").checks[0])
 
 
-def test_criterion_06_invariant_suites():
-    result = suites.suite_invariants()
-    for check in result.checks:
+def test_criterion_06_invariant_suites(suite):
+    for check in suite("invariants").checks:
         _report(6, check)
 
 
-def test_criterion_07_monte_carlo_agreement():
-    result = suites.suite_montecarlo()
-    _report(7, result.checks[0])
+def test_criterion_07_monte_carlo_agreement(suite):
+    _report(7, suite("montecarlo").checks[0])
 
 
-def test_criterion_08_asymptotic_efficiencies():
-    result = suites.suite_asymptotics()
-    _report(8, result.checks[0])
+def test_criterion_08_asymptotic_efficiencies(suite):
+    _report(8, suite("asymptotics").checks[0])
 
 
-def test_criterion_09_valley_solver():
-    result = suites.suite_valley()
-    _report(9, result.checks[0])
+def test_criterion_09_valley_solver(suite):
+    _report(9, suite("valley").checks[0])
 
 
 # the only cell of the default grid where the conjectured ordering fails
 COUNTEREXAMPLE = (26, 12)
 # the committed scan artifact: every ordering row with its tie ranges and
 # every peak row, as `bloomlab verify all --out reports` writes it
-SCAN_CSV = Path(__file__).resolve().parents[1] / "reports" / "conjecture_scan.csv"
+REPORTS = Path(__file__).resolve().parents[1] / "reports"
+SCAN_CSV = REPORTS / "conjecture_scan.csv"
 
 
 class _OrderingRow(NamedTuple):
@@ -101,8 +111,8 @@ def _ordering_rows(csv_text: str) -> dict[tuple[int, int], _OrderingRow]:
     return rows
 
 
-def test_criterion_10_conjecture_scan(tmp_path):
-    result = suites.suite_conjectures()
+def test_criterion_10_conjecture_scan(suite, tmp_path):
+    result = suite("conjectures")
     scan = result.checks[0]
     csv_text = result.artifacts["conjecture_scan"]
     artifact = tmp_path / "conjecture_scan.csv"
@@ -141,3 +151,22 @@ def test_criterion_10_conjecture_scan(tmp_path):
             detail + f"suite: {scan.detail}",
         ),
     )
+
+
+# `bloomlab verify all --out reports > reports/verify_all.txt`, committed.
+# Timings vary from run to run, so both transcripts read each "<seconds>s"
+# as "Xs"; the CSV artifacts must match byte for byte
+TIMING = re.compile(r"[0-9]+\.[0-9]+s")
+
+
+def test_verify_all_matches_the_committed_reports(suite):
+    lines, artifacts = [], {}
+    for name in suites.SUITES:
+        result = suite(name)
+        lines += [f"== {result.suite}", *(check.line() for check in result.checks)]
+        artifacts.update(result.artifacts)
+    transcript = (REPORTS / "verify_all.txt").read_text(encoding="utf-8")
+    assert TIMING.sub("Xs", "\n".join(lines) + "\n") == TIMING.sub("Xs", transcript)
+    assert sorted(artifacts) == ["conjecture_scan", "validation"]
+    for stem, text in artifacts.items():
+        assert text.encode() == (REPORTS / f"{stem}.csv").read_bytes(), stem

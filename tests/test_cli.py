@@ -506,6 +506,32 @@ class TestOptimize:
         assert payload["n_max_exact"] >= 1
         assert "n_max_estimate" in payload
 
+    # the README's capacity (--m --p) and size (--n --p) examples, byte for byte
+    @pytest.mark.parametrize("args, text, payload", [
+        (
+            ["--m", "1024", "--p", "0.0009765625", "--variant", "standard"],
+            "variant          standard\nm                1024\n"
+            "p                0.0009765625\nn_max_exact      70\n"
+            "n_max_estimate   70.9782712893384\nk_exact          10\n"
+            "estimate_gap     1\n",
+            {"variant": "standard", "m": 1024, "p": 0.0009765625, "n_max_exact": 70,
+             "n_max_estimate": 70.9782712893384, "k_exact": 10, "estimate_gap": 1},
+        ),
+        (
+            ["--n", "100", "--p", "1e-6", "--variant", "classic"],
+            "variant          classic\nn                100\np                1e-06\n"
+            "m_min_exact      2877\nm_min_estimate   2875.5175132102318\n"
+            "k_exact          20\nestimate_gap     -1\n",
+            {"variant": "classic", "n": 100, "p": 1e-06, "m_min_exact": 2877,
+             "m_min_estimate": 2875.5175132102318, "k_exact": 20, "estimate_gap": -1},
+        ),
+    ], ids=["capacity", "size"])
+    def test_capacity_examples_pinned(self, runner, args, text, payload):
+        result = runner.invoke(cli, ["optimize", *args])
+        assert (result.exit_code, result.output) == (0, text)
+        result = runner.invoke(cli, ["optimize", *args, "--format", "json"])
+        assert result.output == json.dumps(payload, indent=2) + "\n"
+
     # optima at k = 1 above 2^-0.5, where pruning once did not start: each
     # answer checked against the exact k = 1 rate 1 - (1 - 1/m)^n, the same
     # in both variants

@@ -81,6 +81,13 @@ class TestEmpiricalFpr:
             with pytest.raises(ValueError, match="one process"):
                 run_validation([config], workers=workers)
 
+    def test_probeless_config_rejected_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(montecarlo, "run_trials", calls.append)
+        with pytest.raises(ValueError, match="at least one probe"):
+            run_validation([_config(), _config(probes=0)])
+        assert calls == []
+
 
 class TestHistogram:
     def test_classic_single_batch_point_mass(self):
@@ -250,6 +257,20 @@ class TestConjectureScan:
             assert (row.m, row.k) == (m, k)
             assert row.eps_k == real(m, k, CLS).epsilon
             assert row.eps_next == real(m, k + 1, CLS).epsilon
+
+    @pytest.mark.parametrize("m_values, n_values, named", [
+        ([5], [0], "got n=0"),
+        ([5, 0], [1], "got m=0"),
+        (range(1, 4), [2, -1], "got n=-1"),
+    ])
+    def test_sizes_below_one_rejected_before_any_cell(
+        self, monkeypatch, m_values, n_values, named
+    ):
+        calls = []
+        monkeypatch.setattr(montecarlo, "optimal_k", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=named):
+            conjecture_scan(m_values, n_values)
+        assert calls == []
 
     def test_csv_round(self):
         report = conjecture_scan([64], [4], k_values=[(64, 5)])
