@@ -1036,6 +1036,8 @@ def max_efficiency(m: int, variant: FilterVariant) -> EfficiencyPoint:
 
 def max_efficiency_closed_form(m: int, variant: FilterVariant) -> float:
     """The continuous-n closed form the discrete optimum converges to."""
+    if m < 2:
+        raise ValueError("max_efficiency_closed_form requires m >= 2")
     if variant is FilterVariant.STANDARD:
         return 1 / (m * math.log2(m / (m - 1)))
     return log2_fraction(Fraction(comb(m, m // 2))) / m

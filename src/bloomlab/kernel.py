@@ -8,14 +8,12 @@ arithmetic.
 
 Alternating sums are accumulated in integer (or exact rational) arithmetic
 and divided once at the end, so no cancellation error is possible. All
-functions are pure; the memo tables tolerate concurrent readers and
-concurrent idempotent fills.
+functions are pure, and the module keeps no table or other state.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from itertools import repeat
 from math import comb, gcd
@@ -42,32 +40,16 @@ _T = TypeVar("_T")
 # Stirling numbers of the second kind
 # --------------------------------------------------------------------------
 
-# Row-major table: _STIRLING_ROWS[n][i] == S(n, i) for 0 <= i <= n.
-_STIRLING_ROWS: list[list[int]] = [[1]]
-_STIRLING_LOCK = threading.Lock()
-
 
 def stirling2(n: int, i: int) -> int:
-    """S(n, i), the number of partitions of an n-set into i nonempty blocks.
-
-    Triangular recurrence S(n,i) = i*S(n-1,i) + S(n-1,i-1); rows are cached.
-    Out-of-range arguments (i > n, or i == 0 with n > 0) give 0.
+    """S(n, i), the number of partitions of an n-set into i nonempty blocks,
+    as nabla^i[x^n]_i / i!: the difference counts the surjections of an
+    n-set onto an i-set, i! per partition. Out-of-range arguments (i > n,
+    or i == 0 with n > 0) give 0.
     """
     if n < 0 or i < 0:
         raise ValueError("stirling2 requires n >= 0 and i >= 0")
-    if i > n:
-        return 0
-    if len(_STIRLING_ROWS) <= n:
-        with _STIRLING_LOCK:
-            while len(_STIRLING_ROWS) <= n:
-                prev = _STIRLING_ROWS[-1]
-                deg = len(_STIRLING_ROWS)
-                row = [0] * (deg + 1)
-                for j in range(1, deg):
-                    row[j] = j * prev[j] + prev[j - 1]
-                row[deg] = 1
-                _STIRLING_ROWS.append(row)
-    return _STIRLING_ROWS[n][i]
+    return nabla_power(i, n, i) // math.factorial(i)
 
 
 # --------------------------------------------------------------------------

@@ -19,10 +19,11 @@ for Y the number of empty urns:
     E[g(X)] = sum_j (-1)^j C(m,j) nabla^j[g]_m prod C(m-j,k)^n / prod C(m,k)^n
 
 over j <= min(deg g, m), with g = x^r, x_(r) or C(x,r) for the three
-moment kinds. The p.m.f.s come from one forward-difference table of the
-same product. The product and the difference loops live in kernel, and
-every result is reduced there against prod C(m,k), whose power the
-denominator is (kernel._lowest_terms), not by Fraction's general gcd.
+moment kinds. Every p.m.f. of the three, classic included, is one row of
+a forward-difference table of the same product. The product and the
+difference loops live in kernel, and every result is reduced there against
+prod C(m,k), whose power the denominator is (kernel._lowest_terms), not by
+Fraction's general gcd.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .kernel import (
     nabla_power,
     nabla_power_row,
     rho,
-    stirling2,
+    stirling2,  # not called here: perfbench's tracer wraps it (ROADMAP item 1)
 )
 
 __all__ = [
@@ -106,12 +107,11 @@ class CommitteeSpec:
 
 
 def classic_pmf(m: int, n: int, i: int) -> Fraction:
-    """P[X = i] for n uniform balls in m urns: S(n,i) * m_(i) / m^n."""
+    """P[X = i] for n uniform balls in m urns, S(n,i) m_(i) / m^n: the
+    committee law with batches of one urn, read from its p.m.f. row."""
     if m < 1 or n < 0:
         raise ValueError("classic_pmf requires m >= 1 and n >= 0")
-    if i < 0 or i > m:
-        return Fraction(0)
-    return _lowest_terms(stirling2(n, i) * falling_factorial(m, i), m**n, m)
+    return _batch_pmf(m, ((n, 1),), i)
 
 
 def classic_raw_moment(m: int, n: int, r: int) -> Fraction:
@@ -124,6 +124,8 @@ def classic_raw_moment(m: int, n: int, r: int) -> Fraction:
     min(r, m) rather than m, which keeps high-precision moments cheap even
     for large m.
     """
+    if m < 1 or n < 0:
+        raise ValueError("classic_raw_moment requires m >= 1 and n >= 0")
     return _moment(m, ((n, 1),), r, MomentKind.RAW)
 
 

@@ -3,7 +3,9 @@
 Union and intersection occupancy by OR/AND-combining the per-department
 mask distributions of `bloomlab.oracle`, and moments of an enumerated
 p.m.f. Like the oracle, they count placements directly, so they check the
-analytic union, intersection and moment formulas independently.
+analytic union, intersection and moment formulas independently. Stirling
+numbers come from their triangle, which shares nothing with the kernel's
+difference form.
 """
 
 from fractions import Fraction
@@ -11,6 +13,20 @@ from math import comb
 
 from bloomlab.occupancy import CommitteeSpec
 from bloomlab.oracle import _mask_counts_committee, _occupancy_hist
+
+
+# _STIRLING_ROWS[t][i] == S(t, i); rows are appended as callers reach them
+_STIRLING_ROWS = [(1,)]
+
+
+def stirling_row(n: int) -> tuple[int, ...]:
+    """(S(n, 0), ..., S(n, n)), Stirling numbers of the second kind, by the
+    triangle S(t, i) = i S(t-1, i) + S(t-1, i-1) from S(0, 0) = 1."""
+    while len(_STIRLING_ROWS) <= n:
+        prev = _STIRLING_ROWS[-1] + (0,)
+        row = (i * prev[i] + prev[i - 1] for i in range(1, len(prev)))
+        _STIRLING_ROWS.append((0, *row))
+    return _STIRLING_ROWS[n]
 
 
 def enumerate_union_pmf(spec: CommitteeSpec) -> list[Fraction]:

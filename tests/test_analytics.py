@@ -34,8 +34,10 @@ from bloomlab.analytics import (
     valley_residual,
 )
 from bloomlab.filters import FilterVariant
-from bloomlab.kernel import log2_fraction, nabla_power, stirling2
+from bloomlab.kernel import log2_fraction, nabla_power
 from bloomlab.occupancy import classic_mean_variance
+
+from enumerators import stirling_row
 
 STD = FilterVariant.STANDARD
 CLS = FilterVariant.CLASSIC
@@ -349,17 +351,18 @@ def fpr_standard_stirling(m, n, k):
 
         f = sum_i S(k,i) m_(i) nabla^i[x^(nk)]_m / m^(nk+k),
 
-    with its own difference table and loops, so it shares no code with the
-    dual form that fpr_standard_exact and optimal_k's stepped scan use."""
+    with its own difference table, loops and Stirling triangle, so it shares
+    no code with the dual form that fpr_standard_exact and optimal_k's
+    stepped scan use."""
     top = min(k, m)
     vals = [(m - j) ** (n * k) for j in range(top + 1)]
     row = [vals[0]]
     for _ in range(top):
         vals = [vals[j] - vals[j + 1] for j in range(len(vals) - 1)]
         row.append(vals[0])
-    num, ff = 0, 1
+    num, ff, stirling = 0, 1, stirling_row(k)
     for i in range(top + 1):
-        num += stirling2(k, i) * ff * row[i]
+        num += stirling[i] * ff * row[i]
         ff *= m - i
     return Fraction(num, m ** (n * k + k))
 
@@ -1132,6 +1135,13 @@ class TestEfficiency:
         closed = max_efficiency_closed_form(100, CLS)
         assert closed == pytest.approx(math.log2(math.comb(100, 50)) / 100, rel=1e-12)
         assert round(pt.epsilon, 2) == round(closed, 2)
+
+    def test_closed_form_rejects_fewer_than_two_bits(self):
+        # both closed forms need m >= 2, as max_efficiency does
+        for m in (1, 0, -3):
+            for variant in (STD, CLS):
+                with pytest.raises(ValueError, match="m >= 2"):
+                    max_efficiency_closed_form(m, variant)
 
 
 class TestValley:

@@ -2,7 +2,6 @@ import fractions
 import importlib.util
 import math
 import sys
-import threading
 import types
 from enum import Enum
 from fractions import Fraction
@@ -29,7 +28,7 @@ from bloomlab.kernel import (
     stirling2,
 )
 from bloomlab.occupancy import CommitteeSpec
-from enumerators import enumerate_union_pmf
+from enumerators import enumerate_union_pmf, stirling_row
 
 
 class DifferenceKind(Enum):
@@ -105,23 +104,12 @@ class TestStirling:
         with pytest.raises(ValueError):
             stirling2(-1, 0)
 
-    def test_concurrent_fill(self):
-        errors = []
-
-        def hammer(start):
-            try:
-                for n in range(start, 160):
-                    stirling2(n, n // 2)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer, args=(s,)) for s in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert stirling2(10, 5) == 42525
+    def test_matches_the_triangle(self):
+        # S(n, i) = nabla^i[x^n]_i / i! against the triangle, past i = n
+        for n in range(61):
+            row = stirling_row(n)
+            for i in range(n + 3):
+                assert stirling2(n, i) == (row[i] if i <= n else 0), (n, i)
 
 
 class TestFallingFactorial:

@@ -1,11 +1,12 @@
+import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloomlab import occupancy, oracle
+from bloomlab import kernel, occupancy, oracle
 from bloomlab.estimators import mvue_m_committee
 from bloomlab.occupancy import (
     CommitteeSpec,
@@ -28,6 +29,7 @@ from enumerators import (
     enumerate_intersection_pmf,
     enumerate_moment,
     enumerate_union_pmf,
+    stirling_row,
 )
 
 
@@ -85,12 +87,47 @@ class TestClassicPmf:
             ) * classic_pmf(m, n, i + 1)
             assert lhs == rhs
 
+    def test_is_the_batch_row_in_stirling_form(self, monkeypatch):
+        # S(n,i) m_(i) / m^n, read from the committee row at k = 1 without
+        # calling any Stirling function
+        def refuse(n, i):
+            raise AssertionError("classic_pmf called stirling2")
+
+        monkeypatch.setattr(kernel, "stirling2", refuse)
+        monkeypatch.setattr(occupancy, "stirling2", refuse)
+        for m in range(1, 13):
+            for n in range(31):
+                stirling = stirling_row(n)
+                for i in range(-1, m + 2):
+                    s = stirling[i] if 0 <= i <= min(n, m) else 0
+                    want = Fraction(s * perm(m, i), m**n) if s else 0
+                    got = classic_pmf(m, n, i)
+                    assert got == want == committee_pmf(m, n, 1, i), (m, n, i)
+
+    def test_row_memory_is_bounded(self):
+        # one row for (64, 1000): 65 fractions of under 6,000 bits each, and
+        # nothing kept for the n' < 1000 on the way
+        occupancy._batch_pmf_row.cache_clear()
+        tracemalloc.start()
+        try:
+            classic_pmf(64, 1000, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
 
 class TestClassicMoments:
     def test_examples(self):
         assert classic_raw_moment(2, 2, 0) == 1
         assert classic_raw_moment(2, 2, 1) == Fraction(3, 2)
         assert classic_raw_moment(2, 2, 2) == Fraction(5, 2)
+
+    def test_inputs_checked(self):
+        # checked before the empty-urn sum, as classic_mean_variance does
+        for m, n in [(0, 1), (-2, 3), (4, -1)]:
+            with pytest.raises(ValueError, match="m >= 1 and n >= 0"):
+                classic_raw_moment(m, n, 1)
 
     def test_mean_variance_examples(self):
         assert classic_mean_variance(6, 0) == (0, 0)
